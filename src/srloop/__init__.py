@@ -7,7 +7,7 @@ scored across independent runs.
 """
 
 from .data import Dataset, load_builtin, load_csv
-from .engine import RunConfig, RunLog, check_rediscovery, run, score_runs
+from .engine import RunConfig, RunLog, run, score_runs
 from .expressions import (
     Dialect,
     Expression,
@@ -47,7 +47,6 @@ __all__ = [
     "build_iteration",
     "build_system",
     "canonicalize",
-    "check_rediscovery",
     "complexity",
     "estimate_cost",
     "evaluate",

@@ -16,7 +16,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import data, engine
@@ -70,32 +70,26 @@ def _prompt_config(ini: configparser.ConfigParser, args) -> PromptConfig:
     )
 
 
+def _ini_fields(cls, sec) -> dict:
+    """The keys of an INI section that name fields of ``cls`` with a non-None
+    default, each coerced by the type of that default. Absent keys are left
+    to the dataclass defaults."""
+    return {f.name: type(f.default)(sec[f.name]) for f in fields(cls)
+            if f.name in sec and f.default is not None}
+
+
 def _fit_config(ini: configparser.ConfigParser, args) -> FitConfig:
     sec = ini["fit"] if ini.has_section("fit") else {}
-    return FitConfig(
-        hops=int(sec.get("hops", "25")),
-        step_scale=float(sec.get("step_scale", "1.0")),
-        reflection=float(sec.get("reflection", "1.0")),
-        expansion=float(sec.get("expansion", "2.0")),
-        contraction=float(sec.get("contraction", "0.5")),
-        shrink=float(sec.get("shrink", "0.5")),
-        max_evals=int(sec.get("max_evals", "10000")),
-        tol=float(sec.get("tol", "1e-8")),
-        seed=int(sec.get("seed", str(args.seed or 0))),
-        refits=int(sec.get("refits", "1")),
-    )
+    return FitConfig(**{"seed": args.seed or 0, **_ini_fields(FitConfig, sec)})
 
 
 def _backend_config(ini: configparser.ConfigParser, args) -> BackendConfig:
     sec = ini["llm"] if ini.has_section("llm") else {}
+    cfg = BackendConfig(**_ini_fields(BackendConfig, sec))
     max_tokens = sec.get("max_tokens", "")
-    return BackendConfig(
-        kind=args.backend or sec.get("kind", "scripted"),
-        endpoint=sec.get("endpoint", BackendConfig.endpoint),
-        model=sec.get("model", BackendConfig.model),
-        key_env_var=sec.get("key_env_var", BackendConfig.key_env_var),
-        timeout=float(sec.get("timeout", "120")),
-        max_retries=int(sec.get("max_retries", "3")),
+    return replace(
+        cfg,
+        kind=args.backend or cfg.kind,
         max_tokens=int(max_tokens) if max_tokens else None,
         transcript=args.transcript or sec.get("transcript") or None,
     )
@@ -234,10 +228,6 @@ def cmd_replay(args) -> int:
     return EXIT_RUNTIME if failures else EXIT_OK
 
 
-def _logs_from_paths(paths) -> list[dict]:
-    return [engine.load_runlog_data(p) for p in paths]
-
-
 def cmd_score(args) -> int:
     if not args.logs:
         print("error: no run logs given", file=sys.stderr)
@@ -250,36 +240,29 @@ def cmd_score(args) -> int:
     if dataset.target is None:
         print(f"error: dataset {args.target!r} has no target model", file=sys.stderr)
         return EXIT_CONFIG
-    rediscoveries = []
+    logs = []
     iterations = 0
-    for log_data in _logs_from_paths(args.logs):
+    for path in args.logs:
+        log_data = engine.load_runlog_data(path)
+        header, summary = log_data["header"], log_data["summary"]
+        if header["dataset"] != args.target:
+            raise ConfigError(f"{path} is a run on {header['dataset']!r}, not on {args.target!r}")
+        logs.append(engine.RunLog(dataset_id=header["dataset"], config=header["config"],
+                                  rediscovery_iteration=summary["rediscovery_iteration"]))
         iterations = max(iterations, len(log_data["iterations"]))
-        found = None
-        for cand in log_data["summary"]["store"]:
-            try:
-                expr = parse(cand["equation"], Dialect.INFIX, list(dataset.variables))
-            except Exception:
-                continue
-            if engine.sr_equivalent(expr, dataset.target):
-                it = cand["iteration"]
-                found = it if found is None else min(found, it)
-        rediscoveries.append(found)
-    score = [
-        sum(1 for f in rediscoveries if f is not None and f <= i)
-        for i in range(1, iterations + 1)
-    ]
+    score = engine.score_runs(logs, iterations=iterations, mode="cumulative")
     out = Path(args.out)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "count"])
         for i, n in enumerate(score, start=1):
             writer.writerow([i, n])
+    found = sum(1 for log in logs if log.rediscovery_iteration is not None)
     print(f"target: {dataset.target}")
-    print(f"runs: {len(rediscoveries)}, rediscovered in "
-          f"{sum(1 for f in rediscoveries if f is not None)}")
+    print(f"runs: {len(logs)}, rediscovered in {found}")
     print("iteration  found-by")
     for i, n in enumerate(score, start=1):
-        print(f"{i:9d}  {n}/{len(rediscoveries)}")
+        print(f"{i:9d}  {n}/{len(logs)}")
     print(f"score CSV written to {out}")
     return EXIT_OK
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .data import Dataset, load_builtin
 from .expressions import (
-    Expression,
     ExpressionSyntaxError,
     ImplicitFormError,
     OperatorSet,
@@ -24,7 +26,6 @@ from .expressions import (
     canonicalize,
     complexity,
     render,
-    sr_equivalent,
 )
 from .llm import (
     BackendError,
@@ -171,12 +172,6 @@ def make_backend(bcfg: BackendConfig):
     raise ConfigError(f"unknown backend kind {bcfg.kind!r}")
 
 
-def check_rediscovery(cand: Candidate, target: Expression) -> bool:
-    """Structural match of canonical forms only: a free-exponent power never
-    matches a fixed-exponent target."""
-    return sr_equivalent(cand.expr, target)
-
-
 def run(cfg: RunConfig, dataset: Dataset | None = None, backend=None) -> RunLog:
     """Execute one run. A malformed candidate never aborts the loop: it is
     logged and skipped. Backend failure raises BackendFailure carrying the
@@ -299,16 +294,13 @@ def _evaluate_candidate(text, dataset, opset, required_vars, batch_keys, store,
     except NoFiniteObjectiveError as exc:
         # stored with infinite error for duplicate suppression; never fed back
         outcomes.append(ParseOutcome(text, "unfittable", str(exc)))
-        return Candidate(
-            expr=expr, canonical=canonical, params=expr.initial_guess(),
-            mse=math.inf, mae=math.inf, complexity=complexity(expr),
-            iteration_born=iteration,
-        )
-    outcomes.append(ParseOutcome(text, "fitted"))
+        params, mse, mae = expr.initial_guess(), math.inf, math.inf
+    else:
+        outcomes.append(ParseOutcome(text, "fitted"))
+        params, mse, mae = result.params, result.mse, result.mae
     return Candidate(
-        expr=expr, canonical=canonical, params=result.params,
-        mse=result.mse, mae=result.mae, complexity=complexity(expr),
-        iteration_born=iteration,
+        expr=expr, canonical=canonical, params=params, mse=mse, mae=mae,
+        complexity=complexity(expr), iteration_born=iteration,
     )
 
 
@@ -344,91 +336,43 @@ def score_runs(logs: list[RunLog], iterations: int | None = None,
 # Config and log (de)serialization
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    ops = cfg.operators
-    if isinstance(ops, OperatorSet):
-        ops = {"binary": sorted(ops.binary), "unary": sorted(ops.unary), "name": ops.name}
-    prompt = {
-        "use_scratchpad": cfg.prompt.use_scratchpad,
-        "use_context": cfg.prompt.use_context,
-        "include_data": cfg.prompt.include_data,
-        "n_expressions": cfg.prompt.n_expressions,
-        "operator_note": cfg.prompt.operator_note,
-        "extra_instructions": list(cfg.prompt.extra_instructions),
-        "rounding_decimals": cfg.prompt.rounding_decimals,
-        "dialect": cfg.prompt.dialect.value,
-    }
-    return {
-        "dataset": cfg.dataset,
-        "operators": ops,
-        "prompt": prompt,
-        "policy": {
-            "kind": cfg.policy.kind,
-            "min_count": cfg.policy.min_count,
-            "k": cfg.policy.k,
-            "include_params": cfg.policy.include_params,
-        },
-        "fit": {
-            "hops": cfg.fit.hops,
-            "step_scale": cfg.fit.step_scale,
-            "reflection": cfg.fit.reflection,
-            "expansion": cfg.fit.expansion,
-            "contraction": cfg.fit.contraction,
-            "shrink": cfg.fit.shrink,
-            "max_evals": cfg.fit.max_evals,
-            "tol": cfg.fit.tol,
-            "seed": cfg.fit.seed,
-            "refits": cfg.fit.refits,
-        },
-        "iterations": cfg.iterations,
-        "runs": cfg.runs,
-        "backend": {
-            "kind": cfg.backend.kind,
-            "endpoint": cfg.backend.endpoint,
-            "model": cfg.backend.model,
-            "key_env_var": cfg.backend.key_env_var,
-            "timeout": cfg.backend.timeout,
-            "max_retries": cfg.backend.max_retries,
-            "max_tokens": cfg.backend.max_tokens,
-            "transcript": cfg.backend.transcript,
-        },
-        "temperature": cfg.temperature,
-        "seed": cfg.seed,
-        "subsample": cfg.subsample,
-        "score_mode": cfg.score_mode,
-    }
+    """JSON-ready form of a config: dataclasses become dicts in field order,
+    enums their values, frozensets sorted lists and tuples lists."""
+    if is_dataclass(cfg):
+        return {f.name: config_to_dict(getattr(cfg, f.name)) for f in fields(cfg)}
+    if isinstance(cfg, Enum):
+        return cfg.value
+    if isinstance(cfg, frozenset):
+        return sorted(cfg)
+    if isinstance(cfg, tuple):
+        return [config_to_dict(v) for v in cfg]
+    return cfg
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    from .expressions import Dialect
+    """Inverse of config_to_dict, typed by the dataclass annotations. A missing
+    key takes the field's default, so older logs still load; an unknown key or
+    a missing required one is a ValueError."""
+    return _decode(RunConfig, d)
 
-    ops = d["operators"]
-    if isinstance(ops, dict):
-        ops = OperatorSet(frozenset(ops["binary"]), frozenset(ops["unary"]), ops["name"])
-    p = d["prompt"]
-    prompt = PromptConfig(
-        use_scratchpad=p["use_scratchpad"],
-        use_context=p["use_context"],
-        include_data=p["include_data"],
-        n_expressions=p["n_expressions"],
-        operator_note=p["operator_note"],
-        extra_instructions=tuple(p["extra_instructions"]),
-        rounding_decimals=p["rounding_decimals"],
-        dialect=Dialect(p["dialect"]),
-    )
-    return RunConfig(
-        dataset=d["dataset"],
-        operators=ops,
-        prompt=prompt,
-        policy=FeedbackPolicy(**d["policy"]),
-        fit=FitConfig(**d["fit"]),
-        iterations=d["iterations"],
-        runs=d["runs"],
-        backend=BackendConfig(**d["backend"]),
-        temperature=d["temperature"],
-        seed=d["seed"],
-        subsample=d["subsample"],
-        score_mode=d.get("score_mode", "cumulative"),
-    )
+
+def _decode(tp, v):
+    if get_origin(tp) in (Union, UnionType):  # a dict selects the dataclass member
+        tp = next((t for t in get_args(tp) if is_dataclass(t)), None) if isinstance(v, dict) else None
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        unknown = set(v) - {f.name for f in fields(tp)}
+        if unknown:
+            raise ValueError(f"unknown {tp.__name__} config key(s): {', '.join(sorted(unknown))}")
+        try:
+            return tp(**{k: _decode(hints[k], x) for k, x in v.items()})
+        except TypeError as exc:  # a required key is missing or a value has the wrong type
+            raise ValueError(f"bad {tp.__name__} config: {exc}") from exc
+    if get_origin(tp) in (frozenset, tuple):
+        return get_origin(tp)(v)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return tp(v)
+    return v
 
 
 def _num(v: float):

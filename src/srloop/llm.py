@@ -37,6 +37,10 @@ class ApiError(BackendError):
         self.body = body
 
 
+class MalformedResponseError(BackendError):
+    """2xx response whose body is not a chat completion with text content."""
+
+
 class TranscriptExhaustedError(BackendError):
     """The scripted transcript has no more turns."""
 
@@ -181,14 +185,17 @@ class HttpBackend:
                 continue
             if resp.status_code // 100 != 2:
                 raise ApiError(resp.status_code, resp.text)
-            body = resp.json()
-            usage = body.get("usage", {})
-            return ChatResponse(
-                text=body["choices"][0]["message"]["content"],
-                prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                completion_tokens=int(usage.get("completion_tokens", 0)),
-                backend_id=f"http:{payload['model']}",
-            )
+            try:
+                body = resp.json()
+                text = body["choices"][0]["message"]["content"]
+                usage = body.get("usage", {})
+                prompt_tokens = int(usage.get("prompt_tokens", 0))
+                completion_tokens = int(usage.get("completion_tokens", 0))
+            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+                raise MalformedResponseError(f"malformed response body: {resp.text[:500]}") from exc
+            if not isinstance(text, str):
+                raise MalformedResponseError(f"response has no text content: {resp.text[:500]}")
+            return ChatResponse(text, prompt_tokens, completion_tokens, f"http:{payload['model']}")
         raise TransportError(f"request failed after {self.max_retries + 1} attempts: {last_exc}")
 
 

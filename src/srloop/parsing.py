@@ -78,6 +78,8 @@ def _tokenize(text: str, dialect: Dialect) -> list[tuple[str, object]]:
             continue
         value = m.group()
         if m.lastgroup == "num":
+            if not math.isfinite(float(value)):
+                raise ExpressionSyntaxError(f"numeric literal {value} is out of range")
             tokens.append(("num", float(value)))
         elif m.lastgroup == "ident":
             tokens.append(("ident", value.replace("_", "")))

@@ -152,6 +152,12 @@ class TestReplay:
     def test_no_logs_is_usage_error(self, capsys):
         assert main(["replay"]) == 1
 
+    def test_unknown_config_key_fails_replay(self, finished_runs, capsys):
+        path = Path(finished_runs[0])
+        path.write_text(path.read_text().replace('"refits": 1', '"refits": 1, "patience": 5', 1))
+        assert main(["replay", str(path)]) == 2
+        assert "replay failed" in capsys.readouterr().err
+
 
 class TestScore:
     def test_score_csv(self, finished_runs, workdir, capsys):
@@ -165,6 +171,12 @@ class TestScore:
 
     def test_target_required_to_exist(self, finished_runs):
         assert main(["score", *finished_runs, "--target", "nikuradse"]) == 1
+
+    def test_logs_must_be_runs_on_the_target(self, finished_runs, workdir, capsys):
+        out = workdir / "hubble.csv"
+        assert main(["score", *finished_runs, "--target", "hubble", "--out", str(out)]) == 1
+        assert "not on 'hubble'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_logs(self):
         assert main(["score", "--target", "langmuir"]) == 1
@@ -210,6 +222,16 @@ class TestPareto:
         with open(workdir / "efronts" / "pareto_total.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows == [["complexity", "mse", "equation"]]
+
+    def test_non_finite_literals_rejected(self, workdir):
+        path = workdir / "huge.txt"
+        write_transcript([reply("c1*x1**1e400", "1e999*x1", "c1*x1")], path)
+        ini = scripted_ini(workdir, path, runs=1, iterations=1)
+        assert main(["run", "--config", str(ini), "--out", "hout"]) == 0
+        log = str(workdir / "hout" / "run01.jsonl")
+        outcomes = load_runlog_data(log)["iterations"][0]["outcomes"]
+        assert [o["status"] for o in outcomes] == ["syntax_error", "syntax_error", "fitted"]
+        assert main(["pareto", log, "--out", "hfronts"]) == 0
 
     def test_no_logs(self):
         assert main(["pareto"]) == 1

@@ -11,7 +11,6 @@ from srloop.engine import (
     IterationRecord,
     RunConfig,
     RunLog,
-    check_rediscovery,
     config_from_dict,
     config_to_dict,
     diff_replay,
@@ -22,7 +21,7 @@ from srloop.engine import (
     save_runlog,
     score_runs,
 )
-from srloop.expressions import Dialect, OperatorSet
+from srloop.expressions import Dialect, OperatorSet, sr_equivalent
 from srloop.llm import ScriptedBackend
 from srloop.optimize import FitConfig
 from srloop.pareto import Candidate, FeedbackPolicy
@@ -176,18 +175,17 @@ class TestRun:
 class TestRediscovery:
     def test_target_vs_itself(self):
         d = load_builtin("langmuir")
-        cand = Candidate.build(d.target, (1.0, 1.0), 0.1, 0.1, 1)
-        assert check_rediscovery(cand, d.target)
+        assert sr_equivalent(d.target, d.target)
 
     def test_sr_similar_variant(self):
         d = load_builtin("langmuir")
         variant = parse("x1*c3/(x1+c4)", Dialect.INFIX, ["x1"])
-        assert check_rediscovery(Candidate.build(variant, (), 0.1, 0.1, 1), d.target)
+        assert sr_equivalent(variant, d.target)
 
     def test_free_exponent_does_not_match_fixed(self):
         target = parse("c1*x1**1.5", Dialect.INFIX, ["x1"])
         free = parse("c1*x1**c2", Dialect.INFIX, ["x1"])
-        assert not check_rediscovery(Candidate.build(free, (), 0.1, 0.1, 1), target)
+        assert not sr_equivalent(free, target)
 
 
 def _log_with_rediscovery(iteration):
@@ -236,6 +234,55 @@ class TestConfigRoundTrip:
             subsample=5,
         )
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    def test_header_line_is_pinned(self, tmp_path):
+        cfg = RunConfig(
+            dataset="bode",
+            operators=OperatorSet(frozenset({"^", "/", "*", "+", "-"}),
+                                  frozenset({"exp", "log"}), "mine"),
+            prompt=PromptConfig(use_scratchpad=False, n_expressions=2, operator_note="note",
+                                extra_instructions=("a", "b"), rounding_decimals=3,
+                                dialect=Dialect.LATEX),
+            policy=FeedbackPolicy.top_k_by_mse(4, include_params=True),
+            fit=FitConfig(hops=2, step_scale=0.5, max_evals=700, tol=1e-6, seed=9, refits=2),
+            iterations=4,
+            runs=2,
+            backend=BackendConfig(kind="http", endpoint="http://127.0.0.1:1/v1", model="m",
+                                  key_env_var="K", timeout=5.0, max_retries=1, max_tokens=256),
+            temperature=0.3,
+            seed=12,
+            subsample=5,
+            score_mode="front",
+        )
+        path = tmp_path / "log.jsonl"
+        save_runlog(RunLog("bode", config_to_dict(cfg)), path)
+        assert path.read_text().splitlines()[0] == (
+            '{"type": "header", "dataset": "bode", "config": {"dataset": "bode", '
+            '"operators": {"binary": ["*", "+", "-", "/", "^"], "unary": ["exp", "log"], '
+            '"name": "mine"}, "prompt": {"use_scratchpad": false, "use_context": true, '
+            '"include_data": true, "n_expressions": 2, "operator_note": "note", '
+            '"extra_instructions": ["a", "b"], "rounding_decimals": 3, "dialect": "latex"}, '
+            '"policy": {"kind": "top_k", "min_count": 6, "k": 4, "include_params": true}, '
+            '"fit": {"hops": 2, "step_scale": 0.5, "reflection": 1.0, "expansion": 2.0, '
+            '"contraction": 0.5, "shrink": 0.5, "max_evals": 700, "tol": 1e-06, "seed": 9, '
+            '"refits": 2}, "iterations": 4, "runs": 2, "backend": {"kind": "http", '
+            '"endpoint": "http://127.0.0.1:1/v1", "model": "m", "key_env_var": "K", '
+            '"timeout": 5.0, "max_retries": 1, "max_tokens": 256, "transcript": null}, '
+            '"temperature": 0.3, "seed": 12, "subsample": 5, "score_mode": "front"}}'
+        )
+        assert config_from_dict(load_runlog_data(path)["header"]["config"]) == cfg
+
+    def test_missing_keys_take_defaults(self):
+        d = config_to_dict(RunConfig("kepler", fit=FitConfig(hops=3)))
+        del d["score_mode"]
+        del d["fit"]["refits"]
+        assert config_from_dict(d) == RunConfig("kepler", fit=FitConfig(hops=3))
+
+    def test_unknown_key_is_value_error(self):
+        d = config_to_dict(RunConfig("kepler"))
+        d["fit"]["patience"] = 5
+        with pytest.raises(ValueError, match="patience"):
+            config_from_dict(d)
 
     def test_operator_resolution(self):
         bode = load_builtin("bode")

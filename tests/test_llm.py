@@ -9,6 +9,7 @@ from srloop.llm import (
     ChatRequest,
     ChatResponse,
     HttpBackend,
+    MalformedResponseError,
     ScriptedBackend,
     TokenUsage,
     TranscriptExhaustedError,
@@ -65,6 +66,7 @@ class TestScripted:
 
 class _Handler(BaseHTTPRequestHandler):
     canned_status = 200
+    canned_body: bytes | None = None  # replaces the completion body of a 200 response
     received: list[dict] = []
 
     def do_POST(self):
@@ -79,7 +81,7 @@ class _Handler(BaseHTTPRequestHandler):
             "choices": [{"message": {"role": "assistant", "content": "canned text"}}],
             "usage": {"prompt_tokens": 11, "completion_tokens": 7},
         }
-        data = json.dumps(reply).encode()
+        data = self.canned_body if self.canned_body is not None else json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -94,6 +96,7 @@ class _Handler(BaseHTTPRequestHandler):
 def stub_server():
     _Handler.received = []
     _Handler.canned_status = 200
+    _Handler.canned_body = None
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -125,6 +128,18 @@ class TestHttp:
             backend.complete(REQ)
         assert err.value.status == 500
         assert "boom" in err.value.body
+
+    @pytest.mark.parametrize("body", [
+        b"<html>not json</html>",
+        b'{"choices": [{"message": {"role": "assistant", "content": null}}]}',
+        b'{"usage": {"prompt_tokens": 1}}',
+    ])
+    def test_malformed_body_is_backend_error(self, stub_server, monkeypatch, body):
+        monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
+        _Handler.canned_body = body
+        backend = HttpBackend(endpoint=stub_server, key_env_var="TEST_LLM_KEY")
+        with pytest.raises(MalformedResponseError):
+            backend.complete(REQ)
 
     def test_transport_error_after_retries(self, monkeypatch):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")

@@ -123,7 +123,8 @@ def test_implicit_forms_rejected(text):
 
 @pytest.mark.parametrize(
     "text",
-    ["(c1*x1", "c1*)x1", "c1*", "", "   ", "c1 @ x1", "c1*zebra", "x2", "c0*x1"],
+    ["(c1*x1", "c1*)x1", "c1*", "", "   ", "c1 @ x1", "c1*zebra", "x2", "c0*x1",
+     "c1*x1**1e400", "1e999*x1"],
 )
 def test_syntax_errors(text):
     with pytest.raises(ExpressionSyntaxError):
