@@ -289,15 +289,18 @@ def cmd_pareto(args) -> int:
     if not args.logs:
         print("error: no run logs given", file=sys.stderr)
         return EXIT_CONFIG
+    logs = [engine.load_runlog_data(path) for path in args.logs]
+    datasets = sorted({log_data["header"]["dataset"] for log_data in logs})
+    if len(datasets) > 1:
+        raise ConfigError(f"the logs are runs on different datasets ({', '.join(datasets)}); "
+                          f"a merged front needs runs on one")
+    dataset_id = datasets[0]
+    variables = list(data.dataset_info(dataset_id)["variables"])
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     merged = CandidateStore()
-    dataset_id = None
-    for i, path in enumerate(args.logs, start=1):
-        log_data = engine.load_runlog_data(path)
-        dataset_id = log_data["header"]["dataset"]
-        variables = data.dataset_info(dataset_id)["variables"]
-        store = _store_from_log(log_data, list(variables))
+    for i, log_data in enumerate(logs, start=1):
+        store = _store_from_log(log_data, variables)
         front = store.pareto_front()
         _write_front_csv(front, outdir / f"pareto_run{i:02d}.csv")
         for cand in store:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import traceback
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -22,6 +23,7 @@ from .expressions import (
     ExpressionSyntaxError,
     ImplicitFormError,
     OperatorSet,
+    TooComplexError,
     UnknownOperatorError,
     canonicalize,
     complexity,
@@ -107,9 +109,10 @@ class RunConfig:
 @dataclass
 class ParseOutcome:
     text: str
-    status: str  # fitted | duplicate | syntax_error | unknown_operator |
-    #              implicit_form | operator_rejected | missing_variables |
-    #              too_many_constants | unfittable
+    status: str  # fitted | duplicate | syntax_error | too_complex |
+    #              unknown_operator | implicit_form | operator_rejected |
+    #              missing_variables | too_many_constants | unfittable |
+    #              internal_error
     detail: str = ""
 
 
@@ -174,14 +177,16 @@ def make_backend(bcfg: BackendConfig):
 
 def run(cfg: RunConfig, dataset: Dataset | None = None, backend=None) -> RunLog:
     """Execute one run. A malformed candidate never aborts the loop: it is
-    logged and skipped. Backend failure raises BackendFailure carrying the
-    partial log."""
+    logged and skipped, and so is one whose evaluation fails unexpectedly
+    (outcome ``internal_error``, the exception and where it was raised in its
+    detail). Backend failure raises BackendFailure carrying the partial log."""
     dataset = dataset if dataset is not None else load_builtin(cfg.dataset)
     opset = resolve_operator_set(cfg.operators, dataset)
     pcfg = cfg.prompt
     if not pcfg.operator_note:
         pcfg = replace(pcfg, operator_note=operator_note(opset))
-    if backend is None:
+    owned = backend is None
+    if owned:
         backend = make_backend(cfg.backend)
     view = make_data_view(dataset, pcfg.rounding_decimals, cfg.subsample, seed=cfg.seed)
     system = build_system()
@@ -221,10 +226,14 @@ def run(cfg: RunConfig, dataset: Dataset | None = None, backend=None) -> RunLog:
             fitted: list[Candidate] = []
             batch_keys: set[str] = set()
             for text in extracted:
-                cand = _evaluate_candidate(
-                    text, dataset, opset, required_vars, batch_keys, log.store,
-                    cfg.fit, iteration, pcfg, outcomes,
-                )
+                try:
+                    cand = _evaluate_candidate(
+                        text, dataset, opset, required_vars, batch_keys, log.store,
+                        cfg.fit, iteration, pcfg, outcomes,
+                    )
+                except Exception as exc:  # a defect; logged so the run goes on
+                    outcomes.append(ParseOutcome(text, "internal_error", _describe(exc)))
+                    continue
                 if cand is None:
                     continue
                 log.store.insert(cand)
@@ -257,6 +266,9 @@ def run(cfg: RunConfig, dataset: Dataset | None = None, backend=None) -> RunLog:
     except BackendError as exc:
         log.error = str(exc)
         raise BackendFailure(str(exc), log) from exc
+    finally:
+        if owned and isinstance(backend, HttpBackend):
+            backend.close()
     return log
 
 
@@ -269,6 +281,9 @@ def _evaluate_candidate(text, dataset, opset, required_vars, batch_keys, store,
         return None
     except UnknownOperatorError as exc:
         outcomes.append(ParseOutcome(text, "unknown_operator", str(exc)))
+        return None
+    except TooComplexError as exc:
+        outcomes.append(ParseOutcome(text, "too_complex", str(exc)))
         return None
     except ExpressionSyntaxError as exc:
         outcomes.append(ParseOutcome(text, "syntax_error", str(exc)))
@@ -302,6 +317,11 @@ def _evaluate_candidate(text, dataset, opset, required_vars, batch_keys, store,
         expr=expr, canonical=canonical, params=params, mse=mse, mae=mae,
         complexity=complexity(expr), iteration_born=iteration,
     )
+
+
+def _describe(exc: Exception) -> str:
+    where = traceback.extract_tb(exc.__traceback__)[-1]
+    return f"{type(exc).__name__}: {exc} (at {Path(where.filename).name}:{where.lineno})"
 
 
 def score_runs(logs: list[RunLog], iterations: int | None = None,

@@ -9,6 +9,7 @@ dictionary keys and compared directly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Union
@@ -21,6 +22,10 @@ BINARY_OPS = frozenset({"+", "-", "*", "/", "^"})
 #: Expressions with more fitted constants than this are rejected before fitting.
 MAX_CONSTANTS = 10
 
+#: Expressions with more nodes than this, as written, are rejected by the parser,
+#: which keeps every recursive tree walk well inside the interpreter's stack.
+MAX_NODES = 200
+
 
 class ExpressionError(Exception):
     """Base class for expression-layer failures."""
@@ -28,6 +33,10 @@ class ExpressionError(Exception):
 
 class ExpressionSyntaxError(ExpressionError):
     """Input text is not a well-formed expression (unbalanced delimiters, unknown symbol)."""
+
+
+class TooComplexError(ExpressionSyntaxError):
+    """Input text has more than MAX_NODES nodes."""
 
 
 class UnknownOperatorError(ExpressionError):
@@ -179,6 +188,9 @@ def _render(n: Node) -> str:
     if n.op == "^":
         if _prec(n.left) <= _PREC["^"]:
             left = f"({left})"
+        # the grammar reads a signed power or an atom as the exponent; ** is right-associative
+        if _prec(n.right) < _PREC_NEG:
+            right = f"({right})"
         return f"{left}**{right}"
     if _prec(n.left) < _PREC[n.op]:
         left = f"({left})"
@@ -195,7 +207,15 @@ def _guard(v):
     return np.where(np.isfinite(v), v, np.nan)
 
 
-def _compile_node(n: Node) -> Callable:
+def _compile_node(n: Node, guard: bool = False) -> Callable:
+    """Compile one node. Operator results are left unguarded, because inf and
+    NaN stay non-finite through +, -, *, sqrt, log, square, cube, neg and the
+    left operand of /. ``guard=True`` asks for a non-finite result to become
+    NaN where the parent could turn it finite: the right operand of / (c/inf
+    is 0) and the argument of exp (exp(-inf) is 0); ^ tests its operands
+    itself. A leaf, or a negated leaf, is passed as it is, so every value is
+    non-finite exactly where guarding each operator node but neg would give
+    NaN, and bit-equal to it elsewhere."""
     if isinstance(n, Const):
         i = n.index - 1
         return lambda p, X: p[i]
@@ -205,62 +225,102 @@ def _compile_node(n: Node) -> Callable:
     if isinstance(n, Lit):
         v = float(n.value)
         return lambda p, X: v
+    fn = _compile_op(n)
+    if guard and not _is_raw(n):
+        return lambda p, X: _guard(fn(p, X))
+    return fn
+
+
+def _is_raw(n: Node) -> bool:
+    while isinstance(n, Unary) and n.op == "neg":
+        n = n.child
+    return isinstance(n, (Const, Var, Lit))
+
+
+def _compile_op(n: Node) -> Callable:
     if isinstance(n, Unary):
+        if n.op == "exp":
+            c = _compile_node(n.child, guard=True)
+            return lambda p, X: np.exp(c(p, X))
         c = _compile_node(n.child)
         if n.op == "neg":
             return lambda p, X: -c(p, X)
         if n.op == "sqrt":
-            return lambda p, X: _guard(np.sqrt(c(p, X)))
+            return lambda p, X: np.sqrt(c(p, X))
         if n.op == "log":
-            return lambda p, X: _guard(np.log(c(p, X)))
-        if n.op == "exp":
-            return lambda p, X: _guard(np.exp(c(p, X)))
+            return lambda p, X: np.log(c(p, X))
         if n.op == "square":
             def sq(p, X, c=c):
                 v = c(p, X)
-                return _guard(v * v)
+                return v * v
             return sq
         if n.op == "cube":
             def cu(p, X, c=c):
                 v = c(p, X)
-                return _guard(v * v * v)
+                return v * v * v
             return cu
         raise UnknownOperatorError(f"unknown unary operator {n.op!r}")
     if isinstance(n, Binary):
-        lf, rf = _compile_node(n.left), _compile_node(n.right)
-        if n.op == "+":
-            return lambda p, X: _guard(lf(p, X) + rf(p, X))
-        if n.op == "-":
-            return lambda p, X: _guard(lf(p, X) - rf(p, X))
-        if n.op == "*":
-            return lambda p, X: _guard(lf(p, X) * rf(p, X))
+        lf = _compile_node(n.left)
         if n.op == "/":
-            return lambda p, X: _guard(lf(p, X) / rf(p, X))
+            rf = _compile_node(n.right, guard=True)
+            return lambda p, X: lf(p, X) / rf(p, X)
+        rf = _compile_node(n.right)
+        if n.op == "+":
+            return lambda p, X: lf(p, X) + rf(p, X)
+        if n.op == "-":
+            return lambda p, X: lf(p, X) - rf(p, X)
+        if n.op == "*":
+            return lambda p, X: lf(p, X) * rf(p, X)
         if n.op == "^":
+            # inf**0 and 1**inf are 1, and so are nan**0 and 1**nan: a
+            # non-finite operator operand, or a NaN leaf, forces NaN
+            ta, tb = _pow_operand_test(n.left), _pow_operand_test(n.right)
+
             def pw(p, X, lf=lf, rf=rf):
                 a, b = lf(p, X), rf(p, X)
                 r = np.power(a, b)
-                # np.power(nan, 0) == 1, so NaN in either operand must be forced through
-                bad = ~np.isfinite(r) | np.isnan(a) | np.isnan(b)
+                bad = ~np.isfinite(r)
+                if ta is not None:
+                    bad = bad | ta(a)
+                if tb is not None:
+                    bad = bad | tb(b)
                 return np.where(bad, np.nan, r)
             return pw
         raise UnknownOperatorError(f"unknown binary operator {n.op!r}")
     raise TypeError(f"not a node: {n!r}")
 
 
+def _non_finite(v):
+    return ~np.isfinite(v)
+
+
+def _pow_operand_test(n: Node) -> Callable | None:
+    if isinstance(n, Lit) and not math.isnan(n.value):
+        return None
+    if _is_raw(n):
+        return np.isnan
+    return _non_finite
+
+
 def compile_evaluator(e: Expression) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Compile to ``f(params, X) -> y_hat`` over row-major inputs.
 
     Undefined rows (division by zero, log of a non-positive value, sqrt of a
-    negative value, overflow) come back as NaN instead of raising.
+    negative value, overflow) come back non-finite (inf or NaN) instead of
+    raising. Only the right operand of ``/``, the argument of ``exp`` and the
+    operands of ``^`` are guarded, because only there can a non-finite value
+    turn finite again; see :func:`evaluate_rows` for NaN-marked output. Call
+    the returned function under ``np.errstate(all="ignore")``: it does not
+    enter one itself, so that a fit can enter it once per local solve.
     """
-    fn = _compile_node(e.root)
+    return _evaluator(_compile_node(e.root))
 
+
+def _evaluator(fn: Callable) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     def evaluator(params, X):
         X = np.asarray(X, dtype=float)
-        with np.errstate(all="ignore"):
-            out = fn(np.asarray(params, dtype=float), X)
-        out = np.asarray(out, dtype=float)
+        out = np.asarray(fn(np.asarray(params, dtype=float), X), dtype=float)
         if out.ndim == 0:
             out = np.full(X.shape[0], float(out))
         return out
@@ -269,13 +329,16 @@ def compile_evaluator(e: Expression) -> Callable[[np.ndarray, np.ndarray], np.nd
 
 
 def evaluate_rows(e: Expression, params, X) -> np.ndarray:
-    """Vectorized evaluation over a (rows, n_vars) input matrix; NaN marks undefined."""
+    """Vectorized evaluation over a (rows, n_vars) input matrix; NaN marks
+    undefined rows (the root is guarded). Emits no floating-point warnings."""
     params = tuple(float(v) for v in params)
     if len(params) != e.n_constants:
         raise ArityMismatchError(
             f"expression has {e.n_constants} constants, got {len(params)} parameters"
         )
-    return compile_evaluator(e)(np.asarray(params), np.atleast_2d(np.asarray(X, dtype=float)))
+    evaluator = _evaluator(_compile_node(e.root, guard=True))
+    with np.errstate(all="ignore"):
+        return evaluator(np.asarray(params), np.atleast_2d(np.asarray(X, dtype=float)))
 
 
 def evaluate(e: Expression, params, row) -> float:

@@ -135,7 +135,9 @@ class HttpBackend:
 
     The API key is read from the environment at call time and never stored or
     logged. Transport failures are retried with exponential backoff; non-2xx
-    responses surface immediately as ApiError.
+    responses surface immediately as ApiError. Calls share one
+    ``requests.Session``, so a keep-alive endpoint is connected to once;
+    ``close`` releases it. Single-consumer, like the session.
     """
 
     def __init__(
@@ -153,6 +155,10 @@ class HttpBackend:
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
+        self._session = requests.Session()
+
+    def close(self) -> None:
+        self._session.close()
 
     def __repr__(self) -> str:
         return f"HttpBackend(endpoint={self.endpoint!r}, model={self.model!r})"
@@ -175,7 +181,7 @@ class HttpBackend:
         last_exc: Exception | None = None
         for attempt in range(self.max_retries + 1):
             try:
-                resp = requests.post(
+                resp = self._session.post(
                     self.endpoint, json=payload, headers=headers, timeout=self.timeout
                 )
             except requests.RequestException as exc:

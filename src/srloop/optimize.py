@@ -8,6 +8,7 @@ together with a seeded generator makes every fit bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,8 +73,14 @@ def nelder_mead(func, x0, cfg: FitConfig):
 
     Returns ``(x, fval, evals, converged)``. Infinite objective values are
     legal and simply lose comparisons, so undefined regions are never
-    attractive.
+    attractive. ``func`` runs under ``np.errstate(all="ignore")``, entered
+    once for the whole solve.
     """
+    with np.errstate(all="ignore"):
+        return _nelder_mead(func, x0, cfg)
+
+
+def _nelder_mead(func, x0, cfg: FitConfig):
     alpha, gamma, rho, sigma = cfg.reflection, cfg.expansion, cfg.contraction, cfg.shrink
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
@@ -82,8 +89,8 @@ def nelder_mead(func, x0, cfg: FitConfig):
     def call(x):
         nonlocal evals
         evals += 1
-        v = func(x)
-        return float(v) if np.isfinite(v) else np.inf
+        v = float(func(x))
+        return v if math.isfinite(v) else math.inf
 
     if n == 0:
         return x0, call(x0), evals, True
@@ -100,46 +107,43 @@ def nelder_mead(func, x0, cfg: FitConfig):
 
     converged = False
     while evals + 2 <= cfg.max_evals:
-        # inf - inf is NaN and NaN <= tol is False, so an all-inf simplex never converges
-        with np.errstate(invalid="ignore"):
-            tight = (
-                np.max(np.abs(fsim[1:] - fsim[0])) <= cfg.tol
-                and np.max(np.abs(sim[1:] - sim[0])) <= cfg.tol
-            )
-        if tight:
+        # fsim is sorted, so its spread is fsim[-1] - fsim[0]; inf - inf is
+        # NaN and NaN <= tol is False, so an all-inf simplex never converges
+        if fsim[-1] - fsim[0] <= cfg.tol and np.max(np.abs(sim[1:] - sim[0])) <= cfg.tol:
             converged = True
             break
-        centroid = sim[:-1].mean(axis=0)
+        centroid = np.add.reduce(sim[:-1], axis=0) / n
         xr = centroid + alpha * (centroid - sim[-1])
         fr = call(xr)
         if fr < fsim[0]:
             xe = centroid + gamma * (xr - centroid)
             fe = call(xe)
-            if fe < fr:
-                sim[-1], fsim[-1] = xe, fe
-            else:
-                sim[-1], fsim[-1] = xr, fr
+            x, f = (xe, fe) if fe < fr else (xr, fr)
         elif fr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fr
+            x, f = xr, fr
         else:
             if fr < fsim[-1]:
-                xc = centroid + rho * (xr - centroid)
-                fc = call(xc)
-                accepted = fc <= fr
+                x = centroid + rho * (xr - centroid)
+                f = call(x)
+                accepted = f <= fr
             else:
-                xc = centroid + rho * (sim[-1] - centroid)
-                fc = call(xc)
-                accepted = fc < fsim[-1]
-            if accepted:
-                sim[-1], fsim[-1] = xc, fc
-            else:
+                x = centroid + rho * (sim[-1] - centroid)
+                f = call(x)
+                accepted = f < fsim[-1]
+            if not accepted:
                 for i in range(1, n + 1):
                     sim[i] = sim[0] + sigma * (sim[i] - sim[0])
                     fsim[i] = call(sim[i])
                     if evals >= cfg.max_evals:
                         break
-        order = np.argsort(fsim, kind="stable")
-        sim, fsim = sim[order], fsim[order]
+                order = np.argsort(fsim, kind="stable")
+                sim, fsim = sim[order], fsim[order]
+                continue
+        # only the worst vertex changed: move it to where a stable sort puts it
+        k = int(np.searchsorted(fsim[:-1], f, side="right"))
+        sim[k + 1:] = sim[k:-1]
+        fsim[k + 1:] = fsim[k:-1]
+        sim[k], fsim[k] = x, f
 
     return sim[0].copy(), float(fsim[0]), evals, converged
 
@@ -162,16 +166,28 @@ def minimize(func, x0, cfg: FitConfig):
 
 
 def mse_objective(e: Expression, X, y):
-    """Mean squared error over all rows; any undefined row maps to +inf."""
+    """Mean squared error over all rows; any undefined row maps to +inf.
+    Emits no floating-point warnings."""
+    objective = _mse_objective(e, X, y)
+
+    def quiet(params):
+        with np.errstate(all="ignore"):
+            return objective(params)
+
+    return quiet
+
+
+def _mse_objective(e: Expression, X, y):
+    # to be called under np.errstate(all="ignore"), as nelder_mead does
     evaluator = compile_evaluator(e)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
 
     def objective(params):
         resid = evaluator(params, X) - y
-        if not np.all(np.isfinite(resid)):
-            return np.inf
-        return float(np.mean(resid * resid))
+        # the sum and division of np.mean; non-finite whenever a residual is
+        mse = float(np.add.reduce(resid * resid) / resid.size)
+        return mse if math.isfinite(mse) else math.inf
 
     return objective
 
@@ -190,12 +206,13 @@ def fit(e: Expression, d, cfg: FitConfig) -> FitResult:
     y = np.asarray(d.y, dtype=float)
     if len(y) < 1:
         raise ValueError("dataset has no rows")
-    objective = mse_objective(e, X, y)
+    objective = _mse_objective(e, X, y)
     x0 = np.asarray(e.initial_guess(), dtype=float)
     best_x, best_f, evals, converged = minimize(objective, x0, cfg)
     if not np.isfinite(best_f):
         raise NoFiniteObjectiveError(f"no finite objective found for {e}")
-    resid = compile_evaluator(e)(best_x, X) - y
+    with np.errstate(all="ignore"):
+        resid = compile_evaluator(e)(best_x, X) - y
     mse = float(np.mean(resid * resid))
     mae = float(np.mean(np.abs(resid)))
     return FitResult(tuple(float(v) for v in best_x), mse, mae, evals, converged)

@@ -31,7 +31,9 @@ from .expressions import (
     ExpressionSyntaxError,
     ImplicitFormError,
     Lit,
+    MAX_NODES,
     Node,
+    TooComplexError,
     Unary,
     UnknownOperatorError,
     Var,
@@ -122,12 +124,20 @@ class _Parser:
         self.var_map = var_map
         self.pos = 0
         self.depth = 0
+        self.nodes = 0
 
     def _descend(self):
         # keeps adversarially nested input a parse failure, not a RecursionError
         self.depth += 1
         if self.depth > _MAX_NESTING:
             raise ExpressionSyntaxError("expression nested too deeply")
+
+    def node(self, n: Node) -> Node:
+        # counted as built, so an over-long chain stops before it exhausts the stack
+        self.nodes += 1
+        if self.nodes > MAX_NODES:
+            raise TooComplexError(f"expression has more than {MAX_NODES} nodes")
+        return n
 
     def peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -151,7 +161,7 @@ class _Parser:
         node = self.term()
         while self.peek() in ("+", "-"):
             op = str(self.take(self.peek()))
-            node = Binary(op, node, self.term())
+            node = self.node(Binary(op, node, self.term()))
         self.depth -= 1
         return node
 
@@ -161,9 +171,9 @@ class _Parser:
             kind = self.peek()
             if kind in ("*", "/"):
                 op = str(self.take(kind))
-                node = Binary(op, node, self.unary())
+                node = self.node(Binary(op, node, self.unary()))
             elif self.dialect is Dialect.LATEX and kind in _ATOM_STARTS:
-                node = Binary("*", node, self.unary())
+                node = self.node(Binary("*", node, self.unary()))
             else:
                 return node
 
@@ -171,7 +181,7 @@ class _Parser:
         if self.peek() == "-":
             self._descend()
             self.take("-")
-            node = Unary("neg", self.unary())
+            node = self.node(Unary("neg", self.unary()))
             self.depth -= 1
             return node
         if self.peek() == "+":
@@ -186,20 +196,23 @@ class _Parser:
         base = self.atom()
         if self.peek() == "pow":
             self.take("pow")
-            return Binary("^", base, self.exponent())
+            return self.node(Binary("^", base, self.exponent()))
         return base
 
     def exponent(self) -> Node:
         # right-associative; allows a sign and a further power: x**-c1, x**y**z
         if self.peek() == "-":
+            self._descend()
             self.take("-")
-            return Unary("neg", self.exponent())
+            node = self.node(Unary("neg", self.exponent()))
+            self.depth -= 1
+            return node
         return self.power()
 
     def atom(self) -> Node:
         kind = self.peek()
         if kind == "num":
-            return Lit(float(self.take("num")))
+            return self.node(Lit(float(self.take("num"))))
         if kind == "lparen":
             self.take("lparen")
             node = self.expr()
@@ -218,28 +231,28 @@ class _Parser:
             self.take("lbrace")
             den = self.expr()
             self.take("rbrace")
-            return Binary("/", num, den)
+            return self.node(Binary("/", num, den))
         if kind == "sqrtcmd":
             self.take("sqrtcmd")
-            return Unary("sqrt", self.group())
+            return self.node(Unary("sqrt", self.group()))
         if kind == "ident":
             name = str(self.take("ident"))
             name = _FUNC_ALIASES.get(name, name)
             if self.peek() in ("lparen", "lbrace"):
                 if name in _FUNCTIONS:
-                    return Unary(name, self.group())
+                    return self.node(Unary(name, self.group()))
                 raise UnknownOperatorError(f"unknown function {name!r}")
             if name in _FUNCTIONS:
                 raise ExpressionSyntaxError(f"function {name!r} needs a parenthesized argument")
             m = _CONST_RE.match(name)
             if m:
-                return Const(int(m.group(1)))
+                return self.node(Const(int(m.group(1))))
             if name in self.var_map:
-                return Var(self.var_map[name])
+                return self.node(Var(self.var_map[name]))
             if name == "pi":
-                return Lit(math.pi)
+                return self.node(Lit(math.pi))
             if name == "e":
-                return Lit(math.e)
+                return self.node(Lit(math.e))
             raise ExpressionSyntaxError(f"unknown symbol {name!r}")
         got = self.tokens[self.pos][1] if self.pos < len(self.tokens) else "end of input"
         raise ExpressionSyntaxError(f"unexpected {got!r}")
@@ -369,6 +382,8 @@ def parse(text: str, dialect: Dialect, variables) -> Expression:
 
     Raises:
         ExpressionSyntaxError: malformed input or an unknown symbol.
+        TooComplexError: more than ``MAX_NODES`` nodes as written (a subclass
+            of ExpressionSyntaxError).
         UnknownOperatorError: a function outside the grammar.
         ImplicitFormError: an '=' form that cannot be read as ``y = f(inputs)``.
     """

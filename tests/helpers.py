@@ -17,7 +17,12 @@ BINARY_CHOICES = ["+", "-", "*", "/", "^"]
 
 
 def random_node(rng: random.Random, n_vars: int = 2, max_depth: int = 4,
-                allow_pow: bool = True, depth: int = 0):
+                allow_pow: bool = True, depth: int = 0, free_exponents: bool = False):
+    """A random tree. Exponents are literals or constants; with
+    ``free_exponents`` a third of them are random subtrees instead."""
+    def child():
+        return random_node(rng, n_vars, max_depth, allow_pow, depth + 1, free_exponents)
+
     if depth >= max_depth or (depth > 0 and rng.random() < 0.35):
         roll = rng.random()
         if roll < 0.45:
@@ -26,19 +31,17 @@ def random_node(rng: random.Random, n_vars: int = 2, max_depth: int = 4,
     roll = rng.random()
     if roll < 0.25:
         op = rng.choice(UNARY_CHOICES)
-        return Unary(op, random_node(rng, n_vars, max_depth, allow_pow, depth + 1))
+        return Unary(op, child())
     op = rng.choice(BINARY_CHOICES if allow_pow else BINARY_CHOICES[:4])
     if op == "^":
-        if rng.random() < 0.6:
+        if free_exponents and rng.random() < 1 / 3:
+            exponent = child()
+        elif rng.random() < 0.6:
             exponent = Lit(float(rng.choice([2, 3, 0.5, 1.5, -1])))
         else:
             exponent = Const(rng.randint(1, 3))
-        return Binary("^", random_node(rng, n_vars, max_depth, allow_pow, depth + 1), exponent)
-    return Binary(
-        op,
-        random_node(rng, n_vars, max_depth, allow_pow, depth + 1),
-        random_node(rng, n_vars, max_depth, allow_pow, depth + 1),
-    )
+        return Binary("^", child(), exponent)
+    return Binary(op, child(), child())
 
 
 def random_expression(rng: random.Random, n_vars: int = 2, max_depth: int = 4,

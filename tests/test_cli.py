@@ -233,6 +233,16 @@ class TestPareto:
         assert [o["status"] for o in outcomes] == ["syntax_error", "syntax_error", "fitted"]
         assert main(["pareto", log, "--out", "hfronts"]) == 0
 
+    def test_logs_must_share_a_dataset(self, finished_runs, workdir, capsys):
+        transcript = workdir / "hubble.txt"
+        write_transcript([reply("c1*x1")], transcript)
+        ini = scripted_ini(workdir, transcript, dataset="hubble", runs=1, iterations=1)
+        assert main(["run", "--config", str(ini), "--out", "hubble"]) == 0
+        logs = [*finished_runs, str(workdir / "hubble" / "run01.jsonl")]
+        assert main(["pareto", *logs, "--out", "mixed"]) == 1
+        assert "different datasets (hubble, langmuir)" in capsys.readouterr().err
+        assert not (workdir / "mixed").exists()
+
     def test_no_logs(self):
         assert main(["pareto"]) == 1
 

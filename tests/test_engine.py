@@ -129,6 +129,30 @@ class TestRun:
         assert [o.status for o in log.records[0].outcomes] == ["too_many_constants"]
         assert len(log.store) == 0
 
+    def test_too_complex_rejected_before_canonicalizing(self):
+        entries = [reply("c1*x1" + "+x1" * 400, "**".join(["x1"] * 2000), "c1*x1")]
+        log = run(config(iterations=1), backend=ScriptedBackend(entries))
+        assert [o.status for o in log.records[0].outcomes] == [
+            "too_complex", "too_complex", "fitted"]
+
+    def test_unexpected_failure_is_internal_error(self, monkeypatch):
+        import srloop.engine
+
+        def broken_fit(e, d, cfg):
+            if e.n_constants == 2:
+                raise RecursionError("maximum recursion depth exceeded")
+            return real_fit(e, d, cfg)
+
+        real_fit = srloop.engine.repeat_fit
+        monkeypatch.setattr(srloop.engine, "repeat_fit", broken_fit)
+        entries = [reply("c1*x1+c2", "c1*x1"), reply("c1/x1")]
+        log = run(config(iterations=2), backend=ScriptedBackend(entries))
+        outcomes = log.records[0].outcomes
+        assert [o.status for o in outcomes] == ["internal_error", "fitted"]
+        assert outcomes[0].detail.startswith("RecursionError: maximum recursion depth")
+        assert [o.status for o in log.records[1].outcomes] == ["fitted"]
+        assert sorted(c.equation for c in log.store) == ["c1*x1", "c1/x1"]
+
     def test_backend_failure_keeps_partial_log(self):
         entries = [reply("c1*x1")]  # transcript too short for 3 iterations
         with pytest.raises(BackendFailure) as err:

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import make_dataset, oracle_eval, random_expression
+from helpers import make_dataset, oracle_eval, random_expression, random_node
 
 from srloop.expressions import (
     ArityMismatchError,
@@ -12,6 +12,7 @@ from srloop.expressions import (
     Const,
     Dialect,
     Expression,
+    Lit,
     OperatorSet,
     Unary,
     Var,
@@ -37,6 +38,29 @@ class TestRender:
         assert render(infix("x1**1.5")) == "x1**1.5"
         assert render(infix("(c1*x1)**2")) == "(c1*x1)**2"
         assert render(infix("x1**c1**c2")) == "x1**c1**c2"
+
+    def test_compound_exponent_keeps_parentheses(self):
+        assert render(infix("x1**(c1+c2)")) == "x1**(c1+c2)"
+        assert render(infix("c1*x1**(c2*x1)")) == "c1*x1**(c2*x1)"
+        assert render(infix("x1**-(c1+x1)")) == "x1**-(c1+x1)"
+
+    def test_round_trip_raw_random_trees(self):
+        # raw trees, not normalized through render, with free exponents;
+        # the parser numbers constants by first appearance
+        def relabel(n, seen):
+            if isinstance(n, Const):
+                return Const(seen.setdefault(n.index, len(seen) + 1))
+            if isinstance(n, (Var, Lit)):
+                return n
+            if isinstance(n, Unary):
+                return Unary(n.op, relabel(n.child, seen))
+            return Binary(n.op, relabel(n.left, seen), relabel(n.right, seen))
+
+        rng = random.Random(4321)
+        for _ in range(1000):
+            raw = random_node(rng, n_vars=2, max_depth=5, free_exponents=True)
+            text = render(Expression(raw))
+            assert parse(text, Dialect.INFIX, ["x1", "x2"]).root == relabel(raw, {}), text
 
     def test_round_trip_random_trees(self):
         rng = random.Random(1234)

@@ -71,7 +71,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        type(self).received.append({"body": body, "auth": self.headers.get("Authorization")})
+        type(self).received.append({"body": body, "auth": self.headers.get("Authorization"),
+                                    "peer": self.client_address})
         if self.canned_status != 200:
             self.send_response(self.canned_status)
             self.end_headers()
@@ -140,6 +141,30 @@ class TestHttp:
         backend = HttpBackend(endpoint=stub_server, key_env_var="TEST_LLM_KEY")
         with pytest.raises(MalformedResponseError):
             backend.complete(REQ)
+
+    def test_calls_share_one_connection(self, monkeypatch):
+        class KeepAlive(_Handler):
+            protocol_version = "HTTP/1.1"
+
+        monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
+        monkeypatch.setattr(_Handler, "received", [])
+        monkeypatch.setattr(_Handler, "canned_status", 200)
+        monkeypatch.setattr(_Handler, "canned_body", None)
+        server = HTTPServer(("127.0.0.1", 0), KeepAlive)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        backend = HttpBackend(endpoint=f"http://127.0.0.1:{server.server_port}/v1",
+                              key_env_var="TEST_LLM_KEY")
+        try:
+            for _ in range(3):
+                assert backend.complete(REQ).text == "canned text"
+        finally:
+            backend.close()  # ends the kept-alive connection, so shutdown can return
+            server.shutdown()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert len({r["peer"] for r in _Handler.received}) == 1
+        assert len(_Handler.received) == 3
 
     def test_transport_error_after_retries(self, monkeypatch):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")

@@ -1,12 +1,14 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import make_dataset, random_expression
 
-from srloop.expressions import Dialect
+from srloop.data import load_builtin
+from srloop.expressions import Dialect, evaluate_rows
 from srloop.optimize import (
     FitConfig,
     NoFiniteObjectiveError,
@@ -164,3 +166,48 @@ class TestFitConfig:
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
+
+
+# FitResult reprs produced by the fitter as it stood before per-node guards,
+# one errstate per solve and incremental simplex ordering; every bit must stay.
+PINNED_FITS = [
+    ("bode", "c1*exp(c2*x1)+c3", FitConfig(max_evals=1000),
+     "FitResult(params=(0.0576718316683838, 0.7237630662931395, 0.48529646205678434), "
+     "mse=0.019845891649821985, mae=0.1069760634656383, evals=15701, converged=True)"),
+    ("nikuradse", "c1*x2**c2+c3*x1", FitConfig(hops=5),
+     "FitResult(params=(0.10363854261158464, -0.24692638793487606, -7.404640850556469e-05), "
+     "mse=3.779827362436026e-05, mae=0.0046511727844505, evals=3064, converged=True)"),
+    ("dual_site_langmuir", None, FitConfig(),
+     "FitResult(params=(1.9822831766520888, 0.04881452909081546, 4.005921062439193, "
+     "9.689319881626226), mse=0.000336705687524199, mae=0.0157620069230859, evals=15751, "
+     "converged=True)"),
+    ("kepler", "c1*x1**c2", FitConfig(),
+     "FitResult(params=(362.38258812955064, 1.5054253302193765), mse=5.807880298646893, "
+     "mae=2.0909971495264705, evals=4726, converged=True)"),
+]
+
+
+def test_fit_results_are_pinned():
+    for name, text, cfg, expected in PINNED_FITS:
+        d = load_builtin(name)
+        e = d.target if text is None else parse(text, Dialect.INFIX, list(d.variables))
+        assert repr(fit(e, d, cfg)) == expected, name
+    bode = load_builtin("bode")
+    with pytest.raises(NoFiniteObjectiveError):
+        fit(infix("log(-x1)*c1"), bode, FitConfig(max_evals=1000))
+
+
+@pytest.mark.parametrize("text,params,x,defined", [
+    ("exp(log(x1-c1))", [2.0], [2.0, 3.0], [False, True]),  # exp(-inf) is 0
+    ("c1/exp(exp(c2*x1))", [1.0, 1.0], [7.0, 0.0], [False, True]),  # c1/inf is 0
+    ("(x1/c1)**0", [0.0], [3.0, 0.0], [False, False]),  # inf**0 and nan**0 are 1
+])
+def test_undefined_rows_stay_undefined(text, params, x, defined):
+    e = infix(text)
+    X = np.array(x).reshape(-1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = evaluate_rows(e, params, X)
+        assert mse_objective(e, X, np.zeros(len(x)))(np.array(params)) == math.inf
+    assert list(np.isfinite(out)) == defined
+    assert not np.isinf(out).any()  # undefined rows are NaN

@@ -9,9 +9,12 @@ from srloop.expressions import (
     ExpressionSyntaxError,
     ImplicitFormError,
     Lit,
+    MAX_NODES,
+    TooComplexError,
     Unary,
     UnknownOperatorError,
     Var,
+    complexity,
     render,
     walk,
 )
@@ -129,6 +132,27 @@ def test_implicit_forms_rejected(text):
 def test_syntax_errors(text):
     with pytest.raises(ExpressionSyntaxError):
         infix(text)
+
+
+@pytest.mark.parametrize("text", [
+    "c1*x1" + "+x1" * 400,  # a flat sum that overflowed the stack in canonicalize
+    "**".join(["x1"] * 2000),  # a power chain that overflowed it in the parser
+])
+def test_too_complex(text):
+    with pytest.raises(TooComplexError):
+        infix(text)
+
+
+def test_node_cap_is_inclusive():
+    at_cap = "-x1" + "+x1" * ((MAX_NODES - 2) // 2)
+    assert complexity(infix(at_cap)) == MAX_NODES
+    with pytest.raises(TooComplexError):
+        infix("-" + at_cap)
+
+
+def test_sign_chain_in_exponent_is_nesting_error():
+    with pytest.raises(ExpressionSyntaxError, match="nested too deeply"):
+        infix("x1**" + "-" * 5000 + "x1")
 
 
 def test_unknown_function_is_unknown_operator():
