@@ -134,8 +134,10 @@ class HttpBackend:
     """OpenAI-compatible chat-completions client.
 
     The API key is read from the environment at call time and never stored or
-    logged. Transport failures are retried with exponential backoff; non-2xx
-    responses surface immediately as ApiError. Calls share one
+    logged. Transport failures and 408, 429 and 5xx responses are retried
+    with exponential backoff; for a status, a numeric ``Retry-After`` (capped
+    at ``timeout``) replaces the backoff. A status that survives all retries,
+    or any other non-2xx status at once, surfaces as ApiError. Calls share one
     ``requests.Session``, so a keep-alive endpoint is connected to once;
     ``close`` releases it. Single-consumer, like the session.
     """
@@ -190,7 +192,10 @@ class HttpBackend:
                     time.sleep(self.backoff * 2**attempt)
                 continue
             if resp.status_code // 100 != 2:
-                raise ApiError(resp.status_code, resp.text)
+                if attempt == self.max_retries or not _retryable(resp.status_code):
+                    raise ApiError(resp.status_code, resp.text)
+                time.sleep(self._retry_delay(resp, attempt))
+                continue
             try:
                 body = resp.json()
                 text = body["choices"][0]["message"]["content"]
@@ -203,6 +208,18 @@ class HttpBackend:
                 raise MalformedResponseError(f"response has no text content: {resp.text[:500]}")
             return ChatResponse(text, prompt_tokens, completion_tokens, f"http:{payload['model']}")
         raise TransportError(f"request failed after {self.max_retries + 1} attempts: {last_exc}")
+
+    def _retry_delay(self, resp, attempt: int) -> float:
+        try:
+            delay = float(resp.headers.get("Retry-After", "-1"))
+        except ValueError:  # an HTTP date
+            delay = -1.0
+        # NaN fails the test too, and an infinite delay is capped
+        return min(delay, self.timeout) if delay >= 0 else self.backoff * 2**attempt
+
+
+def _retryable(status: int) -> bool:
+    return status in (408, 429) or status // 100 == 5
 
 
 @dataclass

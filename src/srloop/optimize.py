@@ -9,7 +9,10 @@ together with a seeded generator makes every fit bit-reproducible.
 from __future__ import annotations
 
 import math
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from operator import add
 
 import numpy as np
 
@@ -74,78 +77,105 @@ def nelder_mead(func, x0, cfg: FitConfig):
     Returns ``(x, fval, evals, converged)``. Infinite objective values are
     legal and simply lose comparisons, so undefined regions are never
     attractive. ``func`` runs under ``np.errstate(all="ignore")``, entered
-    once for the whole solve.
+    once for the whole solve, and is given a float64 array.
+
+    ``func`` must be a pure function of ``x``: a point already evaluated in
+    this solve (same float64 bytes, so -0.0 and 0.0 differ) gets its stored
+    value instead of a second call. A remembered point still counts toward
+    ``evals`` and ``cfg.max_evals``, so both are as if every point were
+    evaluated.
     """
     with np.errstate(all="ignore"):
         return _nelder_mead(func, x0, cfg)
 
 
 def _nelder_mead(func, x0, cfg: FitConfig):
+    # The simplex is kept as lists of Python floats: on 1 to 10 coordinates
+    # that is cheaper than NumPy calls. Fits must stay bit-identical to those
+    # of the NumPy form (earlier logs and the pinned tests hold its bits), so
+    # every point takes its operations in NumPy's order: the centroid is a
+    # row-by-row sum then / n (the order of np.add.reduce(sim[:-1], axis=0)
+    # / n), each trial point is c + coef * (p - c) per coordinate, and the
+    # vertex order is a stable sort by value.
     alpha, gamma, rho, sigma = cfg.reflection, cfg.expansion, cfg.contraction, cfg.shrink
+    tol, max_evals = cfg.tol, cfg.max_evals
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     evals = 0
+    seen: dict[bytes, float] = {}  # float64 bytes of a point -> its value
+    key = struct.Struct(f"{n}d").pack
 
     def call(x):
         nonlocal evals
         evals += 1
-        v = float(func(x))
-        return v if math.isfinite(v) else math.inf
+        k = key(*x)
+        v = seen.get(k)
+        if v is None:
+            v = float(func(np.array(x, dtype=float)))
+            v = seen[k] = v if math.isfinite(v) else math.inf
+        return v
 
     if n == 0:
         return x0, call(x0), evals, True
 
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
+    sim = [x0.tolist()]
     for i in range(n):
-        y = x0.copy()
+        y = list(sim[0])
         y[i] = y[i] * 1.05 if y[i] != 0 else 0.00025
-        sim[i + 1] = y
-    fsim = np.array([call(x) for x in sim])
-    order = np.argsort(fsim, kind="stable")
-    sim, fsim = sim[order], fsim[order]
+        sim.append(y)
+    fsim = [call(x) for x in sim]
+    order = sorted(range(n + 1), key=fsim.__getitem__)
+    sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
 
     converged = False
-    while evals + 2 <= cfg.max_evals:
+    while evals + 2 <= max_evals:
         # fsim is sorted, so its spread is fsim[-1] - fsim[0]; inf - inf is
-        # NaN and NaN <= tol is False, so an all-inf simplex never converges
-        if fsim[-1] - fsim[0] <= cfg.tol and np.max(np.abs(sim[1:] - sim[0])) <= cfg.tol:
+        # NaN and NaN <= tol is False, so an all-inf simplex never converges,
+        # and neither does one with a NaN coordinate
+        if fsim[-1] - fsim[0] <= tol and all(
+            abs(v - b) <= tol for row in sim[1:] for v, b in zip(row, sim[0])
+        ):
             converged = True
             break
-        centroid = np.add.reduce(sim[:-1], axis=0) / n
-        xr = centroid + alpha * (centroid - sim[-1])
+        centroid = sim[0]
+        for row in sim[1:n]:
+            centroid = list(map(add, centroid, row))
+        centroid = [c / n for c in centroid]
+        worst = sim[-1]
+        xr = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
         fr = call(xr)
         if fr < fsim[0]:
-            xe = centroid + gamma * (xr - centroid)
+            xe = [c + gamma * (r - c) for c, r in zip(centroid, xr)]
             fe = call(xe)
             x, f = (xe, fe) if fe < fr else (xr, fr)
         elif fr < fsim[-2]:
             x, f = xr, fr
         else:
             if fr < fsim[-1]:
-                x = centroid + rho * (xr - centroid)
+                x = [c + rho * (r - c) for c, r in zip(centroid, xr)]
                 f = call(x)
                 accepted = f <= fr
             else:
-                x = centroid + rho * (sim[-1] - centroid)
+                x = [c + rho * (w - c) for c, w in zip(centroid, worst)]
                 f = call(x)
                 accepted = f < fsim[-1]
             if not accepted:
+                best = sim[0]
                 for i in range(1, n + 1):
-                    sim[i] = sim[0] + sigma * (sim[i] - sim[0])
+                    sim[i] = [b + sigma * (v - b) for b, v in zip(best, sim[i])]
                     fsim[i] = call(sim[i])
-                    if evals >= cfg.max_evals:
+                    if evals >= max_evals:
                         break
-                order = np.argsort(fsim, kind="stable")
-                sim, fsim = sim[order], fsim[order]
+                order = sorted(range(n + 1), key=fsim.__getitem__)
+                sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
                 continue
         # only the worst vertex changed: move it to where a stable sort puts it
-        k = int(np.searchsorted(fsim[:-1], f, side="right"))
-        sim[k + 1:] = sim[k:-1]
-        fsim[k + 1:] = fsim[k:-1]
-        sim[k], fsim[k] = x, f
+        k = bisect_right(fsim, f, 0, n)
+        del sim[-1], fsim[-1]
+        sim.insert(k, x)
+        fsim.insert(k, f)
 
-    return sim[0].copy(), float(fsim[0]), evals, converged
+    return np.array(sim[0]), fsim[0], evals, converged
 
 
 def minimize(func, x0, cfg: FitConfig):

@@ -67,14 +67,19 @@ class TestScripted:
 class _Handler(BaseHTTPRequestHandler):
     canned_status = 200
     canned_body: bytes | None = None  # replaces the completion body of a 200 response
+    statuses: list[int] = []  # answered one per request before canned_status
+    retry_after: str | None = None  # Retry-After header of a non-200 response
     received: list[dict] = []
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         type(self).received.append({"body": body, "auth": self.headers.get("Authorization"),
                                     "peer": self.client_address})
-        if self.canned_status != 200:
-            self.send_response(self.canned_status)
+        status = self.statuses.pop(0) if self.statuses else self.canned_status
+        if status != 200:
+            self.send_response(status)
+            if self.retry_after is not None:
+                self.send_header("Retry-After", self.retry_after)
             self.end_headers()
             self.wfile.write(b"boom")
             return
@@ -98,6 +103,8 @@ def stub_server():
     _Handler.received = []
     _Handler.canned_status = 200
     _Handler.canned_body = None
+    _Handler.statuses = []
+    _Handler.retry_after = None
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -123,12 +130,53 @@ class TestHttp:
 
     def test_api_error_surfaces_body(self, stub_server, monkeypatch):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
-        _Handler.canned_status = 500
+        _Handler.canned_status = 400  # not retried
         backend = HttpBackend(endpoint=stub_server, key_env_var="TEST_LLM_KEY")
         with pytest.raises(ApiError) as err:
             backend.complete(REQ)
-        assert err.value.status == 500
+        assert err.value.status == 400
         assert "boom" in err.value.body
+        assert len(_Handler.received) == 1
+
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr("srloop.llm.time.sleep", slept.append)
+        return slept
+
+    @pytest.mark.parametrize("status", [408, 429, 500, 503])
+    def test_retryable_status_then_success(self, stub_server, monkeypatch, sleeps, status):
+        monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
+        _Handler.statuses = [status]
+        backend = HttpBackend(endpoint=stub_server, key_env_var="TEST_LLM_KEY", backoff=0.001)
+        assert backend.complete(REQ).text == "canned text"
+        assert len(_Handler.received) == 2
+        assert sleeps == [0.001]
+
+    @pytest.mark.parametrize("retry_after,delay", [("0", 0.0), ("2.5", 2.5), ("999", 30.0),
+                                                   ("Wed, 21 Oct 2015 07:28:00 GMT", 0.001)])
+    def test_retry_after_is_honoured_and_capped(self, stub_server, monkeypatch, sleeps,
+                                                retry_after, delay):
+        monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
+        _Handler.statuses = [429]
+        _Handler.retry_after = retry_after
+        backend = HttpBackend(endpoint=stub_server, key_env_var="TEST_LLM_KEY",
+                              timeout=30.0, backoff=0.001)
+        assert backend.complete(REQ).text == "canned text"
+        assert len(_Handler.received) == 2
+        assert sleeps == [delay]
+
+    def test_exhausted_retries_raise_last_status(self, stub_server, monkeypatch, sleeps):
+        monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
+        _Handler.statuses = [500, 502]
+        _Handler.canned_status = 503
+        backend = HttpBackend(endpoint=stub_server, key_env_var="TEST_LLM_KEY",
+                              max_retries=2, backoff=0.001)
+        with pytest.raises(ApiError) as err:
+            backend.complete(REQ)
+        assert err.value.status == 503
+        assert len(_Handler.received) == 3
+        assert sleeps == [0.001, 0.002]
 
     @pytest.mark.parametrize("body", [
         b"<html>not json</html>",

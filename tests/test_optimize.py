@@ -169,7 +169,10 @@ class TestFitConfig:
 
 
 # FitResult reprs produced by the fitter as it stood before per-node guards,
-# one errstate per solve and incremental simplex ordering; every bit must stay.
+# one errstate per solve and incremental simplex ordering (the first four) and
+# before the simplex moved to Python floats with a per-solve memo (the 6-, 7-
+# and 10-constant fits, which sum the centroid over many rows); every bit must
+# stay.
 PINNED_FITS = [
     ("bode", "c1*exp(c2*x1)+c3", FitConfig(max_evals=1000),
      "FitResult(params=(0.0576718316683838, 0.7237630662931395, 0.48529646205678434), "
@@ -184,6 +187,21 @@ PINNED_FITS = [
     ("kepler", "c1*x1**c2", FitConfig(),
      "FitResult(params=(362.38258812955064, 1.5054253302193765), mse=5.807880298646893, "
      "mae=2.0909971495264705, evals=4726, converged=True)"),
+    ("nikuradse", "c1+c2*x1+c3/x2+c4*x1*x2+c5*x2**c6", FitConfig(hops=3, max_evals=4000),
+     "FitResult(params=(20.835659427911132, 0.0008364568435457846, 0.6130767450272879, "
+     "-8.92990114978363e-06, -20.843541021541846, -0.000356448196618752), "
+     "mse=2.8899280114248957e-05, mae=0.004057001384139211, evals=6595, converged=True)"),
+    ("dual_site_langmuir", "c1*x1/(c2+x1)+c3*x1/(c4+x1)+c5*x1/(c6+x1)+c7",
+     FitConfig(hops=3, max_evals=4000),
+     "FitResult(params=(3.550310615108632, 8.545486621109157, 1.9759011822675612, "
+     "0.047118645812205324, 0.5697208465175299, 31.767896285544474, -0.01239509053398087), "
+     "mse=0.0003126454492380523, mae=0.015433847437308806, evals=15108, converged=False)"),
+    ("bode", "c1+c2*x1+c3*x1**2+c4*x1**3+c5*x1**4+c6*x1**5+c7*x1**6+c8*exp(c9*x1+c10)",
+     FitConfig(hops=3, max_evals=4000),
+     "FitResult(params=(1.9694955572306099, -2.65573846683918, 1.6712596934301156, "
+     "-0.5089262729394984, 0.09470550715770008, -0.009833221520744532, "
+     "0.00048222470892442595, -7.273282460219326, -6.043567762547729, -0.9106098443922606), "
+     "mse=0.01467475451579041, mae=0.09997500420590599, evals=15997, converged=False)"),
 ]
 
 
@@ -195,6 +213,45 @@ def test_fit_results_are_pinned():
     bode = load_builtin("bode")
     with pytest.raises(NoFiniteObjectiveError):
         fit(infix("log(-x1)*c1"), bode, FitConfig(max_evals=1000))
+
+
+# nelder_mead return tuples (x as a list, so -0.0 shows) generated on the
+# fitter before the per-solve memo
+PINNED_SOLVES = [
+    (lambda x: math.inf, [1.0, 2.0], 500, "([1.0, 2.0], inf, 499, False)"),
+    # finite only within 1e-6 of the diagonal
+    (lambda x: float((x[0] - 2) ** 2 + (x[1] - 2) ** 2) if abs(x[0] - x[1]) < 1e-6 else math.inf,
+     [1.0, 1.0], 2000,
+     "([2.0000000024083615, 2.0000000027318667], 1.3263301009853326e-17, 322, True)"),
+    # -0.0 and 0.0 give different values: a memo that merged them would
+    # answer 0.0 with the value of -0.0
+    (lambda x: float(x[0] * x[0]) - 1e-3 * math.copysign(1, x[0]), [-0.0], 200,
+     "([0.0], -0.001, 36, True)"),
+]
+
+
+@pytest.mark.parametrize("func,x0,max_evals,expected", PINNED_SOLVES)
+def test_solves_are_pinned(func, x0, max_evals, expected):
+    x, fv, evals, conv = nelder_mead(func, np.array(x0), FitConfig(max_evals=max_evals))
+    assert repr((x.tolist(), fv, evals, conv)) == expected
+
+
+def test_repeated_points_are_not_reevaluated():
+    # 98 nested powers: every point is undefined on bode, the simplex never
+    # moves, and a solve runs to the cap re-asking for the same few points
+    bode = load_builtin("bode")
+    e = infix("x1**(" * 98 + "c1*x1" + ")" * 98)
+    objective = mse_objective(e, bode.X, bode.y)
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return objective(x)
+
+    x, fv, evals, conv = nelder_mead(counted, np.array(e.initial_guess()), FitConfig())
+    assert (x.tolist(), fv, evals, conv) == ([1.0], math.inf, 10001, False)
+    assert calls <= 200
 
 
 @pytest.mark.parametrize("text,params,x,defined", [
