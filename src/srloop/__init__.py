@@ -14,7 +14,6 @@ from .expressions import (
     OperatorSet,
     canonicalize,
     complexity,
-    evaluate,
     render,
     sr_equivalent,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "canonicalize",
     "complexity",
     "estimate_cost",
-    "evaluate",
     "fit",
     "load_builtin",
     "load_csv",

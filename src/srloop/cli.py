@@ -14,6 +14,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from . import data, engine
 from .engine import BackendConfig, BackendFailure, ConfigError, RunConfig
-from .expressions import Dialect
+from .expressions import Dialect, canonicalize, complexity
 from .llm import TokenUsage, UnknownModelError, estimate_cost
 from .optimize import FitConfig
 from .pareto import Candidate, CandidateStore, FeedbackPolicy
@@ -228,6 +229,17 @@ def cmd_replay(args) -> int:
     return EXIT_RUNTIME if failures else EXIT_OK
 
 
+def _load_logs(paths) -> list[dict]:
+    """The raw data of each run log; a log that cannot be read is a ConfigError."""
+    logs = []
+    for path in paths:
+        try:
+            logs.append(engine.load_runlog_data(path))
+        except (OSError, ValueError, KeyError) as exc:
+            raise ConfigError(f"{path}: cannot load run log: {exc}") from exc
+    return logs
+
+
 def cmd_score(args) -> int:
     if not args.logs:
         print("error: no run logs given", file=sys.stderr)
@@ -242,8 +254,7 @@ def cmd_score(args) -> int:
         return EXIT_CONFIG
     logs = []
     iterations = 0
-    for path in args.logs:
-        log_data = engine.load_runlog_data(path)
+    for path, log_data in zip(args.logs, _load_logs(args.logs)):
         header, summary = log_data["header"], log_data["summary"]
         if header["dataset"] != args.target:
             raise ConfigError(f"{path} is a run on {header['dataset']!r}, not on {args.target!r}")
@@ -271,9 +282,13 @@ def _store_from_log(log_data: dict, variables: list[str]) -> CandidateStore:
     store = CandidateStore()
     for cand in log_data["summary"]["store"]:
         expr = parse(cand["equation"], Dialect.INFIX, variables)
-        mse = cand["mse"] if cand["mse"] is not None else float("inf")
-        mae = cand["mae"] if cand["mae"] is not None else float("inf")
-        store.insert(Candidate.build(expr, cand["params"], mse, mae, cand["iteration"]))
+        store.insert(Candidate(
+            expr=expr, canonical=canonicalize(expr),
+            params=tuple(float(v) for v in cand["params"]),
+            mse=math.inf if cand["mse"] is None else float(cand["mse"]),
+            mae=math.inf if cand["mae"] is None else float(cand["mae"]),
+            complexity=complexity(expr), iteration_born=cand["iteration"],
+        ))
     return store
 
 
@@ -289,7 +304,7 @@ def cmd_pareto(args) -> int:
     if not args.logs:
         print("error: no run logs given", file=sys.stderr)
         return EXIT_CONFIG
-    logs = [engine.load_runlog_data(path) for path in args.logs]
+    logs = _load_logs(args.logs)
     datasets = sorted({log_data["header"]["dataset"] for log_data in logs})
     if len(datasets) > 1:
         raise ConfigError(f"the logs are runs on different datasets ({', '.join(datasets)}); "

@@ -27,7 +27,6 @@ from .expressions import (
     UnknownOperatorError,
     canonicalize,
     complexity,
-    render,
 )
 from .llm import (
     BackendError,
@@ -224,11 +223,10 @@ def run(cfg: RunConfig, dataset: Dataset | None = None, backend=None) -> RunLog:
 
             outcomes: list[ParseOutcome] = []
             fitted: list[Candidate] = []
-            batch_keys: set[str] = set()
             for text in extracted:
                 try:
                     cand = _evaluate_candidate(
-                        text, dataset, opset, required_vars, batch_keys, log.store,
+                        text, dataset, opset, required_vars, log.store,
                         cfg.fit, iteration, pcfg, outcomes,
                     )
                 except Exception as exc:  # a defect; logged so the run goes on
@@ -272,7 +270,7 @@ def run(cfg: RunConfig, dataset: Dataset | None = None, backend=None) -> RunLog:
     return log
 
 
-def _evaluate_candidate(text, dataset, opset, required_vars, batch_keys, store,
+def _evaluate_candidate(text, dataset, opset, required_vars, store,
                         fit_cfg, iteration, pcfg, outcomes) -> Candidate | None:
     try:
         expr = parse(text, pcfg.dialect, list(dataset.variables))
@@ -296,11 +294,11 @@ def _evaluate_candidate(text, dataset, opset, required_vars, batch_keys, store,
         outcomes.append(ParseOutcome(text, "missing_variables"))
         return None
     canonical = canonicalize(expr)
-    key = render(canonical)
-    if key in batch_keys or store.find_equivalent(canonical) is not None:
+    # run() stores a returned candidate before evaluating the next proposal,
+    # so the store catches repeats within a batch as well as across batches
+    if store.find_equivalent(canonical) is not None:
         outcomes.append(ParseOutcome(text, "duplicate"))
         return None
-    batch_keys.add(key)
     try:
         result = repeat_fit(expr, dataset, fit_cfg)
     except TooManyConstantsError as exc:

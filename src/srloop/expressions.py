@@ -47,10 +47,6 @@ class ImplicitFormError(ExpressionError):
     """An equation whose dependent variable is missing or appears on both sides."""
 
 
-class ArityMismatchError(ExpressionError):
-    """Parameter vector length does not match the expression's constant count."""
-
-
 class Dialect(Enum):
     """Input syntax accepted by :func:`srloop.parsing.parse`."""
 
@@ -330,21 +326,14 @@ def _evaluator(fn: Callable) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
 
 def evaluate_rows(e: Expression, params, X) -> np.ndarray:
     """Vectorized evaluation over a (rows, n_vars) input matrix; NaN marks
-    undefined rows (the root is guarded). Emits no floating-point warnings."""
+    undefined rows (the root is guarded). Emits no floating-point warnings.
+    Raises ValueError unless there is one parameter per constant."""
     params = tuple(float(v) for v in params)
     if len(params) != e.n_constants:
-        raise ArityMismatchError(
-            f"expression has {e.n_constants} constants, got {len(params)} parameters"
-        )
+        raise ValueError(f"expression has {e.n_constants} constants, got {len(params)} parameters")
     evaluator = _evaluator(_compile_node(e.root, guard=True))
     with np.errstate(all="ignore"):
         return evaluator(np.asarray(params), np.atleast_2d(np.asarray(X, dtype=float)))
-
-
-def evaluate(e: Expression, params, row) -> float:
-    """Evaluate at a single input row. Returns NaN when protected semantics trigger."""
-    row = np.atleast_1d(np.asarray(row, dtype=float))
-    return float(evaluate_rows(e, params, row.reshape(1, -1))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +389,6 @@ class OperatorSet:
                 elif n.op not in self.binary:
                     out.add(n.op)
         return sorted(out)
-
-    def allows(self, e: Expression) -> bool:
-        return not self.violations(e)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +528,7 @@ def canonicalize(e: Expression) -> Expression:
     constant(+|*)constant folds, an unshared constant distributes over a sum
     containing an unshared constant, commutative arguments are sorted by a
     fixed shape order, and constants are re-indexed c1..cK. Idempotent.
+    Raises RuntimeError if the rewrites reach no fixpoint within 64 passes.
     """
     cur = _reindex(e.root)
     max_index = max((n.index for n in walk(cur) if isinstance(n, Const)), default=0)
@@ -549,9 +536,9 @@ def canonicalize(e: Expression) -> Expression:
         fresh = itertools.count(max_index + 1)
         nxt = _reindex(_canon_pass(cur, _const_counts(cur), fresh))
         if nxt == cur:
-            break
+            return Expression(cur)
         cur = nxt
-    return Expression(cur)
+    raise RuntimeError(f"canonicalize reached no fixpoint in 64 passes on {render(e)}")
 
 
 def sr_equivalent(a: Expression, b: Expression) -> bool:

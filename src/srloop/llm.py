@@ -227,10 +227,6 @@ class TokenUsage:
     prompt_tokens: int = 0
     completion_tokens: int = 0
 
-    def add(self, resp: ChatResponse) -> None:
-        self.prompt_tokens += resp.prompt_tokens
-        self.completion_tokens += resp.completion_tokens
-
 
 def estimate_cost(usage: TokenUsage, model: str, price_table: dict[str, tuple[float, float]]) -> float:
     """Linear cost from per-token prompt/completion prices.

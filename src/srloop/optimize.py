@@ -197,18 +197,8 @@ def minimize(func, x0, cfg: FitConfig):
 
 def mse_objective(e: Expression, X, y):
     """Mean squared error over all rows; any undefined row maps to +inf.
-    Emits no floating-point warnings."""
-    objective = _mse_objective(e, X, y)
-
-    def quiet(params):
-        with np.errstate(all="ignore"):
-            return objective(params)
-
-    return quiet
-
-
-def _mse_objective(e: Expression, X, y):
-    # to be called under np.errstate(all="ignore"), as nelder_mead does
+    Call the objective under ``np.errstate(all="ignore")``, as ``nelder_mead``
+    does once per solve: it enters none itself."""
     evaluator = compile_evaluator(e)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -236,7 +226,7 @@ def fit(e: Expression, d, cfg: FitConfig) -> FitResult:
     y = np.asarray(d.y, dtype=float)
     if len(y) < 1:
         raise ValueError("dataset has no rows")
-    objective = _mse_objective(e, X, y)
+    objective = mse_objective(e, X, y)
     x0 = np.asarray(e.initial_guess(), dtype=float)
     best_x, best_f, evals, converged = minimize(objective, x0, cfg)
     if not np.isfinite(best_f):

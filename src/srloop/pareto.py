@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .expressions import Expression, canonicalize, complexity, render
+from .expressions import Expression, render
 
 
 @dataclass(frozen=True)
@@ -26,18 +26,6 @@ class Candidate:
     mae: float
     complexity: int
     iteration_born: int
-
-    @classmethod
-    def build(cls, expr: Expression, params, mse: float, mae: float, iteration: int) -> "Candidate":
-        return cls(
-            expr=expr,
-            canonical=canonicalize(expr),
-            params=tuple(float(v) for v in params),
-            mse=float(mse),
-            mae=float(mae),
-            complexity=complexity(expr),
-            iteration_born=iteration,
-        )
 
     @property
     def equation(self) -> str:
@@ -86,10 +74,6 @@ class CandidateStore:
 
     def __iter__(self):
         return iter(self._items)
-
-    @property
-    def candidates(self) -> list[Candidate]:
-        return list(self._items)
 
     def find_equivalent(self, canonical: Expression) -> Candidate | None:
         pos = self._by_canonical.get(render(canonical))

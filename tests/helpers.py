@@ -8,8 +8,10 @@ import random
 
 import numpy as np
 
+from srloop import expressions
 from srloop.data import Dataset
 from srloop.expressions import Binary, Const, Dialect, Expression, Lit, Unary, Var, render
+from srloop.pareto import Candidate
 from srloop.parsing import parse
 
 UNARY_CHOICES = ["sqrt", "log", "exp", "square", "cube", "neg"]
@@ -118,6 +120,18 @@ def reply(*exprs: str, scratchpad: str = "scratchpad: looking at trends.") -> st
     from srloop.prompts import BEGIN_MARKER, END_MARKER
 
     return "\n".join([scratchpad, BEGIN_MARKER, *exprs, END_MARKER])
+
+
+def candidate(expr: Expression, mse: float, mae: float | None = None,
+              complexity: int | None = None, born: int = 1, params=()) -> Candidate:
+    """A store candidate for ``expr``; ``mae`` defaults to ``mse`` and
+    ``complexity`` to the expression's node count."""
+    return Candidate(
+        expr=expr, canonical=expressions.canonicalize(expr), params=tuple(params),
+        mse=mse, mae=mse if mae is None else mae,
+        complexity=expressions.complexity(expr) if complexity is None else complexity,
+        iteration_born=born,
+    )
 
 
 def make_dataset(X, y, dataset_id: str = "adhoc", **kwargs) -> Dataset:

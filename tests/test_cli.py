@@ -4,13 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import reply
+from helpers import candidate, reply
 
 from srloop.cli import main, reference_table
 from srloop.data import dataset_info
 from srloop.engine import load_runlog_data
 from srloop.llm import write_transcript
-from srloop.pareto import Candidate, CandidateStore
+from srloop.pareto import CandidateStore
 from srloop.parsing import parse
 from srloop.expressions import Dialect
 
@@ -138,6 +138,26 @@ def finished_runs(workdir):
     return sorted(str(p) for p in (workdir / "out").glob("run*.jsonl"))
 
 
+def unreadable_log(kind, workdir, finished_runs) -> str:
+    """A run log that cannot be loaded: no file at all, or a header alone."""
+    path = workdir / f"{kind}.jsonl"
+    if kind == "header_only":
+        path.write_text(Path(finished_runs[0]).read_text().splitlines()[0] + "\n")
+    return str(path)
+
+
+def assert_refused(argv, bad, workdir, capsys):
+    """The command prints one error line naming ``bad``, writes nothing and exits 1."""
+    capsys.readouterr()
+    before = sorted(workdir.rglob("*"))
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {bad}: cannot load run log: ")
+    assert sorted(workdir.rglob("*")) == before
+
+
 class TestReplay:
     def test_fresh_logs_replay_clean(self, finished_runs, capsys):
         assert main(["replay", *finished_runs]) == 0
@@ -181,6 +201,12 @@ class TestScore:
     def test_no_logs(self):
         assert main(["score", "--target", "langmuir"]) == 1
 
+    @pytest.mark.parametrize("kind", ["missing", "header_only"])
+    def test_unreadable_log(self, kind, finished_runs, workdir, capsys):
+        bad = unreadable_log(kind, workdir, finished_runs)
+        argv = ["score", *finished_runs, bad, "--target", "langmuir", "--out", "score.csv"]
+        assert_refused(argv, bad, workdir, capsys)
+
 
 class TestPareto:
     def test_merged_front_is_union_front(self, finished_runs, workdir):
@@ -195,7 +221,7 @@ class TestPareto:
             for cand in data["summary"]["store"]:
                 expr = parse(cand["equation"], Dialect.INFIX, ["x1"])
                 mse = cand["mse"] if cand["mse"] is not None else math.inf
-                union.insert(Candidate.build(expr, cand["params"], mse, mse, cand["iteration"]))
+                union.insert(candidate(expr, mse, born=cand["iteration"], params=cand["params"]))
         expected = {(c.complexity, c.equation) for c in union.pareto_front()}
 
         with open(workdir / "fronts" / "pareto_total.csv") as fh:
@@ -245,6 +271,11 @@ class TestPareto:
 
     def test_no_logs(self):
         assert main(["pareto"]) == 1
+
+    @pytest.mark.parametrize("kind", ["missing", "header_only"])
+    def test_unreadable_log(self, kind, finished_runs, workdir, capsys):
+        bad = unreadable_log(kind, workdir, finished_runs)
+        assert_refused(["pareto", *finished_runs, bad, "--out", "fronts"], bad, workdir, capsys)
 
 
 class TestDatasets:

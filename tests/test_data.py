@@ -62,7 +62,7 @@ class TestBuiltin:
             if d.target is None:
                 continue
             opset = resolve_operator_set("easy", d)
-            assert opset.allows(d.target), (dataset_id, render(d.target))
+            assert not opset.violations(d.target), (dataset_id, render(d.target))
 
     def test_rows_are_read_only(self):
         d = load_builtin("langmuir")

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from helpers import reply
+from helpers import make_dataset, reply
 
 from srloop.data import load_builtin
 from srloop.engine import (
@@ -21,7 +21,7 @@ from srloop.engine import (
     save_runlog,
     score_runs,
 )
-from srloop.expressions import Dialect, OperatorSet, sr_equivalent
+from srloop.expressions import Dialect, OperatorSet, Unary, canonicalize, sr_equivalent
 from srloop.llm import ScriptedBackend
 from srloop.optimize import FitConfig
 from srloop.pareto import Candidate, FeedbackPolicy
@@ -127,6 +127,32 @@ class TestRun:
         text = "+".join(f"c{i}*x1**{i}" for i in range(1, 12))
         log = run(config(iterations=1), backend=ScriptedBackend([reply(text)]))
         assert [o.status for o in log.records[0].outcomes] == ["too_many_constants"]
+        assert len(log.store) == 0
+
+    def test_repeat_of_an_unstored_proposal_is_evaluated(self):
+        # a proposal rejected before it is stored is no duplicate of a later
+        # proposal in the same batch with the same canonical form
+        over = "+".join(f"c{i}" for i in range(1, 12)) + "+c12*x1"
+        log = run(config(iterations=1), backend=ScriptedBackend([reply(over, "c1+c2*x1")]))
+        assert [o.status for o in log.records[0].outcomes] == ["too_many_constants", "fitted"]
+        assert [c.equation for c in log.store] == ["c1+c2*x1"]
+
+    def test_canonicalize_without_fixpoint_is_internal_error(self, monkeypatch):
+        import srloop.expressions
+
+        def growing_pass(node, counts, fresh):
+            return Unary("neg", node)  # a new tree on every pass
+
+        monkeypatch.setattr(srloop.expressions, "_canon_pass", growing_pass)
+        e = parse("c1*x1", Dialect.INFIX, ["x1"])
+        with pytest.raises(RuntimeError, match="no fixpoint in 64 passes"):
+            canonicalize(e)
+        # a dataset without a target, so only the proposals are canonicalized
+        d = make_dataset([1.0, 2.0, 3.0], [2.0, 4.0, 6.0])
+        log = run(config(iterations=1), dataset=d, backend=ScriptedBackend([reply("c1*x1")]))
+        [outcome] = log.records[0].outcomes
+        assert outcome.status == "internal_error"
+        assert outcome.detail.startswith("RuntimeError: canonicalize reached no fixpoint")
         assert len(log.store) == 0
 
     def test_too_complex_rejected_before_canonicalizing(self):

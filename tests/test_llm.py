@@ -4,6 +4,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from srloop.engine import IterationRecord, RunLog
 from srloop.llm import (
     ApiError,
     ChatRequest,
@@ -98,6 +99,9 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+POLL_S = 0.05
+
+
 @pytest.fixture
 def stub_server():
     _Handler.received = []
@@ -106,10 +110,12 @@ def stub_server():
     _Handler.statuses = []
     _Handler.retry_after = None
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll, so shutdown() need not wait out serve_forever's default 0.5 s
+    thread = threading.Thread(target=server.serve_forever, args=(POLL_S,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttp:
@@ -199,7 +205,7 @@ class TestHttp:
         monkeypatch.setattr(_Handler, "canned_status", 200)
         monkeypatch.setattr(_Handler, "canned_body", None)
         server = HTTPServer(("127.0.0.1", 0), KeepAlive)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever, args=(POLL_S,), daemon=True)
         thread.start()
         backend = HttpBackend(endpoint=f"http://127.0.0.1:{server.server_port}/v1",
                               key_env_var="TEST_LLM_KEY")
@@ -209,6 +215,7 @@ class TestHttp:
         finally:
             backend.close()  # ends the kept-alive connection, so shutdown can return
             server.shutdown()
+            server.server_close()
             thread.join(timeout=5)
         assert not thread.is_alive()
         assert len({r["peer"] for r in _Handler.received}) == 1
@@ -253,7 +260,12 @@ class TestCost:
             estimate_cost(TokenUsage(1, 1), "mystery", {})
 
     def test_usage_accumulates(self):
-        usage = TokenUsage()
-        usage.add(ChatResponse("t", 5, 3, "b"))
-        usage.add(ChatResponse("t", 2, 1, "b"))
+        log = RunLog(dataset_id="d", config={})
+        for index, (prompt, completion) in enumerate([(5, 3), (2, 1)], start=1):
+            log.records.append(IterationRecord(
+                index=index, prompt="p", responses=["t"], extracted=[], outcomes=[],
+                candidates=[], prompt_tokens=prompt, completion_tokens=completion,
+                target_on_front=False,
+            ))
+        usage = log.usage
         assert (usage.prompt_tokens, usage.completion_tokens) == (7, 4)

@@ -58,7 +58,8 @@ class TestFit:
         cfg = FitConfig(hops=2, seed=1, max_evals=800)
         for _ in range(25):
             e = random_expression(rng, n_vars=1, max_depth=3)
-            start = mse_objective(e, d.X, d.y)(np.asarray(e.initial_guess()))
+            with np.errstate(all="ignore"):
+                start = mse_objective(e, d.X, d.y)(np.asarray(e.initial_guess()))
             try:
                 r = fit(e, d, cfg)
             except NoFiniteObjectiveError:
@@ -265,6 +266,7 @@ def test_undefined_rows_stay_undefined(text, params, x, defined):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = evaluate_rows(e, params, X)
-        assert mse_objective(e, X, np.zeros(len(x)))(np.array(params)) == math.inf
+        with np.errstate(all="ignore"):
+            assert mse_objective(e, X, np.zeros(len(x)))(np.array(params)) == math.inf
     assert list(np.isfinite(out)) == defined
     assert not np.isinf(out).any()  # undefined rows are NaN

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from helpers import candidate
+
 from srloop.expressions import Dialect
-from srloop.pareto import Candidate, CandidateStore, FeedbackPolicy, to_feedback_json
+from srloop.pareto import CandidateStore, FeedbackPolicy, to_feedback_json
 from srloop.parsing import parse
 
 
@@ -18,13 +20,7 @@ def cand(mse, cx=None, born=1, key=None, mae=None):
     """
     key = key if key is not None else (mse, cx, born)
     expr = parse(f"x1**{abs(hash(key)) % 10_000_000}.5", Dialect.INFIX, ["x1"])
-    built = Candidate.build(expr, (), mse, mae if mae is not None else mse, born)
-    if cx is None:
-        return built
-    return Candidate(
-        expr=built.expr, canonical=built.canonical, params=built.params,
-        mse=built.mse, mae=built.mae, complexity=cx, iteration_born=born,
-    )
+    return candidate(expr, mse, mae=mae, complexity=cx, born=born)
 
 
 def langmuir_like(text):
@@ -39,8 +35,8 @@ class TestInsert:
 
     def test_duplicate_with_higher_mse_keeps_incumbent(self):
         store = CandidateStore()
-        a = Candidate.build(langmuir_like("x1+c1"), (2.0,), 1.0, 1.0, 1)
-        b = Candidate.build(langmuir_like("x1+c1"), (9.0,), 5.0, 5.0, 2)
+        a = candidate(langmuir_like("x1+c1"), 1.0, born=1, params=(2.0,))
+        b = candidate(langmuir_like("x1+c1"), 5.0, born=2, params=(9.0,))
         store.insert(a)
         assert not store.insert(b)
         assert len(store) == 1
@@ -48,8 +44,8 @@ class TestInsert:
 
     def test_sr_equivalent_forms_deduplicate(self):
         store = CandidateStore()
-        store.insert(Candidate.build(langmuir_like("x1+c1"), (2.0,), 1.0, 1.0, 1))
-        better = Candidate.build(langmuir_like("x1-c1"), (-2.0,), 0.5, 0.5, 2)
+        store.insert(candidate(langmuir_like("x1+c1"), 1.0, born=1, params=(2.0,)))
+        better = candidate(langmuir_like("x1-c1"), 0.5, born=2, params=(-2.0,))
         assert store.insert(better)
         assert len(store) == 1
         assert next(iter(store)).mse == 0.5
@@ -98,7 +94,7 @@ class TestParetoFront:
                     born=rng.randint(1, 9),
                     key=(trial, i),
                 ))
-            assert store.pareto_front() == brute_force_front(store.candidates)
+            assert store.pareto_front() == brute_force_front(list(store))
 
     def test_infinite_mse_excluded(self):
         store = CandidateStore()
@@ -193,12 +189,12 @@ class TestSelectFeedback:
 
 class TestFeedbackJson:
     def test_schema(self):
-        c = Candidate.build(langmuir_like("c1*x1"), (2.0,), 0.125, 0.25, 1)
+        c = candidate(langmuir_like("c1*x1"), 0.125, mae=0.25, params=(2.0,))
         records = json.loads(to_feedback_json([c]))
         assert records == [{"equation": "c1*x1", "complexity": 3, "mse": 0.125}]
 
     def test_params_included_on_request(self):
-        c = Candidate.build(langmuir_like("c1*x1"), (2.0,), 0.125, 0.25, 1)
+        c = candidate(langmuir_like("c1*x1"), 0.125, mae=0.25, params=(2.0,))
         records = json.loads(to_feedback_json([c], include_params=True))
         assert records[0]["params"] == [2.0]
 
@@ -206,7 +202,7 @@ class TestFeedbackJson:
         assert to_feedback_json([]) == "[]"
 
     def test_six_significant_digits(self):
-        c = Candidate.build(langmuir_like("c1*x1"), (1.23456789,), 0.123456789, 0.1, 1)
+        c = candidate(langmuir_like("c1*x1"), 0.123456789, mae=0.1, params=(1.23456789,))
         records = json.loads(to_feedback_json([c], include_params=True))
         assert records[0]["mse"] == 0.123457
         assert records[0]["params"] == [1.23457]
@@ -214,7 +210,7 @@ class TestFeedbackJson:
 
 def test_store_csv_export(tmp_path):
     store = CandidateStore()
-    store.insert(Candidate.build(langmuir_like("c1*x1"), (2.0,), 0.5, 0.5, 3))
+    store.insert(candidate(langmuir_like("c1*x1"), 0.5, born=3, params=(2.0,)))
     path = tmp_path / "store.csv"
     store.to_csv(path)
     with open(path) as fh:
