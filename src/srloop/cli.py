@@ -17,6 +17,10 @@ import json
 import math
 import os
 import sys
+import threading
+from collections import deque
+from concurrent.futures import Future
+from contextlib import contextmanager, suppress
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -32,6 +36,8 @@ from .prompts import PromptConfig, extra_instruction
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
+
+MAX_CONCURRENT_RUNS = 5  # runs of a batch in flight at once; the paper's batch size
 
 
 def _bool(s: str) -> bool:
@@ -161,6 +167,60 @@ def _preflight(cfg: RunConfig) -> None:
         )
 
 
+@contextmanager
+def _concurrent_runs(cfgs: list[RunConfig], dataset: data.Dataset):
+    """Start ``engine.run`` on each config, in order, on at most
+    MAX_CONCURRENT_RUNS daemon threads, and yield one future per run holding
+    its log or whatever it raised. Once a run raises, runs not yet started
+    never start. On leaving the block every future not yet started is
+    cancelled; the workers are joined after a clean exit only, so an
+    exception (Ctrl-C included) does not wait for the runs in flight."""
+    futures = [Future() for _ in cfgs]
+    jobs = deque(zip(cfgs, futures))
+
+    def work():
+        while True:
+            try:
+                cfg, future = jobs.popleft()
+            except IndexError:
+                return
+            if not future.set_running_or_notify_cancel():
+                continue
+            try:
+                future.set_result(engine.run(cfg, dataset=dataset))
+            except BaseException as exc:  # handed to the main thread in run order
+                future.set_exception(exc)
+                for pending in futures:
+                    pending.cancel()
+
+    workers = [threading.Thread(target=work, name=f"srloop-run-worker-{k + 1}", daemon=True)
+               for k in range(min(len(cfgs), MAX_CONCURRENT_RUNS))]
+    for worker in workers:
+        worker.start()
+    try:
+        yield futures
+    finally:
+        for future in futures:
+            future.cancel()
+    for worker in workers:
+        worker.join()
+
+
+def _save_run(outdir: Path, k: int, future: Future) -> engine.RunLog:
+    """Wait for run ``k`` and save its log, config and store. A run that failed
+    leaves its partial log, and its BackendFailure is raised again."""
+    log_path = outdir / f"run{k:02d}.jsonl"
+    try:
+        log = future.result()
+    except BackendFailure as exc:
+        engine.save_runlog(exc.log, log_path)
+        raise
+    engine.save_runlog(log, log_path)
+    (outdir / f"run{k:02d}.config.json").write_text(json.dumps(log.config, indent=2) + "\n")
+    log.store.to_csv(outdir / f"run{k:02d}.store.csv")
+    return log
+
+
 def cmd_run(args) -> int:
     try:
         cfg = build_run_config(args)
@@ -173,27 +233,27 @@ def cmd_run(args) -> int:
     prices = _price_table(_load_ini(args.config))
     usage = TokenUsage()
     logs = []
-    for r in range(cfg.runs):
-        run_cfg = replace(cfg, fit=replace(cfg.fit, seed=cfg.fit.seed + r))
-        log_path = outdir / f"run{r + 1:02d}.jsonl"
-        try:
-            log = engine.run(run_cfg)
-        except BackendFailure as exc:
-            engine.save_runlog(exc.log, log_path)
-            print(f"error: run {r + 1} aborted: {exc} (partial log kept)", file=sys.stderr)
-            return EXIT_RUNTIME
-        engine.save_runlog(log, log_path)
-        (outdir / f"run{r + 1:02d}.config.json").write_text(
-            json.dumps(log.config, indent=2) + "\n"
-        )
-        log.store.to_csv(outdir / f"run{r + 1:02d}.store.csv")
-        logs.append(log)
-        u = log.usage
-        usage.prompt_tokens += u.prompt_tokens
-        usage.completion_tokens += u.completion_tokens
-        found = log.rediscovery_iteration
-        print(f"run {r + 1}: {len(log.store)} candidates, "
-              f"rediscovery {'at iteration ' + str(found) if found else 'not reached'}")
+    cfgs = [replace(cfg, fit=replace(cfg.fit, seed=cfg.fit.seed + r)) for r in range(cfg.runs)]
+    with _concurrent_runs(cfgs, data.load_builtin(cfg.dataset)) as futures:
+        # results are handled in run order, so files and output match a sequential batch
+        for k, future in enumerate(futures, start=1):
+            try:
+                log = _save_run(outdir, k, future)
+            except BackendFailure as exc:
+                print(f"error: run {k} aborted: {exc} (partial log kept)", file=sys.stderr)
+                for later, pending in enumerate(futures[k:], start=k + 1):
+                    # runs in flight are paid for: keep what they return
+                    if not pending.cancel():
+                        with suppress(BackendFailure):
+                            _save_run(outdir, later, pending)
+                return EXIT_RUNTIME
+            logs.append(log)
+            u = log.usage
+            usage.prompt_tokens += u.prompt_tokens
+            usage.completion_tokens += u.completion_tokens
+            found = log.rediscovery_iteration
+            print(f"run {k}: {len(log.store)} candidates, "
+                  f"rediscovery {'at iteration ' + str(found) if found else 'not reached'}")
     score = engine.score_runs(logs, iterations=cfg.iterations, mode=cfg.score_mode)
     print(f"score by iteration ({cfg.score_mode}): {score}")
     print(f"tokens: {usage.prompt_tokens} prompt + {usage.completion_tokens} completion")

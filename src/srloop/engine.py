@@ -439,7 +439,10 @@ def save_runlog(log: RunLog, path) -> None:
 
 
 def load_runlog_data(path) -> dict:
-    """Load the raw JSONL structure: {header, iterations, summary}."""
+    """Load the raw JSONL structure: {header, iterations, summary}. A line
+    that is not a JSON object, a log without its header or summary, or one
+    without a key of theirs that replay, score or pareto reads, is a
+    ValueError."""
     header = None
     iterations = []
     summary = None
@@ -447,6 +450,8 @@ def load_runlog_data(path) -> dict:
         if not line.strip():
             continue
         obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}: a line is not a JSON object")
         if obj["type"] == "header":
             header = obj
         elif obj["type"] == "iteration":
@@ -455,6 +460,11 @@ def load_runlog_data(path) -> dict:
             summary = obj
     if header is None or summary is None:
         raise ValueError(f"{path}: not a complete run log")
+    for part, obj, keys in (("header", header, ("dataset", "config")),
+                            ("summary", summary, ("rediscovery_iteration", "store"))):
+        missing = [key for key in keys if key not in obj]
+        if missing:
+            raise ValueError(f"{path}: the {part} has no {', '.join(missing)}")
     return {"header": header, "iterations": iterations, "summary": summary}
 
 

@@ -1,15 +1,21 @@
 import csv
+import json
 import math
+import sys
+import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from helpers import candidate, reply
 
+from srloop import cli, engine
 from srloop.cli import main, reference_table
 from srloop.data import dataset_info
-from srloop.engine import load_runlog_data
-from srloop.llm import write_transcript
+from srloop.engine import BackendConfig, RunConfig, load_runlog_data, save_runlog
+from srloop.llm import TransportError, write_transcript
+from srloop.optimize import FitConfig
 from srloop.pareto import CandidateStore
 from srloop.parsing import parse
 from srloop.expressions import Dialect
@@ -131,6 +137,180 @@ class TestRun:
 
 
 @pytest.fixture
+def batch_threads():
+    """The threads started since the test began that are still alive."""
+    before = set(threading.enumerate())
+    return lambda: [t for t in threading.enumerate() if t not in before and t.is_alive()]
+
+
+class StepBackend:
+    """A scripted backend that calls ``hook(n)`` before its n-th completion (from 1)."""
+
+    def __init__(self, inner, hook):
+        self.inner, self.hook, self.calls = inner, hook, 0
+
+    def complete(self, req):
+        self.calls += 1
+        self.hook(self.calls)
+        return self.inner.complete(req)
+
+
+def patch_run(monkeypatch, backends: dict):
+    """Run k of a batch (fit seed 3 + k - 1, as in ``scripted_ini``) completes
+    through ``backends[k](transcript backend)``; other runs are left alone."""
+    real = engine.run
+
+    def run(cfg, dataset=None, backend=None):
+        make = backends.get(cfg.fit.seed - 3 + 1)
+        if make is not None:
+            backend = make(engine.make_backend(cfg.backend))
+        return real(cfg, dataset=dataset, backend=backend)
+
+    monkeypatch.setattr(engine, "run", run)
+
+
+class TestConcurrentBatch:
+    def test_files_and_output_match_sequential_runs(self, workdir, capsys, batch_threads):
+        transcript = standard_transcript(workdir)
+        ini = scripted_ini(workdir, transcript, runs=3)
+        assert main(["run", "--config", str(ini), "--out", "out"]) == 0
+        out = capsys.readouterr().out
+        assert not batch_threads()
+
+        base = RunConfig(
+            dataset="langmuir", iterations=3, runs=3, seed=0,
+            fit=FitConfig(hops=1, max_evals=500, seed=3),
+            backend=BackendConfig(kind="scripted", transcript=str(transcript), model="test-model"),
+        )
+        ref = workdir / "ref"
+        ref.mkdir()
+        lines = []
+        for k in (1, 2, 3):
+            log = engine.run(replace(base, fit=replace(base.fit, seed=3 + k - 1)))
+            save_runlog(log, ref / f"run{k:02d}.jsonl")
+            (ref / f"run{k:02d}.config.json").write_text(json.dumps(log.config, indent=2) + "\n")
+            log.store.to_csv(ref / f"run{k:02d}.store.csv")
+            lines.append(f"run {k}: {len(log.store)} candidates")
+        for path in sorted(ref.iterdir()):
+            assert (workdir / "out" / path.name).read_bytes() == path.read_bytes(), path.name
+        assert sorted(p.name for p in (workdir / "out").iterdir()) == sorted(
+            p.name for p in ref.iterdir())
+        run_lines = [ln for ln in out.splitlines() if ln.startswith("run ")]
+        assert [ln.split(",")[0] for ln in run_lines] == lines
+
+    def test_each_run_starts_once_and_is_reported_in_order(self, workdir, monkeypatch, capsys,
+                                                           batch_threads):
+        # more runs than workers and more workers than cores, switching threads
+        # as often as the interpreter allows
+        seeds = []
+        real = engine.run
+
+        def run(cfg, dataset=None, backend=None):
+            seeds.append(cfg.fit.seed)
+            return real(cfg, dataset=dataset, backend=backend)
+
+        monkeypatch.setattr(engine, "run", run)
+        transcript = standard_transcript(workdir)
+        ini = scripted_ini(workdir, transcript, runs=12, iterations=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            code = main(["run", "--config", str(ini), "--out", "out"])
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0
+        assert not batch_threads()
+        assert sorted(seeds) == list(range(3, 15))
+        out = capsys.readouterr().out
+        assert [ln.split(":")[0] for ln in out.splitlines() if ln.startswith("run ")] == [
+            f"run {k}" for k in range(1, 13)]
+        for k in range(1, 13):
+            config = json.loads((workdir / "out" / f"run{k:02d}.config.json").read_text())
+            assert config["fit"]["seed"] == 3 + k - 1
+
+    def test_runs_overlap(self, workdir, monkeypatch, batch_threads):
+        # each run's first completion waits for the other two: a batch that
+        # ran its runs one after another would break the barrier
+        barrier = threading.Barrier(3, timeout=5)
+        real = engine.make_backend
+
+        def make_backend(bcfg):
+            return StepBackend(real(bcfg), lambda n: n == 1 and barrier.wait())
+
+        monkeypatch.setattr(engine, "make_backend", make_backend)
+        transcript = standard_transcript(workdir)
+        ini = scripted_ini(workdir, transcript, runs=3)
+        assert main(["run", "--config", str(ini), "--out", "out"]) == 0
+        assert not barrier.broken
+        assert not batch_threads()
+
+    @pytest.mark.parametrize("pool", [1, cli.MAX_CONCURRENT_RUNS])
+    def test_backend_failure_keeps_partial_log(self, pool, workdir, monkeypatch, capsys,
+                                               batch_threads):
+        def fail_second(n):
+            if n == 2:
+                raise TransportError("connection reset")
+
+        monkeypatch.setattr(cli, "MAX_CONCURRENT_RUNS", pool)
+        patch_run(monkeypatch, {2: lambda inner: StepBackend(inner, fail_second)})
+        transcript = standard_transcript(workdir)
+        ini = scripted_ini(workdir, transcript, runs=3)
+        assert main(["run", "--config", str(ini), "--out", "out"]) == 2
+        out, err = capsys.readouterr()
+        assert not batch_threads()
+        assert err.splitlines() == [
+            "error: run 2 aborted: connection reset (partial log kept)"]
+        assert [ln.split(":")[0] for ln in out.splitlines()] == ["run 1"]
+        outdir = workdir / "out"
+        assert len(load_runlog_data(outdir / "run01.jsonl")["iterations"]) == 3
+        assert (outdir / "run01.config.json").exists()
+        assert (outdir / "run01.store.csv").exists()
+        partial = load_runlog_data(outdir / "run02.jsonl")
+        assert len(partial["iterations"]) == 1
+        assert partial["summary"]["error"] == "connection reset"
+        assert not (outdir / "run02.config.json").exists()
+        if pool == 1:  # run 3 had not started, so it never does
+            assert not (outdir / "run03.jsonl").exists()
+        elif (outdir / "run03.jsonl").exists():  # in flight: kept whole
+            assert len(load_runlog_data(outdir / "run03.jsonl")["iterations"]) == 3
+            assert (outdir / "run03.store.csv").exists()
+
+    def test_interrupt_does_not_wait_for_runs_in_flight(self, workdir, monkeypatch,
+                                                        batch_threads):
+        run3_started, release = threading.Event(), threading.Event()
+        run3_released = []
+
+        def interrupt(n):
+            if n == 2:
+                assert run3_started.wait(timeout=5)
+                raise KeyboardInterrupt
+
+        def hold(n):
+            if n == 1:
+                run3_started.set()
+                release.wait(timeout=30)
+                run3_released.append(n)
+
+        patch_run(monkeypatch, {2: lambda inner: StepBackend(inner, interrupt),
+                                 3: lambda inner: StepBackend(inner, hold)})
+        transcript = standard_transcript(workdir)
+        ini = scripted_ini(workdir, transcript, runs=3)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                main(["run", "--config", str(ini), "--out", "out"])
+            # main raised while run 3 still waited on its first completion
+            assert not run3_released
+            assert batch_threads()
+        finally:
+            release.set()
+        for thread in batch_threads():
+            thread.join(timeout=10)
+        assert not batch_threads()
+        assert (workdir / "out" / "run01.jsonl").exists()
+        assert not (workdir / "out" / "run02.jsonl").exists()
+
+
+@pytest.fixture
 def finished_runs(workdir):
     transcript = standard_transcript(workdir)
     ini = scripted_ini(workdir, transcript)
@@ -139,10 +319,13 @@ def finished_runs(workdir):
 
 
 def unreadable_log(kind, workdir, finished_runs) -> str:
-    """A run log that cannot be loaded: no file at all, or a header alone."""
+    """A run log that cannot be loaded: no file at all, a header alone, or a
+    complete log with a line that is JSON but not an object."""
     path = workdir / f"{kind}.jsonl"
     if kind == "header_only":
         path.write_text(Path(finished_runs[0]).read_text().splitlines()[0] + "\n")
+    elif kind == "not_an_object":
+        path.write_text(Path(finished_runs[0]).read_text() + "[1, 2]\n")
     return str(path)
 
 
@@ -201,7 +384,7 @@ class TestScore:
     def test_no_logs(self):
         assert main(["score", "--target", "langmuir"]) == 1
 
-    @pytest.mark.parametrize("kind", ["missing", "header_only"])
+    @pytest.mark.parametrize("kind", ["missing", "header_only", "not_an_object"])
     def test_unreadable_log(self, kind, finished_runs, workdir, capsys):
         bad = unreadable_log(kind, workdir, finished_runs)
         argv = ["score", *finished_runs, bad, "--target", "langmuir", "--out", "score.csv"]
@@ -272,10 +455,29 @@ class TestPareto:
     def test_no_logs(self):
         assert main(["pareto"]) == 1
 
-    @pytest.mark.parametrize("kind", ["missing", "header_only"])
+    @pytest.mark.parametrize("kind", ["missing", "header_only", "not_an_object"])
     def test_unreadable_log(self, kind, finished_runs, workdir, capsys):
         bad = unreadable_log(kind, workdir, finished_runs)
         assert_refused(["pareto", *finished_runs, bad, "--out", "fronts"], bad, workdir, capsys)
+
+
+@pytest.mark.parametrize("part,key", [("header", "dataset"), ("header", "config"),
+                                      ("summary", "rediscovery_iteration"),
+                                      ("summary", "store")])
+def test_log_without_a_required_key(part, key, finished_runs, workdir, capsys):
+    lines = Path(finished_runs[0]).read_text().splitlines()
+    index = 0 if part == "header" else -1
+    obj = json.loads(lines[index])
+    del obj[key]
+    lines[index] = json.dumps(obj)
+    bad = workdir / "incomplete.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    argv = ["score", *finished_runs, str(bad), "--target", "langmuir", "--out", "score.csv"]
+    assert_refused(argv, bad, workdir, capsys)
+    assert_refused(["pareto", *finished_runs, str(bad), "--out", "fronts"], bad, workdir, capsys)
+    assert main(["replay", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"{bad}: replay failed: {bad}: the {part} has no {key}"]
 
 
 class TestDatasets:
