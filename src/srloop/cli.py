@@ -21,8 +21,9 @@ import threading
 from collections import deque
 from concurrent.futures import Future
 from contextlib import contextmanager, suppress
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from . import data, engine
 from .engine import BackendConfig, BackendFailure, ConfigError, RunConfig
@@ -38,14 +39,11 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
 MAX_CONCURRENT_RUNS = 5  # runs of a batch in flight at once; the paper's batch size
-
-
-def _bool(s: str) -> bool:
-    return s.strip().lower() in ("1", "true", "yes", "on")
+EXTRAS = ("long_a", "long_b", "mae_challenge")  # the names [prompt] extra takes
 
 
 def _load_ini(path: str | None) -> configparser.ConfigParser:
-    ini = configparser.ConfigParser()
+    ini = configparser.ConfigParser(inline_comment_prefixes=(";",))
     if path:
         if not Path(path).exists():
             raise ConfigError(f"config file not found: {path}")
@@ -53,53 +51,48 @@ def _load_ini(path: str | None) -> configparser.ConfigParser:
     return ini
 
 
-def _prompt_config(ini: configparser.ConfigParser, args) -> PromptConfig:
-    sec = ini["prompt"] if ini.has_section("prompt") else {}
-    extras = []
-    for name in [e.strip() for e in sec.get("extra", "").split(",") if e.strip()]:
-        if name == "mae_challenge":
-            extras.append(extra_instruction(
-                "mae_challenge",
-                target_mae=sec.get("mae_target", "?"),
-                target_complexity=sec.get("mae_complexity", "?"),
-            ))
-        else:
-            extras.append(extra_instruction(name))
-    rounding = sec.get("rounding_decimals", "")
-    return PromptConfig(
-        use_scratchpad=_bool(sec.get("use_scratchpad", "true")) and not args.no_scratchpad,
-        use_context=_bool(sec.get("use_context", "true")) and not args.no_context,
-        include_data=_bool(sec.get("include_data", "true")) and not args.no_data,
-        n_expressions=int(sec.get("n_expressions", "3")),
-        extra_instructions=tuple(extras),
-        rounding_decimals=int(rounding) if rounding else None,
-        dialect=Dialect(sec.get("dialect", "infix")),
-    )
+def _ini_value(tp, text: str):
+    """An INI value read as a field of type ``tp``: a bool is 1/true/yes/on,
+    an int or a float is parsed, an empty value of an optional field is None,
+    and anything else stays a string."""
+    kinds = get_args(tp) or (tp,)  # the members of a union
+    if not text and type(None) in kinds:
+        return None
+    if bool in kinds:
+        return text.lower() in ("1", "true", "yes", "on")
+    for kind in (int, float):
+        if kind in kinds:
+            return kind(text)
+    return text
 
 
-def _ini_fields(cls, sec) -> dict:
-    """The keys of an INI section that name fields of ``cls`` with a non-None
-    default, each coerced by the type of that default. Absent keys are left
-    to the dataclass defaults."""
-    return {f.name: type(f.default)(sec[f.name]) for f in fields(cls)
-            if f.name in sec and f.default is not None}
+def _section(ini: configparser.ConfigParser, name: str, cls) -> dict:
+    """The keys of INI section ``name``, each value read as the type of the
+    field of ``cls`` it names. Any other key passes through unchanged, for
+    config_from_dict to reject."""
+    hints = get_type_hints(cls)
+    sec = ini[name] if ini.has_section(name) else {}
+    values = {}
+    for key, text in sec.items():
+        try:
+            values[key] = _ini_value(hints.get(key), text)
+        except ValueError as exc:
+            raise ConfigError(f"[{name}] {key}: {exc}") from exc
+    return values
 
 
-def _fit_config(ini: configparser.ConfigParser, args) -> FitConfig:
-    sec = ini["fit"] if ini.has_section("fit") else {}
-    return FitConfig(**{"seed": args.seed or 0, **_ini_fields(FitConfig, sec)})
-
-
-def _backend_config(ini: configparser.ConfigParser, args) -> BackendConfig:
-    sec = ini["llm"] if ini.has_section("llm") else {}
-    cfg = BackendConfig(**_ini_fields(BackendConfig, sec))
-    max_tokens = sec.get("max_tokens", "")
-    return replace(
-        cfg,
-        kind=args.backend or cfg.kind,
-        max_tokens=int(max_tokens) if max_tokens else None,
-        transcript=args.transcript or sec.get("transcript") or None,
-    )
+def _extra_instructions(prompt: dict) -> list[str]:
+    """The extra instructions named by ``[prompt] extra``, a comma list, with
+    ``mae_target`` and ``mae_complexity`` filled into ``mae_challenge``. The
+    three keys are taken out of ``prompt``."""
+    values = {"target_mae": prompt.pop("mae_target", "?"),
+              "target_complexity": prompt.pop("mae_complexity", "?")}
+    names = [e.strip() for e in prompt.pop("extra", "").split(",") if e.strip()]
+    unknown = [name for name in names if name not in EXTRAS]
+    if unknown:
+        raise ConfigError(f"unknown [prompt] extra {', '.join(unknown)} "
+                          f"(one of {', '.join(EXTRAS)})")
+    return [extra_instruction(name, **values) for name in names]
 
 
 def _policy(name: str) -> FeedbackPolicy:
@@ -111,41 +104,52 @@ def _policy(name: str) -> FeedbackPolicy:
 
 
 def build_run_config(args) -> RunConfig:
+    """The INI sections and the flags as one nested dict, decoded by
+    engine.config_from_dict: a missing key takes its default and an unknown
+    key is an error. A flag overrides the file, except that ``--iterations 0``
+    and ``--runs 0`` keep the file's value; ``[fit] seed`` defaults to
+    ``--seed`` (or 0), not to ``[run] seed``."""
     ini = _load_ini(args.config)
-    sec = ini["run"] if ini.has_section("run") else {}
-    dataset = args.dataset or sec.get("dataset")
-    if not dataset:
+    run = _section(ini, "run", RunConfig)
+    prompt = _section(ini, "prompt", PromptConfig)
+    fit = _section(ini, "fit", FitConfig)
+    backend = _section(ini, "llm", BackendConfig)
+    filled = sorted(prompt.keys() & {"operator_note", "extra_instructions"})
+    if filled:
+        raise ConfigError(f"[prompt] {', '.join(filled)}: filled in by srloop, not a config key")
+    prompt["extra_instructions"] = _extra_instructions(prompt)
+    flags = vars(args)
+    run.update((key, flags[key]) for key in ("dataset", "operators", "iterations", "runs")
+               if flags[key])
+    run.update((key, flags[key]) for key in ("temperature", "seed", "subsample")
+               if flags[key] is not None)
+    if not run.get("dataset"):
         raise ConfigError("no dataset given (use --dataset or [run] dataset=...)")
-    subsample = args.subsample if args.subsample is not None else (
-        int(sec["subsample"]) if sec.get("subsample") else None
-    )
+    off = {"use_scratchpad": args.no_scratchpad, "use_context": args.no_context,
+           "include_data": args.no_data}
+    prompt.update((key, False) for key, flag in off.items() if flag)
+    fit.setdefault("seed", args.seed or 0)
+    backend.update((key, flag) for key, flag in (("kind", args.backend),
+                                                 ("transcript", args.transcript)) if flag)
     try:
-        return RunConfig(
-            dataset=dataset,
-            operators=args.operators or sec.get("operators", "easy"),
-            prompt=_prompt_config(ini, args),
-            policy=_policy(args.policy or sec.get("policy", "standard")),
-            fit=_fit_config(ini, args),
-            iterations=args.iterations or int(sec.get("iterations", "15")),
-            runs=args.runs or int(sec.get("runs", "5")),
-            backend=_backend_config(ini, args),
-            temperature=args.temperature if args.temperature is not None
-            else float(sec.get("temperature", "0.7")),
-            seed=args.seed if args.seed is not None else int(sec.get("seed", "0")),
-            subsample=subsample,
-            score_mode=sec.get("score_mode", "cumulative"),
-        )
+        return engine.config_from_dict({
+            "prompt": prompt, "fit": fit, "backend": backend, **run,
+            "policy": engine.config_to_dict(_policy(args.policy or run.get("policy", "standard"))),
+        })
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _price_table(ini: configparser.ConfigParser) -> dict[str, tuple[float, float]]:
-    if not ini.has_section("prices"):
-        return {}
+    """``[prices]``: per model, its prompt and its completion price per token."""
     table = {}
-    for model, value in ini["prices"].items():
-        parts = [float(v) for v in value.split(",")]
-        table[model] = (parts[0], parts[1])
+    for model, value in (ini["prices"].items() if ini.has_section("prices") else ()):
+        try:
+            prompt, completion = (float(v) for v in value.split(","))
+        except ValueError:
+            raise ConfigError(f"[prices] {model} must be two numbers, the prompt and the "
+                              f"completion price per token, not {value!r}") from None
+        table[model] = (prompt, completion)
     return table
 
 
@@ -225,12 +229,12 @@ def cmd_run(args) -> int:
     try:
         cfg = build_run_config(args)
         _preflight(cfg)
+        prices = _price_table(_load_ini(args.config))
     except (ConfigError, data.UnknownDatasetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    prices = _price_table(_load_ini(args.config))
     usage = TokenUsage()
     logs = []
     cfgs = [replace(cfg, fit=replace(cfg.fit, seed=cfg.fit.seed + r)) for r in range(cfg.runs)]

@@ -203,51 +203,41 @@ def run(cfg: RunConfig, dataset: Dataset | None = None, backend=None) -> RunLog:
                 chosen = log.store.select_feedback(cfg.policy)
                 feedback = to_feedback_json(chosen, cfg.policy.include_params)
                 user = build_iteration(view, feedback, dataset.context, pcfg)
-            responses = []
-            resp = backend.complete(
-                ChatRequest(system=system, user=user, temperature=cfg.temperature,
-                            model=cfg.backend.model, max_tokens=cfg.backend.max_tokens)
-            )
-            responses.append(resp)
-            extracted = extract_expressions(resp.text, pcfg.n_expressions)
-            if not extracted:
-                # one re-prompt with a format reminder; an empty retry is recorded as-is
+            responses, prompt = [], user
+            while True:
                 resp = backend.complete(
-                    ChatRequest(system=system,
-                                user=user + "\n\n" + retry_reminder(pcfg),
-                                temperature=cfg.temperature, model=cfg.backend.model,
-                                max_tokens=cfg.backend.max_tokens)
+                    ChatRequest(system=system, user=prompt, temperature=cfg.temperature,
+                                model=cfg.backend.model, max_tokens=cfg.backend.max_tokens)
                 )
                 responses.append(resp)
                 extracted = extract_expressions(resp.text, pcfg.n_expressions)
+                if extracted or len(responses) == 2:
+                    break
+                # one re-prompt with a format reminder; an empty retry is recorded as-is
+                prompt = user + "\n\n" + retry_reminder(pcfg)
 
             outcomes: list[ParseOutcome] = []
             fitted: list[Candidate] = []
             for text in extracted:
                 try:
-                    cand = _evaluate_candidate(
+                    outcome, cand = _evaluate_candidate(
                         text, dataset, opset, required_vars, log.store,
-                        cfg.fit, iteration, pcfg, outcomes,
+                        cfg.fit, iteration, pcfg,
                     )
                 except Exception as exc:  # a defect; logged so the run goes on
-                    outcomes.append(ParseOutcome(text, "internal_error", _describe(exc)))
-                    continue
-                if cand is None:
-                    continue
-                log.store.insert(cand)
-                fitted.append(cand)
-                if (
-                    log.rediscovery_iteration is None
-                    and target_canonical is not None
-                    and cand.canonical.root == target_canonical.root
-                ):
-                    log.rediscovery_iteration = iteration
+                    outcome, cand = ParseOutcome(text, "internal_error", _describe(exc)), None
+                outcomes.append(outcome)
+                if cand is not None:
+                    log.store.insert(cand)
+                    fitted.append(cand)
 
+            # the store is the one equivalence check: for duplicates, rediscovery and the front
             on_front = False
-            if target_canonical is not None:
-                incumbent = log.store.find_equivalent(target_canonical)
-                if incumbent is not None:
-                    on_front = any(c is incumbent for c in log.store.pareto_front())
+            incumbent = (log.store.find_equivalent(target_canonical)
+                         if target_canonical is not None else None)
+            if incumbent is not None:
+                log.rediscovery_iteration = log.rediscovery_iteration or iteration
+                on_front = any(c is incumbent for c in log.store.pareto_front())
             log.records.append(
                 IterationRecord(
                     index=iteration,
@@ -271,47 +261,40 @@ def run(cfg: RunConfig, dataset: Dataset | None = None, backend=None) -> RunLog:
 
 
 def _evaluate_candidate(text, dataset, opset, required_vars, store,
-                        fit_cfg, iteration, pcfg, outcomes) -> Candidate | None:
+                        fit_cfg, iteration, pcfg) -> tuple[ParseOutcome, Candidate | None]:
+    """The outcome of one proposal, and the candidate to store when there is one."""
     try:
         expr = parse(text, pcfg.dialect, list(dataset.variables))
     except ImplicitFormError as exc:
-        outcomes.append(ParseOutcome(text, "implicit_form", str(exc)))
-        return None
+        return ParseOutcome(text, "implicit_form", str(exc)), None
     except UnknownOperatorError as exc:
-        outcomes.append(ParseOutcome(text, "unknown_operator", str(exc)))
-        return None
+        return ParseOutcome(text, "unknown_operator", str(exc)), None
     except TooComplexError as exc:
-        outcomes.append(ParseOutcome(text, "too_complex", str(exc)))
-        return None
+        return ParseOutcome(text, "too_complex", str(exc)), None
     except ExpressionSyntaxError as exc:
-        outcomes.append(ParseOutcome(text, "syntax_error", str(exc)))
-        return None
+        return ParseOutcome(text, "syntax_error", str(exc)), None
     violations = opset.violations(expr)
     if violations:
-        outcomes.append(ParseOutcome(text, "operator_rejected", ", ".join(violations)))
-        return None
+        return ParseOutcome(text, "operator_rejected", ", ".join(violations)), None
     if expr.variables != required_vars:
-        outcomes.append(ParseOutcome(text, "missing_variables"))
-        return None
+        return ParseOutcome(text, "missing_variables"), None
     canonical = canonicalize(expr)
     # run() stores a returned candidate before evaluating the next proposal,
     # so the store catches repeats within a batch as well as across batches
     if store.find_equivalent(canonical) is not None:
-        outcomes.append(ParseOutcome(text, "duplicate"))
-        return None
+        return ParseOutcome(text, "duplicate"), None
     try:
         result = repeat_fit(expr, dataset, fit_cfg)
     except TooManyConstantsError as exc:
-        outcomes.append(ParseOutcome(text, "too_many_constants", str(exc)))
-        return None
+        return ParseOutcome(text, "too_many_constants", str(exc)), None
     except NoFiniteObjectiveError as exc:
         # stored with infinite error for duplicate suppression; never fed back
-        outcomes.append(ParseOutcome(text, "unfittable", str(exc)))
+        outcome = ParseOutcome(text, "unfittable", str(exc))
         params, mse, mae = expr.initial_guess(), math.inf, math.inf
     else:
-        outcomes.append(ParseOutcome(text, "fitted"))
+        outcome = ParseOutcome(text, "fitted")
         params, mse, mae = result.params, result.mse, result.mae
-    return Candidate(
+    return outcome, Candidate(
         expr=expr, canonical=canonical, params=params, mse=mse, mae=mae,
         complexity=complexity(expr), iteration_born=iteration,
     )
@@ -378,6 +361,8 @@ def _decode(tp, v):
     if get_origin(tp) in (Union, UnionType):  # a dict selects the dataclass member
         tp = next((t for t in get_args(tp) if is_dataclass(t)), None) if isinstance(v, dict) else None
     if is_dataclass(tp):
+        if not isinstance(v, dict):
+            raise ValueError(f"bad {tp.__name__} config: {v!r} is not a mapping")
         hints = get_type_hints(tp)
         unknown = set(v) - {f.name for f in fields(tp)}
         if unknown:
@@ -465,6 +450,11 @@ def load_runlog_data(path) -> dict:
         missing = [key for key in keys if key not in obj]
         if missing:
             raise ValueError(f"{path}: the {part} has no {', '.join(missing)}")
+    for entry in summary["store"]:
+        missing = [key for key in ("equation", "params", "mse", "mae", "complexity", "iteration")
+                   if not isinstance(entry, dict) or key not in entry]
+        if missing:
+            raise ValueError(f"{path}: a store entry has no {', '.join(missing)}")
     return {"header": header, "iterations": iterations, "summary": summary}
 
 

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .expressions import Expression, render
+from .expressions import Expression, Node, render
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class CandidateStore:
 
     def __init__(self):
         self._items: list[Candidate] = []
-        self._by_canonical: dict[str, int] = {}
+        self._by_canonical: dict[Node, int] = {}  # by canonical tree, sr_equivalent's equality
 
     def __len__(self) -> int:
         return len(self._items)
@@ -76,13 +76,13 @@ class CandidateStore:
         return iter(self._items)
 
     def find_equivalent(self, canonical: Expression) -> Candidate | None:
-        pos = self._by_canonical.get(render(canonical))
+        pos = self._by_canonical.get(canonical.root)
         return self._items[pos] if pos is not None else None
 
     def insert(self, cand: Candidate) -> bool:
         """Add a candidate; an sr-equivalent incumbent is kept unless the new
         fit has strictly lower MSE. Returns True when the store changed."""
-        key = render(cand.canonical)
+        key = cand.canonical.root
         pos = self._by_canonical.get(key)
         if pos is None:
             self._by_canonical[key] = len(self._items)

@@ -1,9 +1,10 @@
+import configparser
 import csv
 import json
 import math
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from srloop.llm import TransportError, write_transcript
 from srloop.optimize import FitConfig
 from srloop.pareto import CandidateStore
 from srloop.parsing import parse
+from srloop.prompts import PromptConfig
 from srloop.expressions import Dialect
 
 
@@ -461,14 +463,17 @@ class TestPareto:
         assert_refused(["pareto", *finished_runs, bad, "--out", "fronts"], bad, workdir, capsys)
 
 
-@pytest.mark.parametrize("part,key", [("header", "dataset"), ("header", "config"),
-                                      ("summary", "rediscovery_iteration"),
-                                      ("summary", "store")])
+@pytest.mark.parametrize("part,key", [
+    ("header", "dataset"), ("header", "config"),
+    ("summary", "rediscovery_iteration"), ("summary", "store"),
+    *(("store entry", key) for key in ("equation", "params", "mse", "mae", "complexity",
+                                       "iteration")),
+])
 def test_log_without_a_required_key(part, key, finished_runs, workdir, capsys):
     lines = Path(finished_runs[0]).read_text().splitlines()
     index = 0 if part == "header" else -1
     obj = json.loads(lines[index])
-    del obj[key]
+    del (obj["store"][0] if part == "store entry" else obj)[key]
     lines[index] = json.dumps(obj)
     bad = workdir / "incomplete.jsonl"
     bad.write_text("\n".join(lines) + "\n")
@@ -477,8 +482,305 @@ def test_log_without_a_required_key(part, key, finished_runs, workdir, capsys):
     assert_refused(["pareto", *finished_runs, str(bad), "--out", "fronts"], bad, workdir, capsys)
     assert main(["replay", str(bad)]) == 2
     err = capsys.readouterr().err
-    assert err.splitlines() == [f"{bad}: replay failed: {bad}: the {part} has no {key}"]
+    where = "a store entry" if part == "store entry" else f"the {part}"
+    assert err.splitlines() == [f"{bad}: replay failed: {bad}: {where} has no {key}"]
 
+
+# ---------------------------------------------------------------------------
+# What an INI key means: every key of the README block with a non-default
+# value, and each flag's precedence over the file. The literals were produced
+# by the per-section INI reader that build_run_config replaced, so they pin
+# that the reader kept the meaning of every key and flag.
+
+FULL_INI = """[run]
+dataset = kepler
+operators = hard
+iterations = 7
+runs = 2
+temperature = 0.3
+seed = 4
+policy = top5
+subsample = 4
+score_mode = front
+
+[prompt]
+n_expressions = 5
+use_scratchpad = false
+use_context = no
+include_data = 0
+rounding_decimals = 2
+dialect = latex
+extra = long_b, mae_challenge
+mae_target = 0.00392
+mae_complexity = 37
+
+[fit]
+hops = 3
+step_scale = 0.5
+reflection = 1.5
+expansion = 2.5
+contraction = 0.25
+shrink = 0.75
+max_evals = 500
+tol = 1e-06
+seed = 11
+refits = 2
+
+[llm]
+kind = http
+endpoint = http://localhost:9/v1/chat/completions
+model = test-model
+key_env_var = TEST_KEY
+timeout = 30
+max_retries = 1
+max_tokens = 256
+transcript = t.txt
+
+[prices]
+test-model = 1e-6, 2e-6
+"""
+
+SWITCHES_ON_INI = """[run]
+dataset = hubble
+seed = 4
+
+[prompt]
+use_scratchpad = true
+use_context = yes
+include_data = on
+
+[llm]
+transcript = t.txt
+"""
+
+INI_CASES = [
+    ("full", FULL_INI, []),
+    # --iterations 0 and --runs 0 keep the file's values
+    ("full_zero_counts", FULL_INI, ["--iterations", "0", "--runs", "0"]),
+    # every flag overrides the file, except that [fit] seed stays
+    ("full_every_flag", FULL_INI, [
+        "--dataset", "hubble", "--operators", "easy", "--iterations", "2", "--runs", "3",
+        "--temperature", "0.9", "--policy", "standard", "--no-context", "--no-data",
+        "--no-scratchpad", "--backend", "scripted", "--transcript", "other.txt",
+        "--seed", "5", "--subsample", "3"]),
+    ("on", SWITCHES_ON_INI, []),
+    ("on_off_flags", SWITCHES_ON_INI, ["--no-context", "--no-data", "--no-scratchpad"]),
+    # without [fit] seed the fit seed is --seed (or 0), not [run] seed
+    ("on_seed", SWITCHES_ON_INI, ["--seed", "9"]),
+    ("on_seed_zero", SWITCHES_ON_INI, ["--seed", "0", "--temperature", "0", "--subsample", "0"]),
+    ("dataset_flag_only", None, ["--dataset", "langmuir", "--backend", "http"]),
+]
+
+INI_MEANING = {  # json.dumps(config_to_dict(cfg)) of each case, read by the old reader
+    "full": (
+        '{"dataset": "kepler", "operators": "hard", "prompt": {"use_scratchpad": false, '
+        '"use_context": false, "include_data": false, "n_expressions": 5, '
+        '"operator_note": "", '
+        '"extra_instructions": ["Do not limit yourself to short forms: nested and multi-term '
+        'expressions are encouraged whenever they reduce the error.", '
+        '"A model from the literature reaches a mean absolute error of 0.00392 at complexity '
+        '37 on this dataset. Try to match or beat that error."], "rounding_decimals": 2, '
+        '"dialect": "latex"}, "policy": {"kind": "top_k", "min_count": 6, "k": 5, '
+        '"include_params": true}, "fit": {"hops": 3, "step_scale": 0.5, "reflection": 1.5, '
+        '"expansion": 2.5, "contraction": 0.25, "shrink": 0.75, "max_evals": 500, '
+        '"tol": 1e-06, "seed": 11, "refits": 2}, "iterations": 7, "runs": 2, '
+        '"backend": {"kind": "http", "endpoint": "http://localhost:9/v1/chat/completions", '
+        '"model": "test-model", "key_env_var": "TEST_KEY", "timeout": 30.0, '
+        '"max_retries": 1, "max_tokens": 256, "transcript": "t.txt"}, "temperature": 0.3, '
+        '"seed": 4, "subsample": 4, "score_mode": "front"}'
+    ),
+    "full_zero_counts": (
+        '{"dataset": "kepler", "operators": "hard", "prompt": {"use_scratchpad": false, '
+        '"use_context": false, "include_data": false, "n_expressions": 5, '
+        '"operator_note": "", '
+        '"extra_instructions": ["Do not limit yourself to short forms: nested and multi-term '
+        'expressions are encouraged whenever they reduce the error.", '
+        '"A model from the literature reaches a mean absolute error of 0.00392 at complexity '
+        '37 on this dataset. Try to match or beat that error."], "rounding_decimals": 2, '
+        '"dialect": "latex"}, "policy": {"kind": "top_k", "min_count": 6, "k": 5, '
+        '"include_params": true}, "fit": {"hops": 3, "step_scale": 0.5, "reflection": 1.5, '
+        '"expansion": 2.5, "contraction": 0.25, "shrink": 0.75, "max_evals": 500, '
+        '"tol": 1e-06, "seed": 11, "refits": 2}, "iterations": 7, "runs": 2, '
+        '"backend": {"kind": "http", "endpoint": "http://localhost:9/v1/chat/completions", '
+        '"model": "test-model", "key_env_var": "TEST_KEY", "timeout": 30.0, '
+        '"max_retries": 1, "max_tokens": 256, "transcript": "t.txt"}, "temperature": 0.3, '
+        '"seed": 4, "subsample": 4, "score_mode": "front"}'
+    ),
+    "full_every_flag": (
+        '{"dataset": "hubble", "operators": "easy", "prompt": {"use_scratchpad": false, '
+        '"use_context": false, "include_data": false, "n_expressions": 5, '
+        '"operator_note": "", '
+        '"extra_instructions": ["Do not limit yourself to short forms: nested and multi-term '
+        'expressions are encouraged whenever they reduce the error.", '
+        '"A model from the literature reaches a mean absolute error of 0.00392 at complexity '
+        '37 on this dataset. Try to match or beat that error."], "rounding_decimals": 2, '
+        '"dialect": "latex"}, "policy": {"kind": "standard", "min_count": 6, "k": 5, '
+        '"include_params": false}, "fit": {"hops": 3, "step_scale": 0.5, "reflection": 1.5, '
+        '"expansion": 2.5, "contraction": 0.25, "shrink": 0.75, "max_evals": 500, '
+        '"tol": 1e-06, "seed": 11, "refits": 2}, "iterations": 2, "runs": 3, '
+        '"backend": {"kind": "scripted", '
+        '"endpoint": "http://localhost:9/v1/chat/completions", "model": "test-model", '
+        '"key_env_var": "TEST_KEY", "timeout": 30.0, "max_retries": 1, "max_tokens": 256, '
+        '"transcript": "other.txt"}, "temperature": 0.9, "seed": 5, "subsample": 3, '
+        '"score_mode": "front"}'
+    ),
+    "on": (
+        '{"dataset": "hubble", "operators": "easy", "prompt": {"use_scratchpad": true, '
+        '"use_context": true, "include_data": true, "n_expressions": 3, "operator_note": "", '
+        '"extra_instructions": [], "rounding_decimals": null, "dialect": "infix"}, '
+        '"policy": {"kind": "standard", "min_count": 6, "k": 5, "include_params": false}, '
+        '"fit": {"hops": 25, "step_scale": 1.0, "reflection": 1.0, "expansion": 2.0, '
+        '"contraction": 0.5, "shrink": 0.5, "max_evals": 10000, "tol": 1e-08, "seed": 0, '
+        '"refits": 1}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
+        '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
+        '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
+        '"max_tokens": null, "transcript": "t.txt"}, "temperature": 0.7, "seed": 4, '
+        '"subsample": null, "score_mode": "cumulative"}'
+    ),
+    "on_off_flags": (
+        '{"dataset": "hubble", "operators": "easy", "prompt": {"use_scratchpad": false, '
+        '"use_context": false, "include_data": false, "n_expressions": 3, '
+        '"operator_note": "", "extra_instructions": [], "rounding_decimals": null, '
+        '"dialect": "infix"}, "policy": {"kind": "standard", "min_count": 6, "k": 5, '
+        '"include_params": false}, "fit": {"hops": 25, "step_scale": 1.0, "reflection": 1.0, '
+        '"expansion": 2.0, "contraction": 0.5, "shrink": 0.5, "max_evals": 10000, '
+        '"tol": 1e-08, "seed": 0, "refits": 1}, "iterations": 15, "runs": 5, '
+        '"backend": {"kind": "scripted", '
+        '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
+        '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
+        '"max_tokens": null, "transcript": "t.txt"}, "temperature": 0.7, "seed": 4, '
+        '"subsample": null, "score_mode": "cumulative"}'
+    ),
+    "on_seed": (
+        '{"dataset": "hubble", "operators": "easy", "prompt": {"use_scratchpad": true, '
+        '"use_context": true, "include_data": true, "n_expressions": 3, "operator_note": "", '
+        '"extra_instructions": [], "rounding_decimals": null, "dialect": "infix"}, '
+        '"policy": {"kind": "standard", "min_count": 6, "k": 5, "include_params": false}, '
+        '"fit": {"hops": 25, "step_scale": 1.0, "reflection": 1.0, "expansion": 2.0, '
+        '"contraction": 0.5, "shrink": 0.5, "max_evals": 10000, "tol": 1e-08, "seed": 9, '
+        '"refits": 1}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
+        '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
+        '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
+        '"max_tokens": null, "transcript": "t.txt"}, "temperature": 0.7, "seed": 9, '
+        '"subsample": null, "score_mode": "cumulative"}'
+    ),
+    "on_seed_zero": (
+        '{"dataset": "hubble", "operators": "easy", "prompt": {"use_scratchpad": true, '
+        '"use_context": true, "include_data": true, "n_expressions": 3, "operator_note": "", '
+        '"extra_instructions": [], "rounding_decimals": null, "dialect": "infix"}, '
+        '"policy": {"kind": "standard", "min_count": 6, "k": 5, "include_params": false}, '
+        '"fit": {"hops": 25, "step_scale": 1.0, "reflection": 1.0, "expansion": 2.0, '
+        '"contraction": 0.5, "shrink": 0.5, "max_evals": 10000, "tol": 1e-08, "seed": 0, '
+        '"refits": 1}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
+        '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
+        '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
+        '"max_tokens": null, "transcript": "t.txt"}, "temperature": 0.0, "seed": 0, '
+        '"subsample": 0, "score_mode": "cumulative"}'
+    ),
+    "dataset_flag_only": (
+        '{"dataset": "langmuir", "operators": "easy", "prompt": {"use_scratchpad": true, '
+        '"use_context": true, "include_data": true, "n_expressions": 3, "operator_note": "", '
+        '"extra_instructions": [], "rounding_decimals": null, "dialect": "infix"}, '
+        '"policy": {"kind": "standard", "min_count": 6, "k": 5, "include_params": false}, '
+        '"fit": {"hops": 25, "step_scale": 1.0, "reflection": 1.0, "expansion": 2.0, '
+        '"contraction": 0.5, "shrink": 0.5, "max_evals": 10000, "tol": 1e-08, "seed": 0, '
+        '"refits": 1}, "iterations": 15, "runs": 5, "backend": {"kind": "http", '
+        '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
+        '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
+        '"max_tokens": null, "transcript": null}, "temperature": 0.7, "seed": 0, '
+        '"subsample": null, "score_mode": "cumulative"}'
+    ),
+}
+
+
+@pytest.mark.parametrize("name,text,flags", INI_CASES, ids=[case[0] for case in INI_CASES])
+def test_ini_meaning(name, text, flags, tmp_path):
+    argv = ["run", *flags]
+    if text is not None:
+        (tmp_path / "config.ini").write_text(text)
+        argv += ["--config", str(tmp_path / "config.ini")]
+    cfg = cli.build_run_config(cli._parser().parse_args(argv))
+    assert json.dumps(engine.config_to_dict(cfg)) == INI_MEANING[name]
+
+
+# ---------------------------------------------------------------------------
+# The README's configuration block runs as written, and names every key
+
+
+def readme_ini() -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    start = readme.index("```ini\n", readme.index("## Configuration file")) + len("```ini\n")
+    return readme[start:readme.index("```", start)]
+
+
+def test_readme_example_runs_as_written(workdir, capsys):
+    (workdir / "config.ini").write_text(readme_ini())
+    write_transcript([reply("c1*x1/(c2+x1)")], workdir / "transcript.txt")
+    argv = ["run", "--config", "config.ini", "--iterations", "1", "--runs", "1", "--out", "out"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "run 1: 1 candidates, rediscovery at iteration 1" in out
+    assert json.loads((workdir / "out" / "run01.config.json").read_text())["prompt"][
+        "rounding_decimals"] == 3
+
+
+def test_readme_names_every_key_the_reader_accepts():
+    ini = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    ini.read_string(readme_ini())
+    names = {section: {f.name for f in fields(cls)}
+             for section, cls in (("run", RunConfig), ("prompt", PromptConfig),
+                                  ("fit", FitConfig), ("llm", BackendConfig))}
+    accepted = {
+        "run": names["run"] - {"prompt", "fit", "backend"},
+        "prompt": names["prompt"] - {"operator_note", "extra_instructions"}
+        | {"extra", "mae_target", "mae_complexity"},
+        "fit": names["fit"],
+        "llm": names["llm"],
+    }
+    documented = {section: set(ini[section]) for section in ini.sections()}
+    assert documented.pop("prices") == {"gpt-4o"}
+    assert documented == accepted
+
+
+def write_config(workdir, section, line) -> None:
+    """A hubble config with a scripted transcript and ``line`` added to ``section``."""
+    sections = {"run": ["dataset = hubble"], "llm": ["transcript = t.txt"]}
+    sections.setdefault(section, []).append(line)
+    (workdir / "config.ini").write_text("".join(
+        f"[{name}]\n" + "".join(f"{text}\n" for text in lines) + "\n"
+        for name, lines in sections.items()))
+    write_transcript([reply("c1*x1")], workdir / "t.txt")
+
+
+def assert_config_refused(error, workdir, capsys):
+    """srloop run prints one line ``error: <error>...``, writes nothing and exits 1."""
+    assert main(["run", "--config", "config.ini", "--out", "out"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {error}")
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("section,line,error", [
+    ("fit", "max_eval = 5", "unknown FitConfig config key(s): max_eval"),
+    ("run", "iteration = 2", "unknown RunConfig config key(s): iteration"),
+    ("llm", "time_out = 5", "unknown BackendConfig config key(s): time_out"),
+    ("prompt", "operator_note = x", "[prompt] operator_note: filled in by srloop"),
+    ("prompt", "extra_instructions = x", "[prompt] extra_instructions: filled in by srloop"),
+    ("prompt", "extra = long_a, long_c", "unknown [prompt] extra long_c"),
+    ("run", "iterations = many", "[run] iterations: invalid literal"),
+    ("run", "fit = 3", "bad FitConfig config: '3' is not a mapping"),
+])
+def test_a_key_the_reader_cannot_take_is_refused(section, line, error, workdir, capsys):
+    write_config(workdir, section, line)
+    assert_config_refused(error, workdir, capsys)
+
+
+@pytest.mark.parametrize("value", ["2.5e-6", "2.5e-6, 1e-5, 1e-5", "cheap, 1e-5", ""])
+def test_a_price_is_two_numbers(value, workdir, capsys):
+    write_config(workdir, "prices", f"gpt-4o = {value}")
+    assert_config_refused(f"[prices] gpt-4o must be two numbers, the prompt and the "
+                          f"completion price per token, not {value!r}", workdir, capsys)
 
 class TestDatasets:
     def test_listing(self, capsys):
