@@ -14,7 +14,6 @@ import argparse
 import configparser
 import csv
 import json
-import math
 import os
 import sys
 import threading
@@ -27,11 +26,9 @@ from typing import get_args, get_type_hints
 
 from . import data, engine
 from .engine import BackendConfig, BackendFailure, ConfigError, RunConfig
-from .expressions import Dialect, canonicalize, complexity
 from .llm import TokenUsage, UnknownModelError, estimate_cost
 from .optimize import FitConfig
 from .pareto import Candidate, CandidateStore, FeedbackPolicy
-from .parsing import parse
 from .prompts import PromptConfig, extra_instruction
 
 EXIT_OK = 0
@@ -40,6 +37,7 @@ EXIT_RUNTIME = 2
 
 MAX_CONCURRENT_RUNS = 5  # runs of a batch in flight at once; the paper's batch size
 EXTRAS = ("long_a", "long_b", "mae_challenge")  # the names [prompt] extra takes
+SECTIONS = ("run", "prompt", "fit", "llm", "prices")  # the INI sections srloop reads
 
 
 def _load_ini(path: str | None) -> configparser.ConfigParser:
@@ -110,6 +108,9 @@ def build_run_config(args) -> RunConfig:
     and ``--runs 0`` keep the file's value; ``[fit] seed`` defaults to
     ``--seed`` (or 0), not to ``[run] seed``."""
     ini = _load_ini(args.config)
+    unknown = [f"[{name}]" for name in ini.sections() if name not in SECTIONS]
+    if unknown:
+        raise ConfigError(f"unknown config section(s): {', '.join(unknown)}")
     run = _section(ini, "run", RunConfig)
     prompt = _section(ini, "prompt", PromptConfig)
     fit = _section(ini, "fit", FitConfig)
@@ -164,6 +165,8 @@ def _preflight(cfg: RunConfig) -> None:
             raise ConfigError("scripted backend needs --transcript")
         if not Path(cfg.backend.transcript).exists():
             raise ConfigError(f"transcript not found: {cfg.backend.transcript}")
+    if cfg.subsample is not None and cfg.subsample < 1:
+        raise ConfigError(f"--subsample {cfg.subsample} is below 1")
     info = data.dataset_info(cfg.dataset)  # raises UnknownDatasetError early
     if cfg.subsample is not None and cfg.subsample > info["rows"]:
         raise ConfigError(
@@ -293,14 +296,21 @@ def cmd_replay(args) -> int:
     return EXIT_RUNTIME if failures else EXIT_OK
 
 
-def _load_logs(paths) -> list[dict]:
-    """The raw data of each run log; a log that cannot be read is a ConfigError."""
+def _load_logs(paths, with_stores: bool = False) -> list[dict]:
+    """The raw data of each run log, plus with ``with_stores`` its summary
+    store rebuilt under ``"store"``; a log that cannot be read is a ConfigError."""
     logs = []
     for path in paths:
         try:
-            logs.append(engine.load_runlog_data(path))
+            log_data = engine.load_runlog_data(path)
+            if with_stores:
+                info = data.dataset_info(log_data["header"]["dataset"])
+                log_data["store"] = engine.store_from_log(log_data, list(info["variables"]))
+        except data.UnknownDatasetError as exc:
+            raise ConfigError(f"{path}: cannot load run log: unknown dataset {exc}") from exc
         except (OSError, ValueError, KeyError) as exc:
             raise ConfigError(f"{path}: cannot load run log: {exc}") from exc
+        logs.append(log_data)
     return logs
 
 
@@ -342,20 +352,6 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _store_from_log(log_data: dict, variables: list[str]) -> CandidateStore:
-    store = CandidateStore()
-    for cand in log_data["summary"]["store"]:
-        expr = parse(cand["equation"], Dialect.INFIX, variables)
-        store.insert(Candidate(
-            expr=expr, canonical=canonicalize(expr),
-            params=tuple(float(v) for v in cand["params"]),
-            mse=math.inf if cand["mse"] is None else float(cand["mse"]),
-            mae=math.inf if cand["mae"] is None else float(cand["mae"]),
-            complexity=complexity(expr), iteration_born=cand["iteration"],
-        ))
-    return store
-
-
 def _write_front_csv(front: list[Candidate], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -368,18 +364,16 @@ def cmd_pareto(args) -> int:
     if not args.logs:
         print("error: no run logs given", file=sys.stderr)
         return EXIT_CONFIG
-    logs = _load_logs(args.logs)
+    logs = _load_logs(args.logs, with_stores=True)
     datasets = sorted({log_data["header"]["dataset"] for log_data in logs})
     if len(datasets) > 1:
         raise ConfigError(f"the logs are runs on different datasets ({', '.join(datasets)}); "
                           f"a merged front needs runs on one")
-    dataset_id = datasets[0]
-    variables = list(data.dataset_info(dataset_id)["variables"])
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     merged = CandidateStore()
     for i, log_data in enumerate(logs, start=1):
-        store = _store_from_log(log_data, variables)
+        store = log_data["store"]
         front = store.pareto_front()
         _write_front_csv(front, outdir / f"pareto_run{i:02d}.csv")
         for cand in store:
@@ -388,7 +382,7 @@ def cmd_pareto(args) -> int:
     _write_front_csv(total, outdir / "pareto_total.csv")
     print(f"wrote {len(args.logs)} per-run fronts and the best total front "
           f"({len(total)} points) to {outdir}")
-    if dataset_id == "nikuradse":
+    if datasets == ["nikuradse"]:
         print()
         print(reference_table())
     return EXIT_OK

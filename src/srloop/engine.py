@@ -20,6 +20,8 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 from .data import Dataset, load_builtin
 from .expressions import (
+    Dialect,
+    ExpressionError,
     ExpressionSyntaxError,
     ImplicitFormError,
     OperatorSet,
@@ -101,6 +103,8 @@ class RunConfig:
             raise ValueError("iterations must be >= 1")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if not 0.0 <= self.temperature <= 2.0:  # ChatRequest's range, checked before a run starts
+            raise ValueError("temperature must be in [0, 2]")
         if self.score_mode not in ("cumulative", "front"):
             raise ValueError(f"unknown score mode {self.score_mode!r}")
 
@@ -382,6 +386,10 @@ def _num(v: float):
     return v if math.isfinite(v) else None
 
 
+def _error(v) -> float:  # the inverse of _num
+    return math.inf if v is None else float(v)
+
+
 def _candidate_dict(c: Candidate) -> dict:
     return {
         "equation": c.equation,
@@ -458,6 +466,24 @@ def load_runlog_data(path) -> dict:
     return {"header": header, "iterations": iterations, "summary": summary}
 
 
+def store_from_log(log_data: dict, variables) -> CandidateStore:
+    """The summary store of a run log, rebuilt over the dataset's ``variables``.
+    An entry that does not decode is a ValueError."""
+    store = CandidateStore()
+    for entry in log_data["summary"]["store"]:
+        try:
+            expr = parse(entry["equation"], Dialect.INFIX, variables)
+            store.insert(Candidate(
+                expr=expr, canonical=canonicalize(expr),
+                params=tuple(float(v) for v in entry["params"]),
+                mse=_error(entry["mse"]), mae=_error(entry["mae"]),
+                complexity=complexity(expr), iteration_born=entry["iteration"],
+            ))
+        except (ExpressionError, TypeError, ValueError) as exc:
+            raise ValueError(f"store entry {entry['equation']!r}: {exc}") from exc
+    return store
+
+
 def replay(log_data: dict, dataset: Dataset | None = None) -> RunLog:
     """Re-run the engine against a scripted backend built from the logged
     responses; with an unchanged log this reproduces the store exactly."""
@@ -479,8 +505,8 @@ def diff_replay(log_data: dict, fresh: RunLog, rtol: float = 1e-9) -> list[str]:
     for eq in sorted(set(logged) & set(current)):
         old, new = logged[eq], current[eq]
         checks = [
-            ("mse", math.inf if old["mse"] is None else old["mse"], new.mse),
-            ("mae", math.inf if old["mae"] is None else old["mae"], new.mae),
+            ("mse", _error(old["mse"]), new.mse),
+            ("mae", _error(old["mae"]), new.mae),
             ("complexity", old["complexity"], new.complexity),
         ]
         for name, a, b in checks:

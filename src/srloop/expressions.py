@@ -10,14 +10,29 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Union
 
 import numpy as np
 
-UNARY_OPS = frozenset({"sqrt", "log", "exp", "square", "cube", "neg"})
-BINARY_OPS = frozenset({"+", "-", "*", "/", "^"})
+#: The operator table, the one definition of the operator vocabulary: each
+#: binary operator and each function, with what evaluates it, in the order
+#: prompts list them. The parser, OperatorSet and operator_note read it.
+BINARY_OPERATORS: dict[str, Callable] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "^": np.power,
+}
+FUNCTIONS: dict[str, Callable] = {
+    "sqrt": np.sqrt, "log": np.log, "exp": np.exp,
+    "square": lambda v: v * v, "cube": lambda v: v * v * v,
+}
+#: The functions plus "neg", the unary minus the parser reads from a leading "-".
+UNARY_OPERATORS: dict[str, Callable] = {**FUNCTIONS, "neg": operator.neg}
+
+UNARY_OPS = frozenset(UNARY_OPERATORS)
+BINARY_OPS = frozenset(BINARY_OPERATORS)
 
 #: Expressions with more fitted constants than this are rejected before fitting.
 MAX_CONSTANTS = 10
@@ -234,48 +249,20 @@ def _is_raw(n: Node) -> bool:
 
 
 def _compile_op(n: Node) -> Callable:
-    if isinstance(n, Unary):
-        if n.op == "exp":
-            c = _compile_node(n.child, guard=True)
-            return lambda p, X: np.exp(c(p, X))
-        c = _compile_node(n.child)
-        if n.op == "neg":
-            return lambda p, X: -c(p, X)
-        if n.op == "sqrt":
-            return lambda p, X: np.sqrt(c(p, X))
-        if n.op == "log":
-            return lambda p, X: np.log(c(p, X))
-        if n.op == "square":
-            def sq(p, X, c=c):
-                v = c(p, X)
-                return v * v
-            return sq
-        if n.op == "cube":
-            def cu(p, X, c=c):
-                v = c(p, X)
-                return v * v * v
-            return cu
-        raise UnknownOperatorError(f"unknown unary operator {n.op!r}")
-    if isinstance(n, Binary):
-        lf = _compile_node(n.left)
-        if n.op == "/":
-            rf = _compile_node(n.right, guard=True)
-            return lambda p, X: lf(p, X) / rf(p, X)
-        rf = _compile_node(n.right)
-        if n.op == "+":
-            return lambda p, X: lf(p, X) + rf(p, X)
-        if n.op == "-":
-            return lambda p, X: lf(p, X) - rf(p, X)
-        if n.op == "*":
-            return lambda p, X: lf(p, X) * rf(p, X)
+    if isinstance(n, Unary) and n.op in UNARY_OPERATORS:
+        f, c = UNARY_OPERATORS[n.op], _compile_node(n.child, guard=n.op == "exp")
+        return lambda p, X: f(c(p, X))
+    if isinstance(n, Binary) and n.op in BINARY_OPERATORS:
+        f = BINARY_OPERATORS[n.op]
+        lf, rf = _compile_node(n.left), _compile_node(n.right, guard=n.op == "/")
         if n.op == "^":
             # inf**0 and 1**inf are 1, and so are nan**0 and 1**nan: a
             # non-finite operator operand, or a NaN leaf, forces NaN
             ta, tb = _pow_operand_test(n.left), _pow_operand_test(n.right)
 
-            def pw(p, X, lf=lf, rf=rf):
+            def pw(p, X):
                 a, b = lf(p, X), rf(p, X)
-                r = np.power(a, b)
+                r = f(a, b)
                 bad = ~np.isfinite(r)
                 if ta is not None:
                     bad = bad | ta(a)
@@ -283,7 +270,9 @@ def _compile_op(n: Node) -> Callable:
                     bad = bad | tb(b)
                 return np.where(bad, np.nan, r)
             return pw
-        raise UnknownOperatorError(f"unknown binary operator {n.op!r}")
+        return lambda p, X: f(lf(p, X), rf(p, X))
+    if isinstance(n, (Unary, Binary)):
+        raise UnknownOperatorError(f"unknown operator {n.op!r}")
     raise TypeError(f"not a node: {n!r}")
 
 
@@ -355,23 +344,22 @@ class OperatorSet:
     def __post_init__(self):
         if not self.binary:
             raise ValueError("operator set needs at least one binary operator")
-        bad = (set(self.binary) - BINARY_OPS) | (set(self.unary) - (UNARY_OPS - {"neg"}))
+        bad = (set(self.binary) - BINARY_OPS) | (set(self.unary) - FUNCTIONS.keys())
         if bad:
             raise ValueError(f"unknown operators in set: {sorted(bad)}")
 
     @classmethod
     def easy(cls, extra: tuple[str, ...] | list[str] = ()) -> "OperatorSet":
-        """Basic binary arithmetic, plus any per-dataset additions."""
-        binary = {"+", "-", "*", "/"} | {o for o in extra if o in BINARY_OPS}
-        unary = {o for o in extra if o in UNARY_OPS}
-        return cls(frozenset(binary), frozenset(unary), "easy")
+        """Basic binary arithmetic (every binary operator but '^'), plus any
+        per-dataset additions."""
+        binary = (BINARY_OPS - {"^"}) | {o for o in extra if o in BINARY_OPS}
+        return cls(frozenset(binary), frozenset(o for o in extra if o in UNARY_OPS), "easy")
 
     @classmethod
     def hard(cls, extra: tuple[str, ...] | list[str] = ()) -> "OperatorSet":
-        """Basic binary arithmetic plus the common unary operators."""
-        binary = {"+", "-", "*", "/"} | {o for o in extra if o in BINARY_OPS}
-        unary = {"sqrt", "log", "exp", "square", "cube"} | {o for o in extra if o in UNARY_OPS}
-        return cls(frozenset(binary), frozenset(unary), "hard")
+        """The easy set plus every function."""
+        easy = cls.easy(extra)
+        return cls(easy.binary, frozenset(FUNCTIONS) | easy.unary, "hard")
 
     def violations(self, e: Expression) -> list[str]:
         out = set()

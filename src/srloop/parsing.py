@@ -2,9 +2,9 @@
 
 Two dialects are supported:
 
-* ``Dialect.INFIX`` — plain text: ``c1*x1/(c2+x1)``, ``exp``/``log``/``sqrt``/
-  ``square``/``cube`` calls, ``**`` or ``^`` for powers, optional
-  ``y = ...`` left-hand side.
+* ``Dialect.INFIX`` — plain text: ``c1*x1/(c2+x1)``, calls of the functions
+  of the operator table (``expressions.FUNCTIONS``: ``sqrt``, ``log``, ...),
+  ``**`` or ``^`` for powers, optional ``y = ...`` left-hand side.
 * ``Dialect.LATEX`` — a normalizer for the LaTeX fragments chat models tend
   to produce, not a LaTeX engine: ``\\frac{..}{..}``, ``\\sqrt{..}``,
   ``\\cdot``/``\\times``, ``^{..}``, ``\\exp``/``\\log``/``\\ln``, subscripted
@@ -24,11 +24,13 @@ import math
 import re
 
 from .expressions import (
+    BINARY_OPERATORS,
     Binary,
     Const,
     Dialect,
     Expression,
     ExpressionSyntaxError,
+    FUNCTIONS,
     ImplicitFormError,
     Lit,
     MAX_NODES,
@@ -39,7 +41,6 @@ from .expressions import (
     Var,
 )
 
-_FUNCTIONS = {"sqrt", "log", "exp", "square", "cube"}
 _FUNC_ALIASES = {"ln": "log"}
 _CONST_RE = re.compile(r"^c([1-9]\d*)$")
 
@@ -239,10 +240,10 @@ class _Parser:
             name = str(self.take("ident"))
             name = _FUNC_ALIASES.get(name, name)
             if self.peek() in ("lparen", "lbrace"):
-                if name in _FUNCTIONS:
+                if name in FUNCTIONS:
                     return self.node(Unary(name, self.group()))
                 raise UnknownOperatorError(f"unknown function {name!r}")
-            if name in _FUNCTIONS:
+            if name in FUNCTIONS:
                 raise ExpressionSyntaxError(f"function {name!r} needs a parenthesized argument")
             m = _CONST_RE.match(name)
             if m:
@@ -314,15 +315,8 @@ def _eval_literal(n: Node) -> float:
         return -_eval_literal(n.child)
     assert isinstance(n, Binary)
     a, b = _eval_literal(n.left), _eval_literal(n.right)
-    if n.op == "+":
-        return a + b
-    if n.op == "-":
-        return a - b
-    if n.op == "*":
-        return a * b
-    if n.op == "/":
-        return a / b
-    return a**b
+    # Python's **, not np.power: _fold_exponents keeps a power that fails or turns complex
+    return a**b if n.op == "^" else BINARY_OPERATORS[n.op](a, b)
 
 
 def _fold_exponents(n: Node) -> Node:

@@ -16,13 +16,10 @@ from importlib import resources
 
 import numpy as np
 
-from .expressions import Dialect, OperatorSet
+from .expressions import BINARY_OPERATORS, FUNCTIONS, Dialect, OperatorSet
 
 BEGIN_MARKER = "BEGIN_EXPRESSIONS"
 END_MARKER = "END_EXPRESSIONS"
-
-_BINARY_ORDER = ["+", "-", "*", "/", "^"]
-_UNARY_ORDER = ["sqrt", "log", "exp", "square", "cube"]
 
 _DIALECT_NOTES = {
     Dialect.INFIX: (
@@ -126,8 +123,8 @@ def make_data_view(dataset, rounding: int | None = None, subsample: int | None =
 
 
 def operator_note(opset: OperatorSet) -> str:
-    binary = [op for op in _BINARY_ORDER if op in opset.binary]
-    unary = [op for op in _UNARY_ORDER if op in opset.unary]
+    binary = [op for op in BINARY_OPERATORS if op in opset.binary]
+    unary = [op for op in FUNCTIONS if op in opset.unary]
     note = f"Allowed operators: binary {', '.join(binary)}"
     if unary:
         note += f"; unary {', '.join(unary)}"

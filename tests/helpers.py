@@ -14,8 +14,9 @@ from srloop.expressions import Binary, Const, Dialect, Expression, Lit, Unary, V
 from srloop.pareto import Candidate
 from srloop.parsing import parse
 
-UNARY_CHOICES = ["sqrt", "log", "exp", "square", "cube", "neg"]
-BINARY_CHOICES = ["+", "-", "*", "/", "^"]
+# in table order, which fixes what a seeded tree draws (tools/fit_digest.py relies on it)
+UNARY_CHOICES = list(expressions.UNARY_OPERATORS)
+BINARY_CHOICES = list(expressions.BINARY_OPERATORS)
 
 
 def random_node(rng: random.Random, n_vars: int = 2, max_depth: int = 4,

@@ -134,6 +134,15 @@ class TestRun:
         assert code == 1
         assert "999" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_subsample_below_one_is_config_error(self, value, workdir, capsys):
+        transcript = standard_transcript(workdir)
+        ini = scripted_ini(workdir, transcript, runs=1)
+        code = main(["run", "--config", str(ini), "--subsample", value, "--out", "out"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --subsample {value} is below 1\n"
+        assert not (workdir / "out").exists()
+
     def test_bad_flag_is_usage_error(self, capsys):
         assert main(["run", "--bogus-flag"]) == 1
 
@@ -321,13 +330,27 @@ def finished_runs(workdir):
 
 
 def unreadable_log(kind, workdir, finished_runs) -> str:
-    """A run log that cannot be loaded: no file at all, a header alone, or a
-    complete log with a line that is JSON but not an object."""
+    """A run log that cannot be loaded: no file at all, a header alone, a
+    complete log with a line that is JSON but not an object, or one whose
+    dataset is not bundled, whose first store equation does not parse, or
+    whose first store params are not numbers."""
     path = workdir / f"{kind}.jsonl"
+    lines = Path(finished_runs[0]).read_text().splitlines()
+    header, summary = json.loads(lines[0]), json.loads(lines[-1])
     if kind == "header_only":
-        path.write_text(Path(finished_runs[0]).read_text().splitlines()[0] + "\n")
+        lines = lines[:1]
     elif kind == "not_an_object":
-        path.write_text(Path(finished_runs[0]).read_text() + "[1, 2]\n")
+        lines.append("[1, 2]")
+    elif kind == "unknown_dataset":
+        header["dataset"] = "phlogiston"
+    elif kind == "bad_equation":
+        summary["store"][0]["equation"] = "c1*/x1"
+    elif kind == "bad_params":
+        summary["store"][0]["params"] = ["many"]
+    if kind in ("unknown_dataset", "bad_equation", "bad_params"):
+        lines = [json.dumps(header), *lines[1:-1], json.dumps(summary)]
+    if kind != "missing":
+        path.write_text("\n".join(lines) + "\n")
     return str(path)
 
 
@@ -457,7 +480,8 @@ class TestPareto:
     def test_no_logs(self):
         assert main(["pareto"]) == 1
 
-    @pytest.mark.parametrize("kind", ["missing", "header_only", "not_an_object"])
+    @pytest.mark.parametrize("kind", ["missing", "header_only", "not_an_object",
+                                      "unknown_dataset", "bad_equation", "bad_params"])
     def test_unreadable_log(self, kind, finished_runs, workdir, capsys):
         bad = unreadable_log(kind, workdir, finished_runs)
         assert_refused(["pareto", *finished_runs, bad, "--out", "fronts"], bad, workdir, capsys)
@@ -770,6 +794,8 @@ def assert_config_refused(error, workdir, capsys):
     ("prompt", "extra = long_a, long_c", "unknown [prompt] extra long_c"),
     ("run", "iterations = many", "[run] iterations: invalid literal"),
     ("run", "fit = 3", "bad FitConfig config: '3' is not a mapping"),
+    ("run", "temperature = 5", "temperature must be in [0, 2]"),
+    ("fitt", "hops = 3", "unknown config section(s): [fitt]"),
 ])
 def test_a_key_the_reader_cannot_take_is_refused(section, line, error, workdir, capsys):
     write_config(workdir, section, line)

@@ -7,6 +7,8 @@ import pytest
 from helpers import make_dataset, oracle_eval, random_expression, random_node
 
 from srloop.expressions import (
+    BINARY_OPERATORS,
+    FUNCTIONS,
     Binary,
     Const,
     Dialect,
@@ -14,12 +16,14 @@ from srloop.expressions import (
     Lit,
     OperatorSet,
     Unary,
+    UnknownOperatorError,
     Var,
     complexity,
     evaluate_rows,
     render,
 )
 from srloop.parsing import parse
+from srloop.prompts import operator_note
 
 
 def infix(text, variables=("x1",)):
@@ -174,6 +178,43 @@ class TestOperatorSet:
     def test_unknown_operator_name(self):
         with pytest.raises(ValueError):
             OperatorSet(frozenset({"+", "%"}))
+
+
+class TestOperatorTable:
+    ROWS = np.array([[-2.0, 0.5], [0.0, 3.0], [0.5, -1.0], [3.0, 0.0], [800.0, 2.5]])
+
+    def assert_like_oracle(self, e):
+        for row, got in zip(self.ROWS, evaluate_rows(e, (), self.ROWS)):
+            expected = oracle_eval(e.root, (), row)
+            if expected is None:
+                assert math.isnan(got), (render(e), row)
+            else:
+                assert math.isclose(got, expected, rel_tol=1e-12), (render(e), row)
+
+    @pytest.mark.parametrize("name", list(FUNCTIONS))
+    def test_function_parses_renders_and_evaluates(self, name):
+        e = infix(f"{name}(x1)")
+        assert e.root == Unary(name, Var(1))
+        assert render(e) == f"{name}(x1)"
+        self.assert_like_oracle(e)
+
+    @pytest.mark.parametrize("op", list(BINARY_OPERATORS))
+    def test_binary_operator_parses_and_evaluates(self, op):
+        e = infix(f"x1{op}x2", ("x1", "x2"))
+        assert e.root == Binary(op, Var(1), Var(2))
+        self.assert_like_oracle(e)
+
+    def test_operator_note_lists_the_table_in_order(self):
+        assert operator_note(OperatorSet.hard(("^",))) == (
+            f"Allowed operators: binary {', '.join(BINARY_OPERATORS)}; "
+            f"unary {', '.join(FUNCTIONS)}. Use no other operators or functions.")
+        assert operator_note(OperatorSet.hard()).startswith(
+            "Allowed operators: binary +, -, *, /; unary sqrt, log, exp, square, cube.")
+
+    @pytest.mark.parametrize("root", [Unary("tan", Var(1)), Binary("%", Var(1), Var(1))])
+    def test_an_operator_outside_the_table_is_not_evaluated(self, root):
+        with pytest.raises(UnknownOperatorError):
+            evaluate_rows(Expression(root), (), [[1.0]])
 
 
 def test_expression_initial_guess_defaults_to_ones():
