@@ -25,8 +25,8 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from . import data, engine
-from .engine import BackendConfig, BackendFailure, ConfigError, RunConfig
-from .llm import TokenUsage, UnknownModelError, estimate_cost
+from .engine import BackendFailure, ConfigError, RunConfig
+from .llm import BackendConfig, TokenUsage, UnknownModelError, estimate_cost
 from .optimize import FitConfig
 from .pareto import Candidate, CandidateStore, FeedbackPolicy
 from .prompts import PromptConfig, extra_instruction
@@ -213,6 +213,17 @@ def _concurrent_runs(cfgs: list[RunConfig], dataset: data.Dataset):
         worker.join()
 
 
+def _out_dir(path: str) -> Path:
+    """The output directory ``path``, made with its parents; a ConfigError when
+    it cannot be made."""
+    outdir = Path(path)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc}") from exc
+    return outdir
+
+
 def _save_run(outdir: Path, k: int, future: Future) -> engine.RunLog:
     """Wait for run ``k`` and save its log, config and store. A run that failed
     leaves its partial log, and its BackendFailure is raised again."""
@@ -236,8 +247,7 @@ def cmd_run(args) -> int:
     except (ConfigError, data.UnknownDatasetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _out_dir(args.out)
     usage = TokenUsage()
     logs = []
     cfgs = [replace(cfg, fit=replace(cfg.fit, seed=cfg.fit.seed + r)) for r in range(cfg.runs)]
@@ -337,7 +347,11 @@ def cmd_score(args) -> int:
         iterations = max(iterations, len(log_data["iterations"]))
     score = engine.score_runs(logs, iterations=iterations, mode="cumulative")
     out = Path(args.out)
-    with open(out, "w", newline="") as fh:
+    try:
+        fh = open(out, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "count"])
         for i, n in enumerate(score, start=1):
@@ -369,8 +383,7 @@ def cmd_pareto(args) -> int:
     if len(datasets) > 1:
         raise ConfigError(f"the logs are runs on different datasets ({', '.join(datasets)}); "
                           f"a merged front needs runs on one")
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _out_dir(args.out)
     merged = CandidateStore()
     for i, log_data in enumerate(logs, start=1):
         store = log_data["store"]

@@ -31,6 +31,7 @@ from .expressions import (
     complexity,
 )
 from .llm import (
+    BackendConfig,
     BackendError,
     ChatRequest,
     HttpBackend,
@@ -70,18 +71,6 @@ class BackendFailure(Exception):
 
 
 @dataclass(frozen=True)
-class BackendConfig:
-    kind: str = "scripted"  # "http" | "scripted"
-    endpoint: str = "https://api.openai.com/v1/chat/completions"
-    model: str = "gpt-4o"
-    key_env_var: str = "OPENAI_API_KEY"
-    timeout: float = 120.0
-    max_retries: int = 3
-    max_tokens: int | None = None
-    transcript: str | None = None
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything one run needs; serialized next to its log for replay."""
 
@@ -107,6 +96,10 @@ class RunConfig:
             raise ValueError("temperature must be in [0, 2]")
         if self.score_mode not in ("cumulative", "front"):
             raise ValueError(f"unknown score mode {self.score_mode!r}")
+        if isinstance(self.operators, str) and self.operators not in ("easy", "hard"):
+            raise ValueError(f"unknown operator set {self.operators!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
 
 
 @dataclass
@@ -157,25 +150,15 @@ def resolve_operator_set(spec: str | OperatorSet, dataset: Dataset) -> OperatorS
         return spec
     if spec == "easy":
         return OperatorSet.easy(dataset.easy_extra_ops)
-    if spec == "hard":
-        return OperatorSet.hard(dataset.easy_extra_ops)
-    raise ConfigError(f"unknown operator set {spec!r}")
+    return OperatorSet.hard(dataset.easy_extra_ops)
 
 
 def make_backend(bcfg: BackendConfig):
-    if bcfg.kind == "scripted":
-        if not bcfg.transcript:
-            raise ConfigError("scripted backend needs a transcript path")
-        return ScriptedBackend.from_file(bcfg.transcript)
     if bcfg.kind == "http":
-        return HttpBackend(
-            endpoint=bcfg.endpoint,
-            model=bcfg.model,
-            key_env_var=bcfg.key_env_var,
-            timeout=bcfg.timeout,
-            max_retries=bcfg.max_retries,
-        )
-    raise ConfigError(f"unknown backend kind {bcfg.kind!r}")
+        return HttpBackend(bcfg)
+    if not bcfg.transcript:
+        raise ConfigError("scripted backend needs a transcript path")
+    return ScriptedBackend.from_file(bcfg.transcript)
 
 
 def run(cfg: RunConfig, dataset: Dataset | None = None, backend=None) -> RunLog:
@@ -210,8 +193,7 @@ def run(cfg: RunConfig, dataset: Dataset | None = None, backend=None) -> RunLog:
             responses, prompt = [], user
             while True:
                 resp = backend.complete(
-                    ChatRequest(system=system, user=prompt, temperature=cfg.temperature,
-                                model=cfg.backend.model, max_tokens=cfg.backend.max_tokens)
+                    ChatRequest(system=system, user=prompt, temperature=cfg.temperature)
                 )
                 responses.append(resp)
                 extracted = extract_expressions(resp.text, pcfg.n_expressions)
@@ -434,8 +416,8 @@ def save_runlog(log: RunLog, path) -> None:
 def load_runlog_data(path) -> dict:
     """Load the raw JSONL structure: {header, iterations, summary}. A line
     that is not a JSON object, a log without its header or summary, or one
-    without a key of theirs that replay, score or pareto reads, is a
-    ValueError."""
+    without a key that replay, score or pareto reads, or with such a key of
+    another JSON type, is a ValueError."""
     header = None
     iterations = []
     summary = None
@@ -453,17 +435,44 @@ def load_runlog_data(path) -> dict:
             summary = obj
     if header is None or summary is None:
         raise ValueError(f"{path}: not a complete run log")
-    for part, obj, keys in (("header", header, ("dataset", "config")),
-                            ("summary", summary, ("rediscovery_iteration", "store"))):
-        missing = [key for key in keys if key not in obj]
-        if missing:
-            raise ValueError(f"{path}: the {part} has no {', '.join(missing)}")
+    _check_keys(path, "the header", header)
+    _check_keys(path, "the summary", summary)
     for entry in summary["store"]:
-        missing = [key for key in ("equation", "params", "mse", "mae", "complexity", "iteration")
-                   if not isinstance(entry, dict) or key not in entry]
-        if missing:
-            raise ValueError(f"{path}: a store entry has no {', '.join(missing)}")
+        _check_keys(path, "a store entry", entry)
+    for rec in iterations:
+        _check_keys(path, "an iteration", rec)
     return {"header": header, "iterations": iterations, "summary": summary}
+
+
+# the JSON kind of each key that replay, score or pareto reads, by the part of a log holding it
+_LOG_KEYS = {
+    "the header": {"dataset": "a string", "config": "an object"},
+    "the summary": {"rediscovery_iteration": "an integer or null", "store": "a list"},
+    "a store entry": {"equation": "a string", "params": "a list", "mse": "a number or null",
+                      "mae": "a number or null", "complexity": "an integer",
+                      "iteration": "an integer"},
+    "an iteration": {"responses": "a list of strings"},
+}
+_JSON_KINDS = {  # type() rather than isinstance(), so that true is not an integer
+    "a string": lambda v: type(v) is str,
+    "an object": lambda v: type(v) is dict,
+    "a list": lambda v: type(v) is list,
+    "a list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
+    "an integer": lambda v: type(v) is int,
+    "an integer or null": lambda v: v is None or type(v) is int,
+    "a number or null": lambda v: v is None or type(v) in (int, float),
+}
+
+
+def _check_keys(path, part: str, obj) -> None:
+    """A ValueError unless ``obj`` holds each key of ``part``, of its JSON kind."""
+    keys = _LOG_KEYS[part]
+    missing = [key for key in keys if not isinstance(obj, dict) or key not in obj]
+    if missing:
+        raise ValueError(f"{path}: {part} has no {', '.join(missing)}")
+    for key, kind in keys.items():
+        if not _JSON_KINDS[kind](obj[key]):
+            raise ValueError(f"{path}: {part}'s {key} is not {kind}")
 
 
 def store_from_log(log_data: dict, variables) -> CandidateStore:

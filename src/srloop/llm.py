@@ -17,8 +17,6 @@ import requests
 
 TRANSCRIPT_DELIMITER = "%%%"
 
-DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
-
 
 class BackendError(Exception):
     """Base class for completion failures."""
@@ -50,12 +48,32 @@ class UnknownModelError(KeyError):
 
 
 @dataclass(frozen=True)
+class BackendConfig:
+    """Which backend a run completes through, and every setting of it."""
+
+    kind: str = "scripted"  # "http" | "scripted"
+    endpoint: str = "https://api.openai.com/v1/chat/completions"
+    model: str = "gpt-4o"
+    key_env_var: str = "OPENAI_API_KEY"
+    timeout: float = 120.0
+    max_retries: int = 3
+    max_tokens: int | None = None
+    transcript: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("http", "scripted"):
+            raise ValueError(f"unknown backend kind {self.kind!r}")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be above 0, not {self.timeout}")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, not {self.max_retries}")
+
+
+@dataclass(frozen=True)
 class ChatRequest:
     system: str
     user: str
     temperature: float = 0.7
-    model: str = ""  # empty defers to the backend's configured model
-    max_tokens: int | None = None
 
     def __post_init__(self):
         if not self.system or not self.user:
@@ -69,7 +87,6 @@ class ChatResponse:
     text: str
     prompt_tokens: int
     completion_tokens: int
-    backend_id: str
 
 
 class ScriptedBackend:
@@ -103,7 +120,6 @@ class ScriptedBackend:
             text=text,
             prompt_tokens=len(req.system.split()) + len(req.user.split()),
             completion_tokens=len(text.split()),
-            backend_id=self.name,
         )
 
 
@@ -131,7 +147,7 @@ def write_transcript(entries: list[str], path) -> None:
 
 
 class HttpBackend:
-    """OpenAI-compatible chat-completions client.
+    """OpenAI-compatible chat-completions client for an http ``BackendConfig``.
 
     The API key is read from the environment at call time and never stored or
     logged. Transport failures and 408, 429 and 5xx responses are retried
@@ -142,20 +158,8 @@ class HttpBackend:
     ``close`` releases it. Single-consumer, like the session.
     """
 
-    def __init__(
-        self,
-        endpoint: str = DEFAULT_ENDPOINT,
-        model: str = "gpt-4o",
-        key_env_var: str = "OPENAI_API_KEY",
-        timeout: float = 120.0,
-        max_retries: int = 3,
-        backoff: float = 0.5,
-    ):
-        self.endpoint = endpoint
-        self.model = model
-        self.key_env_var = key_env_var
-        self.timeout = timeout
-        self.max_retries = max_retries
+    def __init__(self, config: BackendConfig, backoff: float = 0.5):
+        self.config = config
         self.backoff = backoff
         self._session = requests.Session()
 
@@ -163,36 +167,37 @@ class HttpBackend:
         self._session.close()
 
     def __repr__(self) -> str:
-        return f"HttpBackend(endpoint={self.endpoint!r}, model={self.model!r})"
+        return f"HttpBackend(endpoint={self.config.endpoint!r}, model={self.config.model!r})"
 
     def complete(self, req: ChatRequest) -> ChatResponse:
-        key = os.environ.get(self.key_env_var)
+        cfg = self.config
+        key = os.environ.get(cfg.key_env_var)
         if not key:
-            raise TransportError(f"API key environment variable {self.key_env_var} is not set")
+            raise TransportError(f"API key environment variable {cfg.key_env_var} is not set")
         payload = {
-            "model": req.model or self.model,
+            "model": cfg.model,
             "messages": [
                 {"role": "system", "content": req.system},
                 {"role": "user", "content": req.user},
             ],
             "temperature": req.temperature,
         }
-        if req.max_tokens is not None:
-            payload["max_tokens"] = req.max_tokens
+        if cfg.max_tokens is not None:
+            payload["max_tokens"] = cfg.max_tokens
         headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
         last_exc: Exception | None = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(cfg.max_retries + 1):
             try:
                 resp = self._session.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
+                    cfg.endpoint, json=payload, headers=headers, timeout=cfg.timeout
                 )
             except requests.RequestException as exc:
                 last_exc = exc
-                if attempt < self.max_retries:
+                if attempt < cfg.max_retries:
                     time.sleep(self.backoff * 2**attempt)
                 continue
             if resp.status_code // 100 != 2:
-                if attempt == self.max_retries or not _retryable(resp.status_code):
+                if attempt == cfg.max_retries or not _retryable(resp.status_code):
                     raise ApiError(resp.status_code, resp.text)
                 time.sleep(self._retry_delay(resp, attempt))
                 continue
@@ -206,8 +211,8 @@ class HttpBackend:
                 raise MalformedResponseError(f"malformed response body: {resp.text[:500]}") from exc
             if not isinstance(text, str):
                 raise MalformedResponseError(f"response has no text content: {resp.text[:500]}")
-            return ChatResponse(text, prompt_tokens, completion_tokens, f"http:{payload['model']}")
-        raise TransportError(f"request failed after {self.max_retries + 1} attempts: {last_exc}")
+            return ChatResponse(text, prompt_tokens, completion_tokens)
+        raise TransportError(f"request failed after {cfg.max_retries + 1} attempts: {last_exc}")
 
     def _retry_delay(self, resp, attempt: int) -> float:
         try:
@@ -215,7 +220,7 @@ class HttpBackend:
         except ValueError:  # an HTTP date
             delay = -1.0
         # NaN fails the test too, and an infinite delay is capped
-        return min(delay, self.timeout) if delay >= 0 else self.backoff * 2**attempt
+        return min(delay, self.config.timeout) if delay >= 0 else self.backoff * 2**attempt
 
 
 def _retryable(status: int) -> bool:

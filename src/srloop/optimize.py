@@ -60,6 +60,8 @@ class FitConfig:
             raise ValueError("max_evals and tol must be positive")
         if self.refits < 1:
             raise ValueError("refits must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"fit seed must be >= 0, not {self.seed}")
 
 
 @dataclass(frozen=True)

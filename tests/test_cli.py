@@ -146,6 +146,16 @@ class TestRun:
     def test_bad_flag_is_usage_error(self, capsys):
         assert main(["run", "--bogus-flag"]) == 1
 
+    def test_out_that_is_a_file_is_config_error(self, workdir, capsys):
+        ini = scripted_ini(workdir, standard_transcript(workdir), runs=1)
+        (workdir / "taken").write_text("keep\n")
+        assert main(["run", "--config", str(ini), "--out", "taken"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot make output "
+                                                             "directory taken: ")
+        assert (workdir / "taken").read_text() == "keep\n"
+
 
 @pytest.fixture
 def batch_threads():
@@ -329,11 +339,22 @@ def finished_runs(workdir):
     return sorted(str(p) for p in (workdir / "out").glob("run*.jsonl"))
 
 
+# a required key of another JSON type: where it sits, and the value it takes
+WRONG_TYPES = {
+    "equation_not_a_string": ("store", "equation", 3),
+    "dataset_not_a_string": ("header", "dataset", ["hubble"]),
+    "mse_not_a_number": ("store", "mse", [1]),
+    "responses_not_a_list": ("iteration", "responses", 5),
+    "rediscovery_not_an_integer": ("summary", "rediscovery_iteration", "2"),
+    "config_not_an_object": ("header", "config", [1]),
+}
+
+
 def unreadable_log(kind, workdir, finished_runs) -> str:
     """A run log that cannot be loaded: no file at all, a header alone, a
     complete log with a line that is JSON but not an object, or one whose
-    dataset is not bundled, whose first store equation does not parse, or
-    whose first store params are not numbers."""
+    dataset is not bundled, whose first store equation does not parse, whose
+    first store params are not numbers, or with a key of WRONG_TYPES."""
     path = workdir / f"{kind}.jsonl"
     lines = Path(finished_runs[0]).read_text().splitlines()
     header, summary = json.loads(lines[0]), json.loads(lines[-1])
@@ -347,7 +368,14 @@ def unreadable_log(kind, workdir, finished_runs) -> str:
         summary["store"][0]["equation"] = "c1*/x1"
     elif kind == "bad_params":
         summary["store"][0]["params"] = ["many"]
-    if kind in ("unknown_dataset", "bad_equation", "bad_params"):
+    elif kind in WRONG_TYPES:
+        part, key, value = WRONG_TYPES[kind]
+        iteration = json.loads(lines[1])
+        obj = {"header": header, "summary": summary, "store": summary["store"][0],
+               "iteration": iteration}[part]
+        obj[key] = value
+        lines[1] = json.dumps(iteration)
+    if kind in ("unknown_dataset", "bad_equation", "bad_params", *WRONG_TYPES):
         lines = [json.dumps(header), *lines[1:-1], json.dumps(summary)]
     if kind != "missing":
         path.write_text("\n".join(lines) + "\n")
@@ -408,6 +436,15 @@ class TestScore:
 
     def test_no_logs(self):
         assert main(["score", "--target", "langmuir"]) == 1
+
+    def test_out_in_a_missing_directory_is_config_error(self, finished_runs, workdir, capsys):
+        out = workdir / "nonexistent" / "x.csv"
+        capsys.readouterr()
+        assert main(["score", *finished_runs, "--target", "langmuir", "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {out}: ")
+        assert not (workdir / "nonexistent").exists()
 
     @pytest.mark.parametrize("kind", ["missing", "header_only", "not_an_object"])
     def test_unreadable_log(self, kind, finished_runs, workdir, capsys):
@@ -480,6 +517,16 @@ class TestPareto:
     def test_no_logs(self):
         assert main(["pareto"]) == 1
 
+    def test_out_that_is_a_file_is_config_error(self, finished_runs, workdir, capsys):
+        (workdir / "taken").write_text("keep\n")
+        capsys.readouterr()
+        assert main(["pareto", *finished_runs, "--out", "taken"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot make output "
+                                                             "directory taken: ")
+        assert (workdir / "taken").read_text() == "keep\n"
+
     @pytest.mark.parametrize("kind", ["missing", "header_only", "not_an_object",
                                       "unknown_dataset", "bad_equation", "bad_params"])
     def test_unreadable_log(self, kind, finished_runs, workdir, capsys):
@@ -492,10 +539,11 @@ class TestPareto:
     ("summary", "rediscovery_iteration"), ("summary", "store"),
     *(("store entry", key) for key in ("equation", "params", "mse", "mae", "complexity",
                                        "iteration")),
+    ("iteration", "responses"),
 ])
 def test_log_without_a_required_key(part, key, finished_runs, workdir, capsys):
     lines = Path(finished_runs[0]).read_text().splitlines()
-    index = 0 if part == "header" else -1
+    index = {"header": 0, "iteration": 1}.get(part, -1)
     obj = json.loads(lines[index])
     del (obj["store"][0] if part == "store entry" else obj)[key]
     lines[index] = json.dumps(obj)
@@ -506,8 +554,22 @@ def test_log_without_a_required_key(part, key, finished_runs, workdir, capsys):
     assert_refused(["pareto", *finished_runs, str(bad), "--out", "fronts"], bad, workdir, capsys)
     assert main(["replay", str(bad)]) == 2
     err = capsys.readouterr().err
-    where = "a store entry" if part == "store entry" else f"the {part}"
+    where = {"store entry": "a store entry", "iteration": "an iteration"}.get(part, f"the {part}")
     assert err.splitlines() == [f"{bad}: replay failed: {bad}: {where} has no {key}"]
+
+
+@pytest.mark.parametrize("kind", WRONG_TYPES)
+def test_log_with_a_key_of_another_type(kind, finished_runs, workdir, capsys):
+    bad = unreadable_log(kind, workdir, finished_runs)
+    argv = ["score", *finished_runs, bad, "--target", "langmuir", "--out", "score.csv"]
+    assert_refused(argv, bad, workdir, capsys)
+    assert_refused(["pareto", *finished_runs, bad, "--out", "fronts"], bad, workdir, capsys)
+    assert main(["replay", bad]) == 2
+    part, key, _ = WRONG_TYPES[kind]
+    where = {"header": "the header's", "summary": "the summary's",
+             "store": "a store entry's", "iteration": "an iteration's"}[part]
+    assert capsys.readouterr().err.startswith(f"{bad}: replay failed: {bad}: {where} {key} "
+                                              f"is not ")
 
 
 # ---------------------------------------------------------------------------
@@ -776,9 +838,10 @@ def write_config(workdir, section, line) -> None:
     write_transcript([reply("c1*x1")], workdir / "t.txt")
 
 
-def assert_config_refused(error, workdir, capsys):
-    """srloop run prints one line ``error: <error>...``, writes nothing and exits 1."""
-    assert main(["run", "--config", "config.ini", "--out", "out"]) == 1
+def assert_config_refused(error, workdir, capsys, flags=()):
+    """srloop run, given ``flags``, prints one line ``error: <error>...``, writes
+    nothing and exits 1."""
+    assert main(["run", "--config", "config.ini", *flags, "--out", "out"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {error}")
@@ -796,10 +859,23 @@ def assert_config_refused(error, workdir, capsys):
     ("run", "fit = 3", "bad FitConfig config: '3' is not a mapping"),
     ("run", "temperature = 5", "temperature must be in [0, 2]"),
     ("fitt", "hops = 3", "unknown config section(s): [fitt]"),
+    ("run", "operators = medium", "unknown operator set 'medium'"),
+    ("run", "seed = -1", "seed must be >= 0, not -1"),
+    ("fit", "seed = -1", "fit seed must be >= 0, not -1"),
+    ("llm", "kind = htp", "unknown backend kind 'htp'"),
+    ("llm", "timeout = 0", "timeout must be above 0, not 0.0"),
+    ("llm", "timeout = nan", "timeout must be above 0, not nan"),
+    ("llm", "max_retries = -1", "max_retries must be >= 0, not -1"),
 ])
 def test_a_key_the_reader_cannot_take_is_refused(section, line, error, workdir, capsys):
     write_config(workdir, section, line)
     assert_config_refused(error, workdir, capsys)
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seed", "-1", "--subsample", "2"]])
+def test_a_negative_seed_flag_is_refused(flags, workdir, capsys):
+    write_config(workdir, "run", "iterations = 1")
+    assert_config_refused("fit seed must be >= 0, not -1", workdir, capsys, flags)
 
 
 @pytest.mark.parametrize("value", ["2.5e-6", "2.5e-6, 1e-5, 1e-5", "cheap, 1e-5", ""])

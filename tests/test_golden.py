@@ -1,5 +1,6 @@
 """The golden replay corpus: scripted runs whose logs are committed in
-``tests/golden/`` and must replay exactly. ``tools/make_golden.py``
+``tests/golden/`` and must replay exactly, and which ``srloop run`` on each
+case's INI file must write again byte for byte. ``tools/make_golden.py``
 regenerates a log; only a change that alters results on purpose may."""
 
 import json
@@ -12,6 +13,7 @@ from srloop.engine import load_runlog_data, replay, save_runlog
 
 GOLDEN = Path(__file__).parent / "golden"
 LOGS = sorted(GOLDEN.glob("*/run*.jsonl"))
+CASES = sorted(path.parent.name for path in GOLDEN.glob("*/config.ini"))
 
 
 def log_id(path: Path) -> str:
@@ -32,6 +34,18 @@ def test_replay_rewrites_the_same_bytes(log, tmp_path):
     fresh = replay(load_runlog_data(log))
     save_runlog(fresh, tmp_path / "replayed.jsonl")
     assert (tmp_path / "replayed.jsonl").read_text() == log.read_text()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_run_writes_the_same_logs(case, tmp_path, monkeypatch):
+    # what tools/make_golden.py does: the INI paths are relative to tests/golden/
+    monkeypatch.chdir(GOLDEN)
+    assert main(["run", "--config", f"{case}/config.ini", "--out", str(tmp_path)]) == 0
+    fresh = sorted(tmp_path.glob("run*.jsonl"))
+    committed = sorted((GOLDEN / case).glob("run*.jsonl"))
+    assert [p.name for p in fresh] == [p.name for p in committed]
+    for new, old in zip(fresh, committed):
+        assert new.read_bytes() == old.read_bytes(), new.name
 
 
 def test_corpus_coverage():

@@ -7,6 +7,7 @@ import pytest
 from srloop.engine import IterationRecord, RunLog
 from srloop.llm import (
     ApiError,
+    BackendConfig,
     ChatRequest,
     ChatResponse,
     HttpBackend,
@@ -102,6 +103,11 @@ class _Handler(BaseHTTPRequestHandler):
 POLL_S = 0.05
 
 
+def stub_config(endpoint: str, **settings) -> BackendConfig:
+    """An http backend config for ``endpoint`` whose key is in TEST_LLM_KEY."""
+    return BackendConfig(kind="http", endpoint=endpoint, key_env_var="TEST_LLM_KEY", **settings)
+
+
 @pytest.fixture
 def stub_server():
     _Handler.received = []
@@ -121,23 +127,36 @@ def stub_server():
 class TestHttp:
     def test_round_trip(self, stub_server, monkeypatch):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
-        backend = HttpBackend(endpoint=stub_server, model="m1", key_env_var="TEST_LLM_KEY")
+        backend = HttpBackend(stub_config(stub_server, model="m1"))
         resp = backend.complete(REQ)
-        assert resp == ChatResponse("canned text", 11, 7, "http:m1")
+        assert resp == ChatResponse("canned text", 11, 7)
+        assert _Handler.received[-1]["body"]["model"] == "m1"
 
     def test_single_system_and_user_message(self, stub_server, monkeypatch):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
-        backend = HttpBackend(endpoint=stub_server, model="m1", key_env_var="TEST_LLM_KEY")
-        backend.complete(ChatRequest(system="s", user="u", model="m1"))
+        backend = HttpBackend(stub_config(stub_server, model="m1"))
+        backend.complete(ChatRequest(system="s", user="u"))
         body = _Handler.received[-1]["body"]
         assert [m["role"] for m in body["messages"]] == ["system", "user"]
         assert body["temperature"] == 0.7
         assert _Handler.received[-1]["auth"] == "Bearer sk-test"
 
+    @pytest.mark.parametrize("max_tokens,keys", [
+        (None, ["model", "messages", "temperature"]),
+        (256, ["model", "messages", "temperature", "max_tokens"]),
+    ])
+    def test_body_keys_in_order(self, stub_server, monkeypatch, max_tokens, keys):
+        monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
+        backend = HttpBackend(stub_config(stub_server, model="m1", max_tokens=max_tokens))
+        backend.complete(REQ)
+        body = _Handler.received[-1]["body"]
+        assert list(body) == keys
+        assert body.get("max_tokens") == max_tokens
+
     def test_api_error_surfaces_body(self, stub_server, monkeypatch):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
         _Handler.canned_status = 400  # not retried
-        backend = HttpBackend(endpoint=stub_server, key_env_var="TEST_LLM_KEY")
+        backend = HttpBackend(stub_config(stub_server))
         with pytest.raises(ApiError) as err:
             backend.complete(REQ)
         assert err.value.status == 400
@@ -154,7 +173,7 @@ class TestHttp:
     def test_retryable_status_then_success(self, stub_server, monkeypatch, sleeps, status):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
         _Handler.statuses = [status]
-        backend = HttpBackend(endpoint=stub_server, key_env_var="TEST_LLM_KEY", backoff=0.001)
+        backend = HttpBackend(stub_config(stub_server), backoff=0.001)
         assert backend.complete(REQ).text == "canned text"
         assert len(_Handler.received) == 2
         assert sleeps == [0.001]
@@ -166,8 +185,7 @@ class TestHttp:
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
         _Handler.statuses = [429]
         _Handler.retry_after = retry_after
-        backend = HttpBackend(endpoint=stub_server, key_env_var="TEST_LLM_KEY",
-                              timeout=30.0, backoff=0.001)
+        backend = HttpBackend(stub_config(stub_server, timeout=30.0), backoff=0.001)
         assert backend.complete(REQ).text == "canned text"
         assert len(_Handler.received) == 2
         assert sleeps == [delay]
@@ -176,8 +194,7 @@ class TestHttp:
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
         _Handler.statuses = [500, 502]
         _Handler.canned_status = 503
-        backend = HttpBackend(endpoint=stub_server, key_env_var="TEST_LLM_KEY",
-                              max_retries=2, backoff=0.001)
+        backend = HttpBackend(stub_config(stub_server, max_retries=2), backoff=0.001)
         with pytest.raises(ApiError) as err:
             backend.complete(REQ)
         assert err.value.status == 503
@@ -192,7 +209,7 @@ class TestHttp:
     def test_malformed_body_is_backend_error(self, stub_server, monkeypatch, body):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
         _Handler.canned_body = body
-        backend = HttpBackend(endpoint=stub_server, key_env_var="TEST_LLM_KEY")
+        backend = HttpBackend(stub_config(stub_server))
         with pytest.raises(MalformedResponseError):
             backend.complete(REQ)
 
@@ -207,8 +224,7 @@ class TestHttp:
         server = HTTPServer(("127.0.0.1", 0), KeepAlive)
         thread = threading.Thread(target=server.serve_forever, args=(POLL_S,), daemon=True)
         thread.start()
-        backend = HttpBackend(endpoint=f"http://127.0.0.1:{server.server_port}/v1",
-                              key_env_var="TEST_LLM_KEY")
+        backend = HttpBackend(stub_config(f"http://127.0.0.1:{server.server_port}/v1"))
         try:
             for _ in range(3):
                 assert backend.complete(REQ).text == "canned text"
@@ -223,26 +239,22 @@ class TestHttp:
 
     def test_transport_error_after_retries(self, monkeypatch):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
-        backend = HttpBackend(
-            endpoint="http://127.0.0.1:9",  # nothing listens on the discard port
-            key_env_var="TEST_LLM_KEY",
-            timeout=0.2,
-            max_retries=1,
-            backoff=0.01,
-        )
+        # nothing listens on the discard port
+        backend = HttpBackend(stub_config("http://127.0.0.1:9", timeout=0.2, max_retries=1),
+                              backoff=0.01)
         with pytest.raises(TransportError):
             backend.complete(REQ)
 
     def test_missing_key(self, monkeypatch):
         monkeypatch.delenv("NO_SUCH_KEY", raising=False)
-        backend = HttpBackend(key_env_var="NO_SUCH_KEY")
+        backend = HttpBackend(BackendConfig(kind="http", key_env_var="NO_SUCH_KEY"))
         with pytest.raises(TransportError) as err:
             backend.complete(REQ)
         assert "NO_SUCH_KEY" in str(err.value)
 
     def test_repr_has_no_key_material(self, monkeypatch):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-secret")
-        backend = HttpBackend(key_env_var="TEST_LLM_KEY")
+        backend = HttpBackend(BackendConfig(kind="http", key_env_var="TEST_LLM_KEY"))
         assert "sk-secret" not in repr(backend)
 
 
