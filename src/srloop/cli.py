@@ -19,7 +19,7 @@ import sys
 import threading
 from collections import deque
 from concurrent.futures import Future
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -41,11 +41,19 @@ SECTIONS = ("run", "prompt", "fit", "llm", "prices")  # the INI sections srloop 
 
 
 def _load_ini(path: str | None) -> configparser.ConfigParser:
-    ini = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    """The INI file ``path``, values read as written (a ``%`` is literal); a
+    file configparser cannot read is a ConfigError."""
+    ini = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     if path:
         if not Path(path).exists():
             raise ConfigError(f"config file not found: {path}")
-        ini.read(path)
+        try:
+            read = ini.read(path)  # a file that cannot be opened is skipped, not raised
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: "
+                              f"{' '.join(str(exc).splitlines())}") from exc
+        if not read:
+            raise ConfigError(f"cannot read config file {path}")
     return ini
 
 
@@ -101,13 +109,12 @@ def _policy(name: str) -> FeedbackPolicy:
     raise ConfigError(f"unknown feedback policy {name!r}")
 
 
-def build_run_config(args) -> RunConfig:
-    """The INI sections and the flags as one nested dict, decoded by
+def build_run_config(args, ini: configparser.ConfigParser) -> RunConfig:
+    """The sections of ``ini`` and the flags as one nested dict, decoded by
     engine.config_from_dict: a missing key takes its default and an unknown
     key is an error. A flag overrides the file, except that ``--iterations 0``
     and ``--runs 0`` keep the file's value; ``[fit] seed`` defaults to
     ``--seed`` (or 0), not to ``[run] seed``."""
-    ini = _load_ini(args.config)
     unknown = [f"[{name}]" for name in ini.sections() if name not in SECTIONS]
     if unknown:
         raise ConfigError(f"unknown config section(s): {', '.join(unknown)}")
@@ -154,7 +161,8 @@ def _price_table(ini: configparser.ConfigParser) -> dict[str, tuple[float, float
     return table
 
 
-def _preflight(cfg: RunConfig) -> None:
+def _preflight(cfg: RunConfig) -> data.Dataset:
+    """Check the batch ``cfg`` before ``--out`` is made; return its dataset."""
     if cfg.backend.kind == "http" and not os.environ.get(cfg.backend.key_env_var):
         raise ConfigError(
             f"http backend needs the API key environment variable "
@@ -165,36 +173,38 @@ def _preflight(cfg: RunConfig) -> None:
             raise ConfigError("scripted backend needs --transcript")
         if not Path(cfg.backend.transcript).exists():
             raise ConfigError(f"transcript not found: {cfg.backend.transcript}")
-    if cfg.subsample is not None and cfg.subsample < 1:
-        raise ConfigError(f"--subsample {cfg.subsample} is below 1")
-    info = data.dataset_info(cfg.dataset)  # raises UnknownDatasetError early
-    if cfg.subsample is not None and cfg.subsample > info["rows"]:
+    try:
+        dataset = data.load_builtin(cfg.dataset)
+    except data.UnknownDatasetError:
+        raise ConfigError(f"unknown dataset {cfg.dataset!r}") from None
+    if cfg.subsample is not None and cfg.subsample > dataset.n_rows:
         raise ConfigError(
-            f"--subsample {cfg.subsample} exceeds the {info['rows']} rows of {cfg.dataset}"
+            f"--subsample {cfg.subsample} exceeds the {dataset.n_rows} rows of {cfg.dataset}"
         )
+    return dataset
 
 
 @contextmanager
-def _concurrent_runs(cfgs: list[RunConfig], dataset: data.Dataset):
-    """Start ``engine.run`` on each config, in order, on at most
+def _concurrent_runs(cfgs: list[RunConfig], dataset: data.Dataset, outdir: Path):
+    """Start ``_run_and_save`` on each config, in order, on at most
     MAX_CONCURRENT_RUNS daemon threads, and yield one future per run holding
     its log or whatever it raised. Once a run raises, runs not yet started
     never start. On leaving the block every future not yet started is
     cancelled; the workers are joined after a clean exit only, so an
     exception (Ctrl-C included) does not wait for the runs in flight."""
     futures = [Future() for _ in cfgs]
-    jobs = deque(zip(cfgs, futures))
+    jobs = deque(enumerate(zip(cfgs, futures), start=1))
 
     def work():
         while True:
             try:
-                cfg, future = jobs.popleft()
+                k, (cfg, future) = jobs.popleft()
             except IndexError:
                 return
             if not future.set_running_or_notify_cancel():
                 continue
             try:
-                future.set_result(engine.run(cfg, dataset=dataset))
+                future.set_result(_run_and_save(outdir, k, cfg, dataset))
             except BaseException as exc:  # handed to the main thread in run order
                 future.set_exception(exc)
                 for pending in futures:
@@ -224,55 +234,59 @@ def _out_dir(path: str) -> Path:
     return outdir
 
 
-def _save_run(outdir: Path, k: int, future: Future) -> engine.RunLog:
-    """Wait for run ``k`` and save its log, config and store. A run that failed
-    leaves its partial log, and its BackendFailure is raised again."""
-    log_path = outdir / f"run{k:02d}.jsonl"
+def _open_csv(path):
+    """``path`` opened for writing a CSV; a ConfigError when it cannot be."""
     try:
-        log = future.result()
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _run_and_save(outdir: Path, k: int, cfg: RunConfig, dataset: data.Dataset) -> engine.RunLog:
+    """Run ``k`` of a batch and save its files, on the run's own thread. A failed run
+    saves its partial log and raises again; a failed write is a ConfigError."""
+    try:
+        log, failure = engine.run(cfg, dataset=dataset), None
     except BackendFailure as exc:
-        engine.save_runlog(exc.log, log_path)
-        raise
-    engine.save_runlog(log, log_path)
-    (outdir / f"run{k:02d}.config.json").write_text(json.dumps(log.config, indent=2) + "\n")
-    log.store.to_csv(outdir / f"run{k:02d}.store.csv")
+        log, failure = exc.log, exc
+    try:
+        engine.save_runlog(log, outdir / f"run{k:02d}.jsonl")
+        if failure is not None:
+            raise failure
+        (outdir / f"run{k:02d}.config.json").write_text(json.dumps(log.config, indent=2) + "\n")
+        log.store.to_csv(outdir / f"run{k:02d}.store.csv")
+    except OSError as exc:
+        raise ConfigError(f"cannot write run {k}: {exc}") from exc
     return log
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = build_run_config(args)
-        _preflight(cfg)
-        prices = _price_table(_load_ini(args.config))
-    except (ConfigError, data.UnknownDatasetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    ini = _load_ini(args.config)
+    cfg = build_run_config(args, ini)
+    dataset = _preflight(cfg)
+    prices = _price_table(ini)
     outdir = _out_dir(args.out)
-    usage = TokenUsage()
     logs = []
     cfgs = [replace(cfg, fit=replace(cfg.fit, seed=cfg.fit.seed + r)) for r in range(cfg.runs)]
-    with _concurrent_runs(cfgs, data.load_builtin(cfg.dataset)) as futures:
-        # results are handled in run order, so files and output match a sequential batch
+    with _concurrent_runs(cfgs, dataset, outdir) as futures:
+        # taken in run order, as in a sequential batch; a return waits for runs in flight
         for k, future in enumerate(futures, start=1):
             try:
-                log = _save_run(outdir, k, future)
+                log = future.result()
             except BackendFailure as exc:
                 print(f"error: run {k} aborted: {exc} (partial log kept)", file=sys.stderr)
-                for later, pending in enumerate(futures[k:], start=k + 1):
-                    # runs in flight are paid for: keep what they return
-                    if not pending.cancel():
-                        with suppress(BackendFailure):
-                            _save_run(outdir, later, pending)
                 return EXIT_RUNTIME
+            except ConfigError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
             logs.append(log)
-            u = log.usage
-            usage.prompt_tokens += u.prompt_tokens
-            usage.completion_tokens += u.completion_tokens
             found = log.rediscovery_iteration
             print(f"run {k}: {len(log.store)} candidates, "
                   f"rediscovery {'at iteration ' + str(found) if found else 'not reached'}")
     score = engine.score_runs(logs, iterations=cfg.iterations, mode=cfg.score_mode)
     print(f"score by iteration ({cfg.score_mode}): {score}")
+    usage = TokenUsage(sum(log.usage.prompt_tokens for log in logs),
+                       sum(log.usage.completion_tokens for log in logs))
     print(f"tokens: {usage.prompt_tokens} prompt + {usage.completion_tokens} completion")
     try:
         cost = estimate_cost(usage, cfg.backend.model, prices)
@@ -347,11 +361,7 @@ def cmd_score(args) -> int:
         iterations = max(iterations, len(log_data["iterations"]))
     score = engine.score_runs(logs, iterations=iterations, mode="cumulative")
     out = Path(args.out)
-    try:
-        fh = open(out, "w", newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc}") from exc
-    with fh:
+    with _open_csv(out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "count"])
         for i, n in enumerate(score, start=1):
@@ -367,7 +377,7 @@ def cmd_score(args) -> int:
 
 
 def _write_front_csv(front: list[Candidate], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with _open_csv(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["complexity", "mse", "equation"])
         for c in front:

@@ -100,6 +100,8 @@ class RunConfig:
             raise ValueError(f"unknown operator set {self.operators!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, not {self.seed}")
+        if self.subsample is not None and self.subsample < 1:
+            raise ValueError(f"--subsample {self.subsample} is below 1")
 
 
 @dataclass

@@ -137,15 +137,6 @@ def _split_transcript(text: str) -> list[str]:
     return entries
 
 
-def write_transcript(entries: list[str], path) -> None:
-    """Write turns in the transcript file format (delimiter line between turns)."""
-    lines = []
-    for entry in entries:
-        lines.append(entry.rstrip("\n"))
-        lines.append(TRANSCRIPT_DELIMITER)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 class HttpBackend:
     """OpenAI-compatible chat-completions client for an http ``BackendConfig``.
 

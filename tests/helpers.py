@@ -1,16 +1,19 @@
 """Shared test utilities: random expression trees, an independent scalar
-evaluation oracle, and small ad-hoc datasets."""
+evaluation oracle, small ad-hoc datasets, and scripted model replies and
+transcripts."""
 
 from __future__ import annotations
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 
 from srloop import expressions
 from srloop.data import Dataset
 from srloop.expressions import Binary, Const, Dialect, Expression, Lit, Unary, Var, render
+from srloop.llm import TRANSCRIPT_DELIMITER
 from srloop.pareto import Candidate
 from srloop.parsing import parse
 
@@ -121,6 +124,15 @@ def reply(*exprs: str, scratchpad: str = "scratchpad: looking at trends.") -> st
     from srloop.prompts import BEGIN_MARKER, END_MARKER
 
     return "\n".join([scratchpad, BEGIN_MARKER, *exprs, END_MARKER])
+
+
+def write_transcript(entries: list[str], path) -> None:
+    """Write turns in the transcript file format (delimiter line between turns)."""
+    lines = []
+    for entry in entries:
+        lines.append(entry.rstrip("\n"))
+        lines.append(TRANSCRIPT_DELIMITER)
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def candidate(expr: Expression, mse: float, mae: float | None = None,

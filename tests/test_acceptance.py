@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import candidate, make_dataset, random_expression, reply
+from helpers import candidate, make_dataset, random_expression, reply, write_transcript
 
 from srloop.cli import main as cli_main, reference_table
 from srloop.data import load_builtin
@@ -23,7 +23,7 @@ from srloop.expressions import (
     render,
     sr_equivalent,
 )
-from srloop.llm import ScriptedBackend, write_transcript
+from srloop.llm import ScriptedBackend
 from srloop.optimize import FitConfig, fit, mse_objective, repeat_fit
 from srloop.pareto import CandidateStore
 from srloop.parsing import parse

@@ -9,13 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import candidate, reply
+from helpers import candidate, reply, write_transcript
 
 from srloop import cli, engine
 from srloop.cli import main, reference_table
 from srloop.data import dataset_info
 from srloop.engine import BackendConfig, RunConfig, load_runlog_data, save_runlog
-from srloop.llm import TransportError, write_transcript
+from srloop.llm import TransportError
 from srloop.optimize import FitConfig
 from srloop.pareto import CandidateStore
 from srloop.parsing import parse
@@ -104,6 +104,8 @@ class TestRun:
         code = main(["run", "--dataset", "phlogiston", "--backend", "scripted",
                      "--transcript", str(transcript), "--out", "out"])
         assert code == 1
+        assert capsys.readouterr().err == "error: unknown dataset 'phlogiston'\n"
+        assert not (workdir / "out").exists()
 
     def test_missing_transcript(self, workdir, capsys):
         code = main(["run", "--dataset", "langmuir", "--backend", "scripted",
@@ -296,6 +298,29 @@ class TestConcurrentBatch:
             assert len(load_runlog_data(outdir / "run03.jsonl")["iterations"]) == 3
             assert (outdir / "run03.store.csv").exists()
 
+    def test_run_that_cannot_be_written_keeps_runs_in_flight(self, workdir, monkeypatch,
+                                                             capsys, batch_threads):
+        # all three runs are in flight before run 1 finds it cannot write its log
+        barrier = threading.Barrier(3, timeout=5)
+        real = engine.make_backend
+
+        def make_backend(bcfg):
+            return StepBackend(real(bcfg), lambda n: n == 1 and barrier.wait())
+
+        monkeypatch.setattr(engine, "make_backend", make_backend)
+        ini = scripted_ini(workdir, standard_transcript(workdir), runs=3)
+        (workdir / "out" / "run01.jsonl").mkdir(parents=True)
+        assert main(["run", "--config", str(ini), "--out", "out"]) == 1
+        out, err = capsys.readouterr()
+        assert not batch_threads()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot write run 1: ")
+        for k in (2, 3):
+            assert len(load_runlog_data(workdir / "out" / f"run0{k}.jsonl")["iterations"]) == 3
+            assert (workdir / "out" / f"run0{k}.config.json").exists()
+            assert (workdir / "out" / f"run0{k}.store.csv").exists()
+        assert not (workdir / "out" / "run01.config.json").exists()
+
     def test_interrupt_does_not_wait_for_runs_in_flight(self, workdir, monkeypatch,
                                                         batch_threads):
         run3_started, release = threading.Event(), threading.Event()
@@ -413,6 +438,14 @@ class TestReplay:
         path.write_text(path.read_text().replace('"refits": 1', '"refits": 1, "patience": 5', 1))
         assert main(["replay", str(path)]) == 2
         assert "replay failed" in capsys.readouterr().err
+
+    def test_subsample_below_one_fails_replay(self, workdir, capsys):
+        golden = Path(__file__).parent / "golden" / "hubble" / "run01.jsonl"
+        path = workdir / "run01.jsonl"
+        path.write_text(golden.read_text().replace('"subsample": null', '"subsample": -3', 1))
+        assert main(["replay", str(path)]) == 2
+        assert capsys.readouterr().err == (f"{path}: replay failed: "
+                                           f"--subsample -3 is below 1\n")
 
 
 class TestScore:
@@ -532,6 +565,17 @@ class TestPareto:
     def test_unreadable_log(self, kind, finished_runs, workdir, capsys):
         bad = unreadable_log(kind, workdir, finished_runs)
         assert_refused(["pareto", *finished_runs, bad, "--out", "fronts"], bad, workdir, capsys)
+
+    @pytest.mark.parametrize("name", ["pareto_run01.csv", "pareto_total.csv"])
+    def test_front_that_cannot_be_written_is_config_error(self, name, finished_runs, workdir,
+                                                          capsys):
+        (workdir / "fr" / name).mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["pareto", *finished_runs, "--out", "fr"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write "
+                                                             f"{Path('fr', name)}: ")
 
 
 @pytest.mark.parametrize("part,key", [
@@ -653,7 +697,7 @@ INI_CASES = [
     ("on_off_flags", SWITCHES_ON_INI, ["--no-context", "--no-data", "--no-scratchpad"]),
     # without [fit] seed the fit seed is --seed (or 0), not [run] seed
     ("on_seed", SWITCHES_ON_INI, ["--seed", "9"]),
-    ("on_seed_zero", SWITCHES_ON_INI, ["--seed", "0", "--temperature", "0", "--subsample", "0"]),
+    ("on_seed_zero", SWITCHES_ON_INI, ["--seed", "0", "--temperature", "0", "--subsample", "1"]),
     ("dataset_flag_only", None, ["--dataset", "langmuir", "--backend", "http"]),
 ]
 
@@ -761,7 +805,7 @@ INI_MEANING = {  # json.dumps(config_to_dict(cfg)) of each case, read by the old
         '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
         '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
         '"max_tokens": null, "transcript": "t.txt"}, "temperature": 0.0, "seed": 0, '
-        '"subsample": 0, "score_mode": "cumulative"}'
+        '"subsample": 1, "score_mode": "cumulative"}'
     ),
     "dataset_flag_only": (
         '{"dataset": "langmuir", "operators": "easy", "prompt": {"use_scratchpad": true, '
@@ -785,7 +829,8 @@ def test_ini_meaning(name, text, flags, tmp_path):
     if text is not None:
         (tmp_path / "config.ini").write_text(text)
         argv += ["--config", str(tmp_path / "config.ini")]
-    cfg = cli.build_run_config(cli._parser().parse_args(argv))
+    args = cli._parser().parse_args(argv)
+    cfg = cli.build_run_config(args, cli._load_ini(args.config))
     assert json.dumps(engine.config_to_dict(cfg)) == INI_MEANING[name]
 
 
@@ -829,10 +874,12 @@ def test_readme_names_every_key_the_reader_accepts():
 
 
 def write_config(workdir, section, line) -> None:
-    """A hubble config with a scripted transcript and ``line`` added to ``section``."""
+    """A hubble config with a scripted transcript and ``line`` added to
+    ``section``; a ``section`` of None puts it before the first header."""
     sections = {"run": ["dataset = hubble"], "llm": ["transcript = t.txt"]}
     sections.setdefault(section, []).append(line)
-    (workdir / "config.ini").write_text("".join(
+    head = "".join(f"{text}\n" for text in sections.pop(None, []))
+    (workdir / "config.ini").write_text(head + "".join(
         f"[{name}]\n" + "".join(f"{text}\n" for text in lines) + "\n"
         for name, lines in sections.items()))
     write_transcript([reply("c1*x1")], workdir / "t.txt")
@@ -866,10 +913,30 @@ def assert_config_refused(error, workdir, capsys, flags=()):
     ("llm", "timeout = 0", "timeout must be above 0, not 0.0"),
     ("llm", "timeout = nan", "timeout must be above 0, not nan"),
     ("llm", "max_retries = -1", "max_retries must be >= 0, not -1"),
+    (None, "iterations = 1", "cannot read config file config.ini: File contains no section "
+                             "headers. file: 'config.ini', line: 1 'iterations = 1\\n'"),
+    ("run", "[run]", "cannot read config file config.ini: While reading from 'config.ini' "
+                     "[line  3]: section 'run' already exists"),
+    ("run", "dataset = kepler", "cannot read config file config.ini: While reading from "
+                                "'config.ini' [line  3]: option 'dataset' in section 'run' "
+                                "already exists"),
 ])
 def test_a_key_the_reader_cannot_take_is_refused(section, line, error, workdir, capsys):
     write_config(workdir, section, line)
     assert_config_refused(error, workdir, capsys)
+
+
+def test_a_config_that_is_not_a_file_is_refused(workdir, capsys):
+    (workdir / "config.ini").mkdir()
+    assert_config_refused("cannot read config file config.ini", workdir, capsys)
+
+
+def test_a_percent_sign_is_read_as_written(workdir, capsys):
+    write_config(workdir, "llm", "endpoint = http://x/%7e")
+    argv = ["run", "--config", "config.ini", "--iterations", "1", "--runs", "1", "--out", "out"]
+    assert main(argv) == 0
+    config = json.loads((workdir / "out" / "run01.config.json").read_text())
+    assert config["backend"]["endpoint"] == "http://x/%7e"
 
 
 @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seed", "-1", "--subsample", "2"]])

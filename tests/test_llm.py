@@ -4,6 +4,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from helpers import write_transcript
+
 from srloop.engine import IterationRecord, RunLog
 from srloop.llm import (
     ApiError,
@@ -18,7 +20,6 @@ from srloop.llm import (
     TransportError,
     UnknownModelError,
     estimate_cost,
-    write_transcript,
 )
 
 REQ = ChatRequest(system="be terse", user="propose equations")
