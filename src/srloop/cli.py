@@ -26,7 +26,7 @@ from typing import get_args, get_type_hints
 
 from . import data, engine
 from .engine import BackendFailure, ConfigError, RunConfig
-from .llm import BackendConfig, TokenUsage, UnknownModelError, estimate_cost
+from .llm import BackendConfig, ScriptedBackend, TokenUsage, UnknownModelError, estimate_cost
 from .optimize import FitConfig
 from .pareto import Candidate, CandidateStore, FeedbackPolicy
 from .prompts import PromptConfig, extra_instruction
@@ -103,9 +103,9 @@ def _extra_instructions(prompt: dict) -> list[str]:
 
 def _policy(name: str) -> FeedbackPolicy:
     if name in ("standard", ""):
-        return FeedbackPolicy.standard()
+        return FeedbackPolicy()
     if name in ("top5", "top_k"):
-        return FeedbackPolicy.top_k_by_mse(k=5, include_params=True)
+        return FeedbackPolicy(kind="top_k", include_params=True)
     raise ConfigError(f"unknown feedback policy {name!r}")
 
 
@@ -173,6 +173,10 @@ def _preflight(cfg: RunConfig) -> data.Dataset:
             raise ConfigError("scripted backend needs --transcript")
         if not Path(cfg.backend.transcript).exists():
             raise ConfigError(f"transcript not found: {cfg.backend.transcript}")
+        try:
+            ScriptedBackend.from_file(cfg.backend.transcript)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read transcript {cfg.backend.transcript}: {exc}") from exc
     try:
         dataset = data.load_builtin(cfg.dataset)
     except data.UnknownDatasetError:
@@ -503,9 +507,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BackendFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -77,7 +77,7 @@ class RunConfig:
     dataset: str
     operators: str | OperatorSet = "easy"
     prompt: PromptConfig = PromptConfig()
-    policy: FeedbackPolicy = FeedbackPolicy.standard()
+    policy: FeedbackPolicy = FeedbackPolicy()
     fit: FitConfig = FitConfig()
     iterations: int = 15
     runs: int = 5

@@ -53,14 +53,6 @@ class FeedbackPolicy:
         if self.min_count < 1 or self.k < 1:
             raise ValueError("min_count and k must be >= 1")
 
-    @classmethod
-    def standard(cls, min_count: int = 6) -> "FeedbackPolicy":
-        return cls(kind="standard", min_count=min_count)
-
-    @classmethod
-    def top_k_by_mse(cls, k: int = 5, include_params: bool = False) -> "FeedbackPolicy":
-        return cls(kind="top_k", k=k, include_params=include_params)
-
 
 class CandidateStore:
     """Single-writer store of evaluated candidates, deduplicated by canonical form."""

@@ -179,26 +179,31 @@ class _Parser:
                 return node
 
     def unary(self) -> Node:
-        if self.peek() == "-":
-            self._descend()
-            self.take("-")
-            node = self.node(Unary("neg", self.unary()))
-            self.depth -= 1
-            return node
-        if self.peek() == "+":
-            self._descend()
-            self.take("+")
-            node = self.unary()
-            self.depth -= 1
-            return node
-        return self.power()
+        sign = self.peek()
+        if sign not in ("-", "+"):
+            return self.power()
+        self._descend()
+        self.take(sign)
+        node = self.unary()
+        if sign == "-":
+            node = self.node(Unary("neg", node))
+        self.depth -= 1
+        return node
 
     def power(self) -> Node:
         base = self.atom()
-        if self.peek() == "pow":
-            self.take("pow")
-            return self.node(Binary("^", base, self.exponent()))
-        return base
+        if self.peek() != "pow":
+            return base
+        self.take("pow")
+        exponent = self.exponent()
+        if _is_pure_literal(exponent):  # a numeric exponent is folded into one fixed literal
+            try:
+                value = float(_eval_literal(exponent))
+            except (ZeroDivisionError, OverflowError, ValueError, TypeError):
+                value = math.nan
+            if math.isfinite(value):
+                exponent = Lit(value)
+        return self.node(Binary("^", base, exponent))
 
     def exponent(self) -> Node:
         # right-associative; allows a sign and a further power: x**-c1, x**y**z
@@ -214,16 +219,8 @@ class _Parser:
         kind = self.peek()
         if kind == "num":
             return self.node(Lit(float(self.take("num"))))
-        if kind == "lparen":
-            self.take("lparen")
-            node = self.expr()
-            self.take("rparen")
-            return node
-        if kind == "lbrace":
-            self.take("lbrace")
-            node = self.expr()
-            self.take("rbrace")
-            return node
+        if kind in ("lparen", "lbrace"):
+            return self.group()
         if kind == "frac":
             self.take("frac")
             self.take("lbrace")
@@ -315,25 +312,8 @@ def _eval_literal(n: Node) -> float:
         return -_eval_literal(n.child)
     assert isinstance(n, Binary)
     a, b = _eval_literal(n.left), _eval_literal(n.right)
-    # Python's **, not np.power: _fold_exponents keeps a power that fails or turns complex
+    # Python's **, not np.power: a power that fails or turns complex is not folded
     return a**b if n.op == "^" else BINARY_OPERATORS[n.op](a, b)
-
-
-def _fold_exponents(n: Node) -> Node:
-    if isinstance(n, (Const, Var, Lit)):
-        return n
-    if isinstance(n, Unary):
-        return Unary(n.op, _fold_exponents(n.child))
-    left = _fold_exponents(n.left)
-    right = _fold_exponents(n.right)
-    if n.op == "^" and _is_pure_literal(right):
-        try:
-            value = float(_eval_literal(right))
-        except (ZeroDivisionError, OverflowError, ValueError, TypeError):
-            value = None
-        if value is not None and math.isfinite(value):
-            right = Lit(value)
-    return Binary(n.op, left, right)
 
 
 def _index_constants(root: Node) -> Expression:
@@ -390,6 +370,4 @@ def parse(text: str, dialect: Dialect, variables) -> Expression:
     tokens = _split_equation(tokens, var_map)
     if not tokens:
         raise ExpressionSyntaxError("empty expression")
-    node = _Parser(tokens, dialect, var_map).parse()
-    node = _fold_exponents(node)
-    return _index_constants(node)
+    return _index_constants(_Parser(tokens, dialect, var_map).parse())

@@ -59,6 +59,35 @@ def random_expression(rng: random.Random, n_vars: int = 2, max_depth: int = 4,
     return parse(render(raw), Dialect.INFIX, variables)
 
 
+# what a mutation puts into model text: LaTeX commands, literals out of a
+# float's range, a Unicode minus, '=', braces and the infix vocabulary
+# (in this order, which fixes what a seeded mutation draws: tools/parse_digest.py relies on it)
+SOUP = ["\\frac", "\\sqrt", "\\cdot", "\\times", "\\left(", "\\right)", "\\exp", "\\ln",
+        "\\alpha", "$", "{", "}", "(", ")", "=", "y =", "1e400", "1e308", "1e-400", "nan",
+        "inf", "\u2212", "**", "^", "-", "+", "*", "/", ",", "_", "x1", "x_{2}", "c1", "c_3",
+        "sqrt(", "log", "ln(", "exp", "pi", "e", "0", "2.5", ".5", "1/0", " "]
+
+
+def mutate(rng: random.Random, text: str, edits: int = 3) -> str:
+    """``text`` after 1 to ``edits`` random edits, each deleting a character,
+    replacing one with a token of SOUP, or inserting a token of SOUP."""
+    for _ in range(rng.randint(1, edits)):
+        pos = rng.randint(0, len(text))
+        roll = rng.random()
+        if roll < 1 / 3:
+            text = text[:pos] + text[pos + 1:]
+        elif roll < 2 / 3:
+            text = text[:pos] + rng.choice(SOUP) + text[pos + 1:]
+        else:
+            text = text[:pos] + rng.choice(SOUP) + text[pos:]
+    return text
+
+
+def token_soup(rng: random.Random, n: int = 8) -> str:
+    """``n`` tokens of SOUP, run together or spaced at random."""
+    return "".join(rng.choice(SOUP) + rng.choice(["", " "]) for _ in range(n))
+
+
 def oracle_eval(node, params, row):
     """Independent brute-force tree walk with explicit Undefined (None) handling."""
     if isinstance(node, Const):

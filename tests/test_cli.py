@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 from dataclasses import fields, replace
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,69 @@ class TestRun:
                      "--transcript", "nope.txt", "--out", "out"])
         assert code == 1
         assert "nope.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", [
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b"c1*x1\n\xff\n"),
+    ], ids=["directory", "not_utf8"])
+    def test_unreadable_transcript_is_config_error(self, make, workdir, capsys):
+        make(workdir / "t.txt")
+        code = main(["run", "--dataset", "hubble", "--backend", "scripted", "--transcript",
+                     "t.txt", "--iterations", "1", "--runs", "1", "--out", "out"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: cannot read transcript t.txt: ")
+        assert not (workdir / "out").exists()
+
+    def test_http_batch(self, workdir, capsys, monkeypatch):
+        # every run builds its HttpBackend from the INI through engine.make_backend
+        answer = reply("c1*x1", "c1*x1+c2")
+        seen = []
+
+        class Stub(BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                seen.append((body["model"], self.headers.get("Authorization")))
+                data = json.dumps({
+                    "choices": [{"message": {"role": "assistant", "content": answer}}],
+                    "usage": {"prompt_tokens": 11, "completion_tokens": 7},
+                }).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        server = HTTPServer(("127.0.0.1", 0), Stub)
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        monkeypatch.setenv("TEST_HTTP_BATCH_KEY", "sk-batch")
+        ini = workdir / "config.ini"
+        ini.write_text(
+            "[run]\ndataset = hubble\niterations = 2\nruns = 2\n\n[fit]\nhops = 1\n"
+            "max_evals = 200\n\n[llm]\nkind = http\nmodel = stub-model\n"
+            f"endpoint = http://127.0.0.1:{server.server_port}/v1/chat/completions\n"
+            "key_env_var = TEST_HTTP_BATCH_KEY\n"
+        )
+        try:
+            code = main(["run", "--config", str(ini), "--out", "out"])
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert [ln.split(":")[0] for ln in out.splitlines() if ln.startswith("run ")] == [
+            "run 1", "run 2"]
+        assert seen == [("stub-model", "Bearer sk-batch")] * 4
+        for k in (1, 2):
+            iterations = load_runlog_data(workdir / "out" / f"run0{k}.jsonl")["iterations"]
+            assert [rec["responses"] for rec in iterations] == [[answer], [answer]]
 
     def test_short_transcript_keeps_partial_log(self, workdir, capsys):
         path = workdir / "short.txt"

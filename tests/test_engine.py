@@ -120,7 +120,7 @@ class TestRun:
         stored = {c.equation: c for c in log.store}
         assert math.isinf(stored["c1/(x1-x1)"].mse)
         # and it is suppressed as a duplicate later but never fed back
-        feedback = log.store.select_feedback(FeedbackPolicy.standard())
+        feedback = log.store.select_feedback(FeedbackPolicy())
         assert all(math.isfinite(c.mse) for c in feedback)
 
     def test_too_many_constants_rejected_before_fitting(self):
@@ -214,10 +214,10 @@ class TestRun:
     def test_fitted_values_only_in_prompts_when_policy_shares_them(self):
         entries = [reply("c1*x1"), reply("c1+x1"), reply("c1/x1")]
         plain = ScriptedBackend(entries)
-        run(config(policy=FeedbackPolicy.standard()), backend=plain)
+        run(config(policy=FeedbackPolicy()), backend=plain)
         assert all('"params"' not in req.user for req in plain.requests)
         sharing = ScriptedBackend(entries)
-        run(config(policy=FeedbackPolicy.top_k_by_mse(5, include_params=True)),
+        run(config(policy=FeedbackPolicy(kind="top_k", include_params=True)),
             backend=sharing)
         assert any('"params"' in req.user for req in sharing.requests)
 
@@ -274,7 +274,7 @@ class TestConfigRoundTrip:
             operators=OperatorSet.easy(("^", "exp")),
             prompt=PromptConfig(n_expressions=2, rounding_decimals=3,
                                 operator_note="note", extra_instructions=("x",)),
-            policy=FeedbackPolicy.top_k_by_mse(5, include_params=True),
+            policy=FeedbackPolicy(kind="top_k", include_params=True),
             fit=FitConfig(hops=2, seed=9),
             iterations=4,
             runs=2,
@@ -293,7 +293,7 @@ class TestConfigRoundTrip:
             prompt=PromptConfig(use_scratchpad=False, n_expressions=2, operator_note="note",
                                 extra_instructions=("a", "b"), rounding_decimals=3,
                                 dialect=Dialect.LATEX),
-            policy=FeedbackPolicy.top_k_by_mse(4, include_params=True),
+            policy=FeedbackPolicy(kind="top_k", k=4, include_params=True),
             fit=FitConfig(hops=2, step_scale=0.5, max_evals=700, tol=1e-6, seed=9, refits=2),
             iterations=4,
             runs=2,

@@ -142,14 +142,14 @@ class TestSelectFeedback:
         store = CandidateStore()
         for i in range(4):
             store.insert(cand(float(i + 1), i + 1, key=i))
-        assert len(store.select_feedback(FeedbackPolicy.standard())) == 4
+        assert len(store.select_feedback(FeedbackPolicy())) == 4
 
     def test_standard_includes_whole_front(self):
         rng = random.Random(12)
         store = CandidateStore()
         for i in range(30):
             store.insert(cand(rng.random() * 4, rng.randint(1, 10), born=i, key=i))
-        chosen = store.select_feedback(FeedbackPolicy.standard())
+        chosen = store.select_feedback(FeedbackPolicy())
         ids = {id(c) for c in chosen}
         for member in store.pareto_front():
             assert id(member) in ids
@@ -159,7 +159,7 @@ class TestSelectFeedback:
         store = CandidateStore()
         for i in range(12):
             store.insert(cand(float(i), 3, key=i))
-        chosen = store.select_feedback(FeedbackPolicy.top_k_by_mse(k=5))
+        chosen = store.select_feedback(FeedbackPolicy(kind="top_k"))
         assert len(chosen) == 5
         assert {c.mse for c in chosen} == {0.0, 1.0, 2.0, 3.0, 4.0}
 
@@ -168,7 +168,7 @@ class TestSelectFeedback:
         store = CandidateStore()
         for i in range(15):
             store.insert(cand(rng.random() * 10, rng.randint(1, 8), key=i))
-        for policy in (FeedbackPolicy.standard(), FeedbackPolicy.top_k_by_mse(5)):
+        for policy in (FeedbackPolicy(), FeedbackPolicy(kind="top_k")):
             chosen = store.select_feedback(policy)
             mses = [c.mse for c in chosen]
             assert mses == sorted(mses, reverse=True)
@@ -177,7 +177,7 @@ class TestSelectFeedback:
         store = CandidateStore()
         store.insert(cand(math.inf, 2, key="bad"))
         store.insert(cand(1.0, 3, key="ok"))
-        for policy in (FeedbackPolicy.standard(), FeedbackPolicy.top_k_by_mse(5)):
+        for policy in (FeedbackPolicy(), FeedbackPolicy(kind="top_k")):
             assert all(math.isfinite(c.mse) for c in store.select_feedback(policy))
 
     def test_policy_validation(self):

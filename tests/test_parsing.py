@@ -91,6 +91,11 @@ def test_exponent_literals_are_preserved():
 def test_negative_exponent_literal_folds():
     e = infix("x1**-2")
     assert e.root == Binary("^", Var(1), Lit(-2.0))
+    assert infix("x1**-(1/2)").root == Binary("^", Var(1), Lit(-0.5))
+    # an exponent that cannot be folded keeps its literals, as fitted constants
+    e = infix("x1**(1/0)")
+    assert e.root == Binary("^", Var(1), Binary("/", Const(1), Const(2)))
+    assert e.const_inits == (1.0, 0.0)
 
 
 def test_caret_and_double_star_are_the_same():
@@ -148,6 +153,13 @@ def test_node_cap_is_inclusive():
     assert complexity(infix(at_cap)) == MAX_NODES
     with pytest.raises(TooComplexError):
         infix("-" + at_cap)
+
+
+def test_folded_exponent_counts_its_nodes_as_written():
+    exponent = "+".join(["1"] * ((MAX_NODES - 2) // 2))  # MAX_NODES - 3 nodes, folded to one
+    assert infix(f"x1**({exponent})").root == Binary("^", Var(1), Lit((MAX_NODES - 2) // 2))
+    with pytest.raises(TooComplexError):
+        infix(f"x1**({exponent}+1)")
 
 
 def test_sign_chain_in_exponent_is_nesting_error():
