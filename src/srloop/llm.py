@@ -198,10 +198,13 @@ class HttpBackend:
                 usage = body.get("usage", {})
                 prompt_tokens = int(usage.get("prompt_tokens", 0))
                 completion_tokens = int(usage.get("completion_tokens", 0))
-            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            except (ValueError, LookupError, TypeError, AttributeError, OverflowError,
+                    RecursionError) as exc:  # RecursionError: a deeply nested body
                 raise MalformedResponseError(f"malformed response body: {resp.text[:500]}") from exc
             if not isinstance(text, str):
                 raise MalformedResponseError(f"response has no text content: {resp.text[:500]}")
+            if prompt_tokens < 0 or completion_tokens < 0:
+                raise MalformedResponseError(f"negative token count: {resp.text[:500]}")
             return ChatResponse(text, prompt_tokens, completion_tokens)
         raise TransportError(f"request failed after {cfg.max_retries + 1} attempts: {last_exc}")
 

@@ -85,7 +85,9 @@ def nelder_mead(func, x0, cfg: FitConfig):
     this solve (same float64 bytes, so -0.0 and 0.0 differ) gets its stored
     value instead of a second call. A remembered point still counts toward
     ``evals`` and ``cfg.max_evals``, so both are as if every point were
-    evaluated.
+    evaluated. A simplex that returns to an earlier state with no new point
+    would repeat that cycle until the budget, so whole cycles are skipped by
+    adding their evaluations to ``evals``: the result is the same.
     """
     with np.errstate(all="ignore"):
         return _nelder_mead(func, x0, cfg)
@@ -130,7 +132,27 @@ def _nelder_mead(func, x0, cfg: FitConfig):
     sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
 
     converged = False
+    # func is pure and each fsim[i] is its value at sim[i], so the loop body
+    # is a function of the vertices' bytes: a state that comes back repeats
+    # with the same period until the budget. States are only looked up over a
+    # stretch with no new point (a cycle's second pass has none), and whole
+    # periods are skipped on evals. The skipped ones end at or before
+    # max_evals - 1, so neither budget test (the while bound, the shrink's
+    # break) would have fired inside them.
+    states: dict[tuple[bytes, ...], int] = {}  # vertex bytes since the last new point -> evals
+    known = len(seen)
     while evals + 2 <= max_evals:
+        if len(seen) > known:
+            known = len(seen)
+            states.clear()
+        else:
+            state = tuple(key(*row) for row in sim)
+            first = states.setdefault(state, evals)
+            if first < evals:
+                period = evals - first
+                evals += (max_evals - 1 - evals) // period * period
+                states = {state: evals}
+                continue
         # fsim is sorted, so its spread is fsim[-1] - fsim[0]; inf - inf is
         # NaN and NaN <= tol is False, so an all-inf simplex never converges,
         # and neither does one with a NaN coordinate

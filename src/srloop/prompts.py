@@ -8,6 +8,7 @@ Prompts never contain example equations — models copy them.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import string
@@ -76,6 +77,7 @@ class DataView:
     n_total: int
 
 
+@functools.cache  # a template file is read once per process
 def _template(name: str) -> string.Template:
     text = (resources.files("srloop.templates") / f"{name}.txt").read_text()
     return string.Template(text)

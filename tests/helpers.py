@@ -1,11 +1,13 @@
 """Shared test utilities: random expression trees, an independent scalar
-evaluation oracle, small ad-hoc datasets, and scripted model replies and
-transcripts."""
+evaluation oracle, a reference simplex, small ad-hoc datasets, and scripted
+model replies and transcripts."""
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +148,78 @@ def oracle_eval(node, params, row):
     if isinstance(out, complex):
         return None
     return out if math.isfinite(out) else None
+
+
+def oracle_nelder_mead(func, x0, max_evals: int, tol: float = 1e-8):
+    """The simplex of ``optimize.nelder_mead`` at the default coefficients,
+    with neither its memo nor its cycle skip: every point is a call of
+    ``func``. Returns the same ``(x, fval, evals, converged)``."""
+    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    evals = 0
+
+    def call(x):
+        nonlocal evals
+        evals += 1
+        v = float(func(np.array(x, dtype=float)))
+        return v if math.isfinite(v) else math.inf
+
+    with np.errstate(all="ignore"):
+        if n == 0:
+            return x0, call(x0), evals, True
+        sim = [x0.tolist()]
+        for i in range(n):
+            y = list(sim[0])
+            y[i] = y[i] * 1.05 if y[i] != 0 else 0.00025
+            sim.append(y)
+        fsim = [call(x) for x in sim]
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+        converged = False
+        while evals + 2 <= max_evals:
+            if fsim[-1] - fsim[0] <= tol and all(
+                abs(v - b) <= tol for row in sim[1:] for v, b in zip(row, sim[0])
+            ):
+                converged = True
+                break
+            centroid = sim[0]
+            for row in sim[1:n]:
+                centroid = list(map(add, centroid, row))
+            centroid = [c / n for c in centroid]
+            worst = sim[-1]
+            xr = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
+            fr = call(xr)
+            if fr < fsim[0]:
+                xe = [c + gamma * (r - c) for c, r in zip(centroid, xr)]
+                fe = call(xe)
+                x, f = (xe, fe) if fe < fr else (xr, fr)
+            elif fr < fsim[-2]:
+                x, f = xr, fr
+            else:
+                if fr < fsim[-1]:
+                    x = [c + rho * (r - c) for c, r in zip(centroid, xr)]
+                    f = call(x)
+                    accepted = f <= fr
+                else:
+                    x = [c + rho * (w - c) for c, w in zip(centroid, worst)]
+                    f = call(x)
+                    accepted = f < fsim[-1]
+                if not accepted:
+                    best = sim[0]
+                    for i in range(1, n + 1):
+                        sim[i] = [b + sigma * (v - b) for b, v in zip(best, sim[i])]
+                        fsim[i] = call(sim[i])
+                        if evals >= max_evals:
+                            break
+                    order = sorted(range(n + 1), key=fsim.__getitem__)
+                    sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+                    continue
+            k = bisect_right(fsim, f, 0, n)
+            del sim[-1], fsim[-1]
+            sim.insert(k, x)
+            fsim.insert(k, f)
+    return np.array(sim[0]), fsim[0], evals, converged
 
 
 def reply(*exprs: str, scratchpad: str = "scratchpad: looking at trends.") -> str:

@@ -206,6 +206,10 @@ class TestHttp:
         b"<html>not json</html>",
         b'{"choices": [{"message": {"role": "assistant", "content": null}}]}',
         b'{"usage": {"prompt_tokens": 1}}',
+        # a count out of an int's reach, and a negative one
+        b'{"choices":[{"message":{"content":"x"}}],"usage":{"prompt_tokens":1e400}}',
+        b'{"choices":[{"message":{"content":"x"}}],"usage":{"prompt_tokens":-5}}',
+        b'{"choices":[{"message":{"content":"x"}}],"usage":{"completion_tokens":-1}}',
     ])
     def test_malformed_body_is_backend_error(self, stub_server, monkeypatch, body):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")

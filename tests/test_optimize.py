@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import make_dataset, random_expression
+from helpers import make_dataset, oracle_nelder_mead, random_expression
 
 from srloop.data import load_builtin
 from srloop.expressions import Dialect, evaluate_rows
@@ -238,8 +238,9 @@ def test_solves_are_pinned(func, x0, max_evals, expected):
 
 
 def test_repeated_points_are_not_reevaluated():
-    # 98 nested powers: every point is undefined on bode, the simplex never
-    # moves, and a solve runs to the cap re-asking for the same few points
+    # 98 nested powers: every point is undefined on bode, so the simplex
+    # shrinks until a shrink moves no vertex, and from then on a solve would
+    # re-ask for the same few points until the cap
     bode = load_builtin("bode")
     e = infix("x1**(" * 98 + "c1*x1" + ")" * 98)
     objective = mse_objective(e, bode.X, bode.y)
@@ -253,6 +254,63 @@ def test_repeated_points_are_not_reevaluated():
     x, fv, evals, conv = nelder_mead(counted, np.array(e.initial_guess()), FitConfig())
     assert (x.tolist(), fv, evals, conv) == ([1.0], math.inf, 10001, False)
     assert calls <= 200
+
+
+def _square(x, centre=0.0):
+    return math.fsum((v - centre) * (v - centre) for v in x.tolist())
+
+
+# objectives on which a simplex stalls: undefined everywhere or nearly so,
+# flat, or telling -0.0 from 0.0
+STALLING = {
+    "all_inf": lambda x: math.inf,
+    "all_nan": lambda x: math.nan,
+    "near_diagonal": lambda x: (_square(x, 2.0) if max(abs(v - x[0]) for v in x.tolist()) < 1e-6
+                                else math.inf),
+    "half_line": lambda x: _square(x) if x[0] < -1 else math.inf,
+    "flat": lambda x: 1.0,
+    "copysign": lambda x: _square(x) - 1e-3 * math.copysign(1, x[0]),
+}
+BUDGETS = [*range(3, 61), 97, 250, 1001]
+
+
+@pytest.mark.parametrize("name", STALLING)
+def test_solves_match_the_reference_simplex(name):
+    # the memo and the cycle skip change no bit of any solve; 5e-324 * 1.05
+    # is 5e-324, so that start's simplex has collapsed before the first step
+    # and the skip is taken at small budgets too
+    func = STALLING[name]
+    rng = np.random.default_rng(sorted(STALLING).index(name))
+    for n in (1, 2, 3, 5, 10):
+        starts = [np.zeros(n), -np.zeros(n), np.full(n, 1e300), rng.standard_normal(n),
+                  np.full(n, 5e-324)]
+        for x0 in starts:
+            for max_evals in BUDGETS:
+                x, fv, evals, conv = nelder_mead(func, x0, FitConfig(max_evals=max_evals))
+                ox, ofv, oevals, oconv = oracle_nelder_mead(func, x0, max_evals)
+                assert (x.tobytes(), fv, evals, conv) == (ox.tobytes(), ofv, oevals, oconv), (
+                    n, x0.tolist(), max_evals)
+
+
+@pytest.mark.parametrize("x0,max_evals,expected", [
+    ([1.0, 2.0], 10**9, ([1.0, 2.0], math.inf, 10**9 - 1, False)),
+    ([1.0, 2.0, 3.0], 10**9 + 1, ([1.0, 2.0, 3.0], math.inf, 10**9 + 2, False)),
+])
+def test_cycle_skip_reaches_a_huge_cap(x0, max_evals, expected):
+    # an all-inf solve shrinks until a shrink moves no vertex; then each
+    # iteration asks again for the same n + 2 points (reflection, contraction
+    # and n shrink points), which the skip passes over by arithmetic: without
+    # it this solve would take tens of minutes
+    func = STALLING["all_inf"]
+    period = len(x0) + 2
+    # the reference at two small caps with the cap's residue: one period more
+    # budget gives one period more evals and the same point
+    small = 400 + (max_evals - 400) % period
+    a, b = oracle_nelder_mead(func, x0, small), oracle_nelder_mead(func, x0, small + period)
+    assert (a[0].tolist(), a[1], a[2] + period, a[3]) == (b[0].tolist(), b[1], b[2], b[3])
+    assert (a[0].tolist(), a[1], a[2] + max_evals - small, a[3]) == expected
+    x, fv, evals, conv = nelder_mead(func, np.array(x0), FitConfig(max_evals=max_evals))
+    assert (x.tolist(), fv, evals, conv) == expected
 
 
 @pytest.mark.parametrize("text,params,x,defined", [

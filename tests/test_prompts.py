@@ -1,5 +1,6 @@
 import hashlib
 import json
+from importlib import resources
 
 import pytest
 
@@ -202,3 +203,30 @@ def test_ablation_matrix():
     assert "Background:" not in no_context and "Data (" in no_context
     assert "Data (" not in no_data and "Background:" in no_data
     assert "scratchpad" not in no_scratchpad and "Data (" in no_scratchpad
+
+
+def test_template_files_are_read_once(monkeypatch):
+    from srloop import prompts
+
+    reads = []
+
+    class CountingResources:
+        @staticmethod
+        def files(package):
+            reads.append(package)
+            return resources.files(package)
+
+    prompts._template.cache_clear()
+    monkeypatch.setattr(prompts, "resources", CountingResources)
+    try:
+        first = build_system(), build_iteration(view(), FEEDBACK, KEPLER_CONTEXT, cfg())
+        assert reads
+        reads.clear()
+        assert (build_system(), build_iteration(view(), FEEDBACK, KEPLER_CONTEXT, cfg())) == first
+        assert not reads
+        # a missing template is not remembered: it fails again the same way
+        for _ in range(2):
+            with pytest.raises(FileNotFoundError):
+                extra_instruction("no_such_extra")
+    finally:
+        prompts._template.cache_clear()
