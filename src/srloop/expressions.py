@@ -212,34 +212,31 @@ def _render(n: Node) -> str:
 
 # ---------------------------------------------------------------------------
 # Evaluation
+#
+# Each tree compiles once, with compile(), into one flat function with one
+# statement per operator node. Its source holds only generated names and
+# indices (p[0], X[:, 0], v1, t3); operator functions and literal values
+# are bound through the namespace, so no model text reaches it.
+#
+# Operators run unguarded. inf and NaN stay non-finite through +, -, *,
+# sqrt, log, square, cube, neg and the left operand of /, so a non-finite
+# value can turn finite only at a *site*: the right operand of / (c/inf is
+# 0), the argument of exp (exp(-inf) is 0) and an operand of ^ (inf**0,
+# 1**inf and nan**0 are 1). A raw operand (a leaf, or a negated leaf) is no
+# site of / or exp, ^ tests it for NaN only, and a ^ literal other than NaN
+# is no site. A site checks its operand once (np.add.reduce, or
+# math.isfinite for a scalar). Only when that is non-finite does it run its
+# row test (~isfinite, or isnan for a raw operand) and set those rows of
+# the node's result to NaN; a reduce that overflows on finite rows marks
+# none. So every value is non-finite exactly where a tree that marks each
+# site's rows with np.where on every call has one, and bit-equal to it
+# elsewhere: the MSE, and so every fit, is the same.
 
-def _guard(v):
-    # protected semantics: overflow / domain violations become NaN and propagate
-    return np.where(np.isfinite(v), v, np.nan)
-
-
-def _compile_node(n: Node, guard: bool = False) -> Callable:
-    """Compile one node. Operator results are left unguarded, because inf and
-    NaN stay non-finite through +, -, *, sqrt, log, square, cube, neg and the
-    left operand of /. ``guard=True`` asks for a non-finite result to become
-    NaN where the parent could turn it finite: the right operand of / (c/inf
-    is 0) and the argument of exp (exp(-inf) is 0); ^ tests its operands
-    itself. A leaf, or a negated leaf, is passed as it is, so every value is
-    non-finite exactly where guarding each operator node but neg would give
-    NaN, and bit-equal to it elsewhere."""
-    if isinstance(n, Const):
-        i = n.index - 1
-        return lambda p, X: p[i]
-    if isinstance(n, Var):
-        j = n.index - 1
-        return lambda p, X: X[:, j]
-    if isinstance(n, Lit):
-        v = float(n.value)
-        return lambda p, X: v
-    fn = _compile_op(n)
-    if guard and not _is_raw(n):
-        return lambda p, X: _guard(fn(p, X))
-    return fn
+_RUNTIME = {
+    "asarray": np.asarray, "full": np.full, "where": np.where, "nan": np.nan,
+    "isfinite": math.isfinite, "reduce": np.add.reduce, "isnan": np.isnan,
+    "nonfinite": lambda v: ~np.isfinite(v),
+}
 
 
 def _is_raw(n: Node) -> bool:
@@ -248,44 +245,69 @@ def _is_raw(n: Node) -> bool:
     return isinstance(n, (Const, Var, Lit))
 
 
-def _compile_op(n: Node) -> Callable:
-    if isinstance(n, Unary) and n.op in UNARY_OPERATORS:
-        f, c = UNARY_OPERATORS[n.op], _compile_node(n.child, guard=n.op == "exp")
-        return lambda p, X: f(c(p, X))
-    if isinstance(n, Binary) and n.op in BINARY_OPERATORS:
-        f = BINARY_OPERATORS[n.op]
-        lf, rf = _compile_node(n.left), _compile_node(n.right, guard=n.op == "/")
-        if n.op == "^":
-            # inf**0 and 1**inf are 1, and so are nan**0 and 1**nan: a
-            # non-finite operator operand, or a NaN leaf, forces NaN
-            ta, tb = _pow_operand_test(n.left), _pow_operand_test(n.right)
-
-            def pw(p, X):
-                a, b = lf(p, X), rf(p, X)
-                r = f(a, b)
-                bad = ~np.isfinite(r)
-                if ta is not None:
-                    bad = bad | ta(a)
-                if tb is not None:
-                    bad = bad | tb(b)
-                return np.where(bad, np.nan, r)
-            return pw
-        return lambda p, X: f(lf(p, X), rf(p, X))
-    if isinstance(n, (Unary, Binary)):
-        raise UnknownOperatorError(f"unknown operator {n.op!r}")
-    raise TypeError(f"not a node: {n!r}")
+def _site_test(op: str, position: int, operand: Node) -> str | None:
+    """The row test of ``operand`` at ``position`` of an ``op`` node, or None
+    where it is no site."""
+    if op == "^":
+        if isinstance(operand, Lit) and not math.isnan(operand.value):
+            return None
+        return "isnan" if _is_raw(operand) else "nonfinite"
+    if (op == "exp" or op == "/" and position == 1) and not _is_raw(operand):
+        return "nonfinite"
+    return None
 
 
-def _non_finite(v):
-    return ~np.isfinite(v)
+def _compile(root: Node, mark_root: bool) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The flat function of ``root``; ``mark_root`` makes a root that is not
+    raw a site too."""
+    ns = dict(_RUNTIME)
+    body: list[str] = []
+    leaves: dict[Node, str] = {}
 
+    def bind(value) -> str:
+        name = f"b{len(ns)}"
+        ns[name] = value
+        return name
 
-def _pow_operand_test(n: Node) -> Callable | None:
-    if isinstance(n, Lit) and not math.isnan(n.value):
-        return None
-    if _is_raw(n):
-        return np.isnan
-    return _non_finite
+    def site(t: str, operand: str, is_array: bool, test: str) -> None:
+        check = f"reduce({operand})" if is_array else operand
+        body.append(f"if not isfinite({check}):\n        {t} = where({test}({operand}), nan, {t})")
+
+    def emit(n: Node) -> tuple[str, bool]:
+        """Append the statements of ``n``; return the name of its value and
+        whether that is a row array (a subtree without a variable is a scalar)."""
+        if isinstance(n, Lit):
+            return bind(float(n.value)), False
+        if isinstance(n, (Const, Var)):
+            if n not in leaves:
+                i = operator.index(n.index) - 1
+                leaves[n] = f"v{len(leaves)}"
+                body.append(f"{leaves[n]} = " + (f"p[{i}]" if isinstance(n, Const) else f"X[:, {i}]"))
+            return leaves[n], isinstance(n, Var)
+        if isinstance(n, Unary) and n.op in UNARY_OPERATORS:
+            fn, operands = UNARY_OPERATORS[n.op], [n.child]
+        elif isinstance(n, Binary) and n.op in BINARY_OPERATORS:
+            fn, operands = BINARY_OPERATORS[n.op], [n.left, n.right]
+        elif isinstance(n, (Unary, Binary)):
+            raise UnknownOperatorError(f"unknown operator {n.op!r}")
+        else:
+            raise TypeError(f"not a node: {n!r}")
+        args = [emit(operand) for operand in operands]
+        t = f"t{len(body)}"
+        body.append(f"{t} = {bind(fn)}({', '.join(name for name, _ in args)})")
+        for position, (operand, (name, is_array)) in enumerate(zip(operands, args)):
+            test = _site_test(n.op, position, operand)
+            if test is not None:
+                site(t, name, is_array, test)
+        return t, any(is_array for _, is_array in args)
+
+    out, is_array = emit(root)
+    if mark_root and not _is_raw(root):
+        site(out, out, is_array, "nonfinite")
+    body.append(f"return {out}" if is_array else f"return full(X.shape[0], float({out}))")
+    source = "def evaluator(p, X):\n    p = asarray(p, dtype=float)\n    X = asarray(X, dtype=float)\n"
+    exec(compile(source + "".join(f"    {line}\n" for line in body), "<srloop evaluator>", "exec"), ns)
+    return ns["evaluator"]
 
 
 def compile_evaluator(e: Expression) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -293,34 +315,28 @@ def compile_evaluator(e: Expression) -> Callable[[np.ndarray, np.ndarray], np.nd
 
     Undefined rows (division by zero, log of a non-positive value, sqrt of a
     negative value, overflow) come back non-finite (inf or NaN) instead of
-    raising. Only the right operand of ``/``, the argument of ``exp`` and the
-    operands of ``^`` are guarded, because only there can a non-finite value
-    turn finite again; see :func:`evaluate_rows` for NaN-marked output. Call
-    the returned function under ``np.errstate(all="ignore")``: it does not
-    enter one itself, so that a fit can enter it once per local solve.
+    raising. Operators run unguarded. Only at a site, where a non-finite
+    value could turn finite again (the right operand of ``/``, the argument
+    of ``exp``, an operand of ``^``), is the operand checked, by one
+    ``np.add.reduce`` (``math.isfinite`` for a scalar); only when that is
+    non-finite is a row mask computed and those rows of the site's result
+    set to NaN. See :func:`evaluate_rows` for NaN-marked output.
+    Call the returned function under ``np.errstate(all="ignore")``: it does
+    not enter one itself, so that a fit can enter it once per local solve.
     """
-    return _evaluator(_compile_node(e.root))
-
-
-def _evaluator(fn: Callable) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    def evaluator(params, X):
-        X = np.asarray(X, dtype=float)
-        out = np.asarray(fn(np.asarray(params, dtype=float), X), dtype=float)
-        if out.ndim == 0:
-            out = np.full(X.shape[0], float(out))
-        return out
-
-    return evaluator
+    return _compile(e.root, mark_root=False)
 
 
 def evaluate_rows(e: Expression, params, X) -> np.ndarray:
     """Vectorized evaluation over a (rows, n_vars) input matrix; NaN marks
-    undefined rows (the root is guarded). Emits no floating-point warnings.
-    Raises ValueError unless there is one parameter per constant."""
+    undefined rows (the root is a site too, so a non-finite row becomes NaN;
+    a raw root, a leaf or a negated leaf, passes as it is). Emits no
+    floating-point warnings. Raises ValueError unless there is one
+    parameter per constant."""
     params = tuple(float(v) for v in params)
     if len(params) != e.n_constants:
         raise ValueError(f"expression has {e.n_constants} constants, got {len(params)} parameters")
-    evaluator = _evaluator(_compile_node(e.root, guard=True))
+    evaluator = _compile(e.root, mark_root=True)
     with np.errstate(all="ignore"):
         return evaluator(np.asarray(params), np.atleast_2d(np.asarray(X, dtype=float)))
 

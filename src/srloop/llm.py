@@ -196,15 +196,16 @@ class HttpBackend:
                 body = resp.json()
                 text = body["choices"][0]["message"]["content"]
                 usage = body.get("usage", {})
-                prompt_tokens = int(usage.get("prompt_tokens", 0))
-                completion_tokens = int(usage.get("completion_tokens", 0))
-            except (ValueError, LookupError, TypeError, AttributeError, OverflowError,
+                prompt_tokens = usage.get("prompt_tokens", 0)
+                completion_tokens = usage.get("completion_tokens", 0)
+            except (ValueError, LookupError, TypeError, AttributeError,
                     RecursionError) as exc:  # RecursionError: a deeply nested body
                 raise MalformedResponseError(f"malformed response body: {resp.text[:500]}") from exc
             if not isinstance(text, str):
                 raise MalformedResponseError(f"response has no text content: {resp.text[:500]}")
-            if prompt_tokens < 0 or completion_tokens < 0:
-                raise MalformedResponseError(f"negative token count: {resp.text[:500]}")
+            # a count is a JSON integer: not 2.5, 1e20, true or "7"
+            if not all(type(v) is int and v >= 0 for v in (prompt_tokens, completion_tokens)):
+                raise MalformedResponseError(f"bad token count: {resp.text[:500]}")
             return ChatResponse(text, prompt_tokens, completion_tokens)
         raise TransportError(f"request failed after {cfg.max_retries + 1} attempts: {last_exc}")
 

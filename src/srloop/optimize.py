@@ -223,10 +223,10 @@ def mse_objective(e: Expression, X, y):
     """Mean squared error over all rows; any undefined row maps to +inf.
     Call the objective under ``np.errstate(all="ignore")``, as ``nelder_mead``
     does once per solve: it enters none itself."""
-    evaluator = compile_evaluator(e)
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    return _mse_of(compile_evaluator(e), np.asarray(X, dtype=float), np.asarray(y, dtype=float))
 
+
+def _mse_of(evaluator, X: np.ndarray, y: np.ndarray):
     def objective(params):
         resid = evaluator(params, X) - y
         # the sum and division of np.mean; non-finite whenever a residual is
@@ -250,13 +250,13 @@ def fit(e: Expression, d, cfg: FitConfig) -> FitResult:
     y = np.asarray(d.y, dtype=float)
     if len(y) < 1:
         raise ValueError("dataset has no rows")
-    objective = mse_objective(e, X, y)
+    evaluator = compile_evaluator(e)
     x0 = np.asarray(e.initial_guess(), dtype=float)
-    best_x, best_f, evals, converged = minimize(objective, x0, cfg)
+    best_x, best_f, evals, converged = minimize(_mse_of(evaluator, X, y), x0, cfg)
     if not np.isfinite(best_f):
         raise NoFiniteObjectiveError(f"no finite objective found for {e}")
     with np.errstate(all="ignore"):
-        resid = compile_evaluator(e)(best_x, X) - y
+        resid = evaluator(best_x, X) - y
     mse = float(np.mean(resid * resid))
     mae = float(np.mean(np.abs(resid)))
     return FitResult(tuple(float(v) for v in best_x), mse, mae, evals, converged)

@@ -1,6 +1,6 @@
 """Shared test utilities: random expression trees, an independent scalar
-evaluation oracle, a reference simplex, small ad-hoc datasets, and scripted
-model replies and transcripts."""
+evaluation oracle, the reference closure evaluator and simplex, small ad-hoc
+datasets, and scripted model replies and transcripts."""
 
 from __future__ import annotations
 
@@ -148,6 +148,74 @@ def oracle_eval(node, params, row):
     if isinstance(out, complex):
         return None
     return out if math.isfinite(out) else None
+
+
+def oracle_evaluator(e: Expression, mark_root: bool = False):
+    """The closure-tree evaluator ``expressions`` compiled each tree to before
+    its flat compiler: every site is guarded on every call by setting its
+    non-finite values to NaN, and each ^ result is NaN wherever it or a
+    tested operand is. Returns ``f(params, X)`` as ``compile_evaluator``
+    does; ``mark_root=True`` guards the root too, as ``evaluate_rows`` does."""
+
+    def guard(v):
+        return np.where(np.isfinite(v), v, np.nan)
+
+    def is_raw(n):
+        while isinstance(n, Unary) and n.op == "neg":
+            n = n.child
+        return isinstance(n, (Const, Var, Lit))
+
+    def pow_operand_test(n):
+        if isinstance(n, Lit) and not math.isnan(n.value):
+            return None
+        return np.isnan if is_raw(n) else (lambda v: ~np.isfinite(v))
+
+    def node(n, guarded=False):
+        if isinstance(n, Const):
+            i = n.index - 1
+            return lambda p, X: p[i]
+        if isinstance(n, Var):
+            j = n.index - 1
+            return lambda p, X: X[:, j]
+        if isinstance(n, Lit):
+            v = float(n.value)
+            return lambda p, X: v
+        fn = op(n)
+        if guarded and not is_raw(n):
+            return lambda p, X: guard(fn(p, X))
+        return fn
+
+    def op(n):
+        if isinstance(n, Unary):
+            f, c = expressions.UNARY_OPERATORS[n.op], node(n.child, guarded=n.op == "exp")
+            return lambda p, X: f(c(p, X))
+        f = expressions.BINARY_OPERATORS[n.op]
+        lf, rf = node(n.left), node(n.right, guarded=n.op == "/")
+        if n.op != "^":
+            return lambda p, X: f(lf(p, X), rf(p, X))
+        ta, tb = pow_operand_test(n.left), pow_operand_test(n.right)
+
+        def pw(p, X):
+            a, b = lf(p, X), rf(p, X)
+            r = f(a, b)
+            bad = ~np.isfinite(r)
+            if ta is not None:
+                bad = bad | ta(a)
+            if tb is not None:
+                bad = bad | tb(b)
+            return np.where(bad, np.nan, r)
+        return pw
+
+    fn = node(e.root, guarded=mark_root)
+
+    def evaluator(params, X):
+        X = np.asarray(X, dtype=float)
+        out = np.asarray(fn(np.asarray(params, dtype=float), X), dtype=float)
+        if out.ndim == 0:
+            out = np.full(X.shape[0], float(out))
+        return out
+
+    return evaluator
 
 
 def oracle_nelder_mead(func, x0, max_evals: int, tol: float = 1e-8):

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import make_dataset, oracle_eval, random_expression, random_node
+from helpers import make_dataset, oracle_eval, oracle_evaluator, random_expression, random_node
 
 from srloop.expressions import (
     BINARY_OPERATORS,
@@ -18,6 +18,7 @@ from srloop.expressions import (
     Unary,
     UnknownOperatorError,
     Var,
+    compile_evaluator,
     complexity,
     evaluate_rows,
     render,
@@ -140,6 +141,85 @@ class TestEvaluate:
             else:
                 assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-300), render(e)
             checked += 1
+
+
+class TestFlatCompiler:
+    """The flat compiler against the closure compiler it replaced
+    (``helpers.oracle_evaluator``): ``compile_evaluator`` is non-finite
+    exactly where the oracle is and bit-equal elsewhere, and
+    ``evaluate_rows`` is byte-equal to the oracle with its root guarded."""
+
+    PARAMS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]
+    ROWS = [0.0, -0.0, 1e308, -1e308, 5e-324, 1.0, -1.0]
+
+    @staticmethod
+    def assert_like_oracle(e, params, X):
+        X = np.asarray(X, dtype=float)
+        with np.errstate(all="ignore"):
+            got, want = compile_evaluator(e)(params, X), oracle_evaluator(e)(params, X)
+        assert got.shape == want.shape == (len(X),), render(e)
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite), (render(e), params, got, want)
+        assert got[finite].tobytes() == want[finite].tobytes(), (render(e), params)
+        with np.errstate(all="ignore"):
+            want = oracle_evaluator(e, mark_root=True)(params, X)
+        assert evaluate_rows(e, params, X).tobytes() == want.tobytes(), (render(e), params)
+
+    def test_random_trees_with_adversarial_params(self):
+        rng = random.Random(2024)
+        nprng = np.random.default_rng(2024)
+        for n_vars in (1, 2):
+            X = np.concatenate([
+                np.array([[v] * n_vars for v in self.ROWS]),
+                nprng.standard_normal((6, n_vars)) * 3,
+            ])
+            for i in range(300):
+                if i % 2:
+                    e = random_expression(rng, n_vars=n_vars, max_depth=4)
+                else:  # free exponents too: ^ with a non-raw exponent
+                    e = Expression(random_node(rng, n_vars, 4, free_exponents=True))
+                for _ in range(2):
+                    params = [rng.choice(self.PARAMS) if rng.random() < 0.3
+                              else float(nprng.standard_normal()) for _ in range(e.n_constants)]
+                    self.assert_like_oracle(e, params, X)
+
+    @pytest.mark.parametrize("root,params,rows,undefined", [
+        # / : c/inf is 0, and c/0 is inf, both undefined
+        ("c1/(x1*x1)", [2.0], [[1e200], [0.0], [2.0]], [True, True, False]),
+        # exp: exp(log(0)) is exp(-inf), 0
+        ("exp(log(x1))", [], [[0.0], [1.0]], [True, False]),
+        # ^, raw operand: 1**nan is 1 but the NaN is tested; 1**inf is 1 and inf is not
+        ("x1**c1", [math.nan], [[1.0], [2.0]], [True, True]),
+        ("x1**c1", [math.inf], [[1.0], [0.5]], [False, False]),
+        ("c1**x1", [math.nan], [[0.0], [2.0]], [True, True]),
+        # ^, non-raw operand: inf**0 and 1**inf are 1
+        ("(c1*x1)**c2", [1e200, 0.0], [[1e200], [2.0]], [True, False]),
+        ("c1**(x1*x1)", [1.0], [[1e200], [2.0]], [True, False]),
+        # a constant-only subtree: the site's operand is a scalar
+        ("x1+c1/(c2*c3)", [1.0, 1e200, 1e200], [[1.0], [2.0]], [True, True]),
+        ("x1*exp(-(c1*c1))", [1e200], [[1.0]], [True]),
+        ("c1/(c2+c3)", [1.0, 2.0, 3.0], [[1.0], [2.0]], [False, False]),
+        ("(c1*c2)**x1", [1e200, 1e200], [[0.0], [1.0]], [True, True]),
+        # a NaN literal exponent, which the parser never makes
+        (Binary("^", Var(1), Lit(math.nan)), [], [[1.0], [0.0]], [True, True]),
+        (Binary("^", Lit(math.nan), Unary("neg", Var(1))), [], [[0.0]], [True]),
+        # two 1e308 rows: each site's reduce overflows, every row is finite,
+        # so the row test runs and marks nothing
+        ("c1/(x1*c2)", [1.0, 1.0], [[1e308], [1e308]], [False, False]),
+        ("exp(c1/x1)", [1.0], [[1e308], [1e308]], [False, False]),
+        ("(x1*c1)**c2", [1.0, 0.5], [[1e308], [1e308]], [False, False]),
+        ("x1**c1", [1.0], [[1e308], [1e308]], [False, False]),
+        ("x1*c1+c1", [1.0], [[1e308], [1e308]], [False, False]),
+    ])
+    def test_each_site(self, root, params, rows, undefined):
+        e = infix(root) if isinstance(root, str) else Expression(root)
+        self.assert_like_oracle(e, params, rows)
+        assert np.isnan(evaluate_rows(e, params, rows)).tolist() == undefined, render(e)
+
+    def test_a_raw_root_passes_as_it_is(self):
+        X = np.array([[math.inf], [math.nan], [-0.0]])
+        assert evaluate_rows(infix("-x1"), (), X).tobytes() == (-X[:, 0]).tobytes()
+        assert evaluate_rows(infix("c1"), [math.inf], X).tolist() == [math.inf] * 3
 
 
 class TestOperatorSet:

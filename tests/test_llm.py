@@ -210,6 +210,10 @@ class TestHttp:
         b'{"choices":[{"message":{"content":"x"}}],"usage":{"prompt_tokens":1e400}}',
         b'{"choices":[{"message":{"content":"x"}}],"usage":{"prompt_tokens":-5}}',
         b'{"choices":[{"message":{"content":"x"}}],"usage":{"completion_tokens":-1}}',
+        # a count that is no JSON integer
+        *(b'{"choices":[{"message":{"content":"x"}}],"usage":{"%s":%s}}' % (key, count)
+          for key in (b"prompt_tokens", b"completion_tokens")
+          for count in (b"2.5", b"true", b'"7"', b"-0.0", b"1e20")),
     ])
     def test_malformed_body_is_backend_error(self, stub_server, monkeypatch, body):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
