@@ -224,13 +224,23 @@ def _render(n: Node) -> str:
 # 0), the argument of exp (exp(-inf) is 0) and an operand of ^ (inf**0,
 # 1**inf and nan**0 are 1). A raw operand (a leaf, or a negated leaf) is no
 # site of / or exp, ^ tests it for NaN only, and a ^ literal other than NaN
-# is no site. A site checks its operand once (np.add.reduce, or
-# math.isfinite for a scalar). Only when that is non-finite does it run its
-# row test (~isfinite, or isnan for a raw operand) and set those rows of
-# the node's result to NaN; a reduce that overflows on finite rows marks
-# none. So every value is non-finite exactly where a tree that marks each
-# site's rows with np.where on every call has one, and bit-equal to it
-# elsewhere: the MSE, and so every fit, is the same.
+# is no site; nor is a raw variable whose column of X is known to hold no
+# NaN. A site checks its operand once (np.add.reduce, or math.isfinite for
+# a scalar). Only when that is non-finite does it run its row test
+# (~isfinite, or isnan for a raw operand) and set those rows of the node's
+# result to NaN; a reduce that overflows on finite rows marks none. So
+# every value is non-finite exactly where a tree that marks each site's
+# rows with np.where on every call has one, and bit-equal to it elsewhere:
+# the MSE, and so every fit, is the same.
+#
+# The batched form, f(P, X) over S parameter rows P of shape (S, k), is the
+# same function on arrays one dimension up: a constant is the column
+# P[:, i:i+1], so a subtree without a variable is an (S, 1) column and one
+# with a variable is (S, rows). A site's reduce spans every point, and its
+# row test is elementwise, so it marks only the rows of the points where the
+# operand is non-finite. Row s of the result is bit-equal to the single-point
+# function at P[s] (NumPy's elementwise loops give the same bits on a
+# broadcast operand).
 
 _RUNTIME = {
     "asarray": np.asarray, "full": np.full, "where": np.where, "nan": np.nan,
@@ -239,30 +249,39 @@ _RUNTIME = {
 }
 
 
-def _is_raw(n: Node) -> bool:
+def _raw_leaf(n: Node) -> Node | None:
+    """The leaf of a raw operand (a leaf, or a negated leaf), else None."""
     while isinstance(n, Unary) and n.op == "neg":
         n = n.child
-    return isinstance(n, (Const, Var, Lit))
+    return n if isinstance(n, (Const, Var, Lit)) else None
 
 
-def _site_test(op: str, position: int, operand: Node) -> str | None:
+def _site_test(op: str, position: int, operand: Node,
+               nan_columns: frozenset[int] | None) -> str | None:
     """The row test of ``operand`` at ``position`` of an ``op`` node, or None
     where it is no site."""
+    leaf = _raw_leaf(operand)
     if op == "^":
         if isinstance(operand, Lit) and not math.isnan(operand.value):
             return None
-        return "isnan" if _is_raw(operand) else "nonfinite"
-    if (op == "exp" or op == "/" and position == 1) and not _is_raw(operand):
+        if isinstance(leaf, Var) and nan_columns is not None and leaf.index - 1 not in nan_columns:
+            return None
+        return "nonfinite" if leaf is None else "isnan"
+    if (op == "exp" or op == "/" and position == 1) and leaf is None:
         return "nonfinite"
     return None
 
 
-def _compile(root: Node, mark_root: bool) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The flat function of ``root``; ``mark_root`` makes a root that is not
-    raw a site too."""
+def _compile(root: Node, mark_root: bool = False, batched: bool = False,
+             nan_columns: frozenset[int] | None = None) -> Callable:
+    """The flat function of ``root``: ``f(p, X)``, or with ``batched``
+    ``f(P, X)`` over the rows of ``P``. ``mark_root`` makes a root that is
+    not raw a site too. ``nan_columns`` holds the 0-based columns of every
+    ``X`` the function will see that may hold NaN; None means any may."""
     ns = dict(_RUNTIME)
     body: list[str] = []
     leaves: dict[Node, str] = {}
+    check = "reduce({}, None)" if batched else "reduce({})"
 
     def bind(value) -> str:
         name = f"b{len(ns)}"
@@ -270,20 +289,23 @@ def _compile(root: Node, mark_root: bool) -> Callable[[np.ndarray, np.ndarray], 
         return name
 
     def site(t: str, operand: str, is_array: bool, test: str) -> None:
-        check = f"reduce({operand})" if is_array else operand
-        body.append(f"if not isfinite({check}):\n        {t} = where({test}({operand}), nan, {t})")
+        checked = check.format(operand) if is_array else operand
+        body.append(f"if not isfinite({checked}):\n        {t} = where({test}({operand}), nan, {t})")
 
     def emit(n: Node) -> tuple[str, bool]:
         """Append the statements of ``n``; return the name of its value and
-        whether that is a row array (a subtree without a variable is a scalar)."""
+        whether that is an array: a subtree without a variable is a scalar,
+        but in the batched form one with a constant is an (S, 1) column."""
         if isinstance(n, Lit):
             return bind(float(n.value)), False
         if isinstance(n, (Const, Var)):
             if n not in leaves:
                 i = operator.index(n.index) - 1
                 leaves[n] = f"v{len(leaves)}"
-                body.append(f"{leaves[n]} = " + (f"p[{i}]" if isinstance(n, Const) else f"X[:, {i}]"))
-            return leaves[n], isinstance(n, Var)
+                read = (f"X[:, {i}]" if isinstance(n, Var)
+                        else f"p[:, {i}:{i + 1}]" if batched else f"p[{i}]")
+                body.append(f"{leaves[n]} = {read}")
+            return leaves[n], batched or isinstance(n, Var)
         if isinstance(n, Unary) and n.op in UNARY_OPERATORS:
             fn, operands = UNARY_OPERATORS[n.op], [n.child]
         elif isinstance(n, Binary) and n.op in BINARY_OPERATORS:
@@ -296,15 +318,16 @@ def _compile(root: Node, mark_root: bool) -> Callable[[np.ndarray, np.ndarray], 
         t = f"t{len(body)}"
         body.append(f"{t} = {bind(fn)}({', '.join(name for name, _ in args)})")
         for position, (operand, (name, is_array)) in enumerate(zip(operands, args)):
-            test = _site_test(n.op, position, operand)
+            test = _site_test(n.op, position, operand, nan_columns)
             if test is not None:
                 site(t, name, is_array, test)
         return t, any(is_array for _, is_array in args)
 
     out, is_array = emit(root)
-    if mark_root and not _is_raw(root):
+    if mark_root and _raw_leaf(root) is None:
         site(out, out, is_array, "nonfinite")
-    body.append(f"return {out}" if is_array else f"return full(X.shape[0], float({out}))")
+    shape = "(p.shape[0], X.shape[0])" if batched else "X.shape[0]"
+    body.append(f"return {out}" if is_array else f"return full({shape}, float({out}))")
     source = "def evaluator(p, X):\n    p = asarray(p, dtype=float)\n    X = asarray(X, dtype=float)\n"
     exec(compile(source + "".join(f"    {line}\n" for line in body), "<srloop evaluator>", "exec"), ns)
     return ns["evaluator"]
@@ -324,7 +347,19 @@ def compile_evaluator(e: Expression) -> Callable[[np.ndarray, np.ndarray], np.nd
     Call the returned function under ``np.errstate(all="ignore")``: it does
     not enter one itself, so that a fit can enter it once per local solve.
     """
-    return _compile(e.root, mark_root=False)
+    return _compile(e.root)
+
+
+def compile_for_rows(e: Expression, X: np.ndarray):
+    """The single-point and the batched evaluator of ``e`` for the fixed
+    input matrix ``X`` alone: ``(f(params, X) -> (rows,), g(P, X) -> (S,
+    rows) or broadcastable to it)``, where row s of ``g`` is bit-equal to
+    ``f`` at ``P[s]``. A raw variable operand of ``^`` is tested for NaN
+    only if its column of ``X`` holds one. The same call rules as
+    :func:`compile_evaluator` hold."""
+    nan_columns = frozenset(np.flatnonzero(np.isnan(X).any(axis=0)).tolist())
+    return (_compile(e.root, nan_columns=nan_columns),
+            _compile(e.root, batched=True, nan_columns=nan_columns))
 
 
 def evaluate_rows(e: Expression, params, X) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Shared test utilities: random expression trees, an independent scalar
-evaluation oracle, the reference closure evaluator and simplex, small ad-hoc
-datasets, and scripted model replies and transcripts."""
+evaluation oracle, the reference closure evaluator, simplex and basin
+hopping, small ad-hoc datasets, and scripted model replies and transcripts."""
 
 from __future__ import annotations
 
@@ -288,6 +288,28 @@ def oracle_nelder_mead(func, x0, max_evals: int, tol: float = 1e-8):
             sim.insert(k, x)
             fsim.insert(k, f)
     return np.array(sim[0]), fsim[0], evals, converged
+
+
+def oracle_minimize(func, x0, cfg, improved: list | None = None):
+    """``optimize.minimize`` as it was before its hops ran in lockstep: one
+    hop after another, each perturbation drawn as the hop starts, every
+    objective value from a call of ``func`` on one point. Appends the index
+    of each hop that improves to ``improved``, when given."""
+    from srloop.optimize import nelder_mead
+
+    rng = np.random.default_rng(cfg.seed)
+    best_x, best_f, evals, converged = nelder_mead(func, x0, cfg)
+    n = np.size(x0)
+    if n:
+        for hop in range(cfg.hops):
+            trial = best_x + cfg.step_scale * rng.standard_normal(n)
+            x, fv, ev, conv = nelder_mead(func, trial, cfg)
+            evals += ev
+            if fv < best_f:
+                best_x, best_f, converged = x, fv, conv
+                if improved is not None:
+                    improved.append(hop)
+    return best_x, best_f, evals, converged
 
 
 def reply(*exprs: str, scratchpad: str = "scratchpad: looking at trends.") -> str:

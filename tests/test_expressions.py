@@ -19,10 +19,12 @@ from srloop.expressions import (
     UnknownOperatorError,
     Var,
     compile_evaluator,
+    compile_for_rows,
     complexity,
     evaluate_rows,
     render,
 )
+from srloop.optimize import mse_objective
 from srloop.parsing import parse
 from srloop.prompts import operator_note
 
@@ -147,7 +149,9 @@ class TestFlatCompiler:
     """The flat compiler against the closure compiler it replaced
     (``helpers.oracle_evaluator``): ``compile_evaluator`` is non-finite
     exactly where the oracle is and bit-equal elsewhere, and
-    ``evaluate_rows`` is byte-equal to the oracle with its root guarded."""
+    ``evaluate_rows`` is byte-equal to the oracle with its root guarded.
+    The batched form, on mixed batches of points, against
+    ``compile_evaluator`` at each point."""
 
     PARAMS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]
     ROWS = [0.0, -0.0, 1e308, -1e308, 5e-324, 1.0, -1.0]
@@ -165,6 +169,31 @@ class TestFlatCompiler:
             want = oracle_evaluator(e, mark_root=True)(params, X)
         assert evaluate_rows(e, params, X).tobytes() == want.tobytes(), (render(e), params)
 
+    @staticmethod
+    def assert_batch_like_single(e, points, X):
+        """Row s of the batched form is ``compile_evaluator`` at point s,
+        non-finite in the same places and byte-equal elsewhere; so is the
+        single-point form compiled for ``X``; and the batched MSE of each
+        point is the objective's value there, inf included."""
+        X = np.asarray(X, dtype=float)
+        P = np.asarray(points, dtype=float).reshape(len(points), e.n_constants)
+        evaluator = compile_evaluator(e)
+        single, batched = compile_for_rows(e, X)
+        y = np.linspace(-1.0, 1.0, len(X))
+        objective = mse_objective(e, X, y)
+        with np.errstate(all="ignore"):
+            rows = batched(P, X)
+            mses = objective.batch(P.tolist())
+            for s, params in enumerate(P):
+                want = evaluator(params, X)
+                finite = np.isfinite(want)
+                for got in (np.broadcast_to(rows, (len(P), len(X)))[s], single(params, X)):
+                    assert got.shape == want.shape, render(e)
+                    assert np.array_equal(np.isfinite(got), finite), (render(e), P, s, got, want)
+                    assert got[finite].tobytes() == want[finite].tobytes(), (render(e), P, s)
+                assert np.float64(mses[s]).tobytes() == np.float64(objective(params)).tobytes()
+        assert np.broadcast_shapes(rows.shape, (len(P), len(X))) == (len(P), len(X)), render(e)
+
     def test_random_trees_with_adversarial_params(self):
         rng = random.Random(2024)
         nprng = np.random.default_rng(2024)
@@ -173,15 +202,26 @@ class TestFlatCompiler:
                 np.array([[v] * n_vars for v in self.ROWS]),
                 nprng.standard_normal((6, n_vars)) * 3,
             ])
+            # a NaN in the last column: a raw operand of ^ there is tested
+            nan_X = np.concatenate([X, [[1.0] * (n_vars - 1) + [math.nan]]])
             for i in range(300):
                 if i % 2:
                     e = random_expression(rng, n_vars=n_vars, max_depth=4)
                 else:  # free exponents too: ^ with a non-raw exponent
                     e = Expression(random_node(rng, n_vars, 4, free_exponents=True))
+                points = []
                 for _ in range(2):
                     params = [rng.choice(self.PARAMS) if rng.random() < 0.3
                               else float(nprng.standard_normal()) for _ in range(e.n_constants)]
                     self.assert_like_oracle(e, params, X)
+                    points.append(params)
+                # mixed batches: a point whose sites fire beside finite points
+                finite = [[float(v) for v in nprng.standard_normal(e.n_constants)]
+                          for _ in range(3)]
+                adversarial = [[rng.choice(self.PARAMS) for _ in range(e.n_constants)]]
+                batch = [finite[0], *points, finite[1], *adversarial, finite[2]]
+                self.assert_batch_like_single(e, batch, X if i % 3 else nan_X)
+                self.assert_batch_like_single(e, batch[:1], X)
 
     @pytest.mark.parametrize("root,params,rows,undefined", [
         # / : c/inf is 0, and c/0 is inf, both undefined
@@ -214,7 +254,26 @@ class TestFlatCompiler:
     def test_each_site(self, root, params, rows, undefined):
         e = infix(root) if isinstance(root, str) else Expression(root)
         self.assert_like_oracle(e, params, rows)
+        ones = [1.0] * e.n_constants
+        self.assert_batch_like_single(e, [ones, params, ones, params], rows)
         assert np.isnan(evaluate_rows(e, params, rows)).tolist() == undefined, render(e)
+
+    def test_a_nan_column_is_tested_in_every_form(self):
+        # nan**0 is 1, so a NaN in x1 must mark its row, on any X
+        e = infix("x1**c1")
+        X = np.array([[math.nan], [2.0]])
+        single, batched = compile_for_rows(e, X)
+        with np.errstate(all="ignore"):
+            assert np.isnan(compile_evaluator(e)([0.0], X)).tolist() == [True, False]
+            assert np.isnan(single([0.0], X)).tolist() == [True, False]
+            assert np.isnan(batched(np.array([[0.0], [1.0]]), X)).tolist() == [[True, False]] * 2
+        assert np.isnan(evaluate_rows(e, [0.0], X)).tolist() == [True, False]
+        # forms compiled for rows without a NaN do not test x1 on each call
+        # (so, given a NaN outside their contract, they pass nan**0 through)
+        single, batched = compile_for_rows(e, np.array([[1.0], [2.0]]))
+        with np.errstate(all="ignore"):
+            assert single([0.0], X).tolist() == [1.0, 1.0]
+            assert batched(np.array([[0.0]]), X).tolist() == [[1.0, 1.0]]
 
     def test_a_raw_root_passes_as_it_is(self):
         X = np.array([[math.inf], [math.nan], [-0.0]])

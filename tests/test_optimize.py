@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import make_dataset, oracle_nelder_mead, random_expression
+from helpers import make_dataset, oracle_minimize, oracle_nelder_mead, random_expression
 
 from srloop.data import load_builtin
-from srloop.expressions import Dialect, evaluate_rows
+from srloop.expressions import Dialect, evaluate_rows, render
 from srloop.optimize import (
+    HOP_WINDOW,
     FitConfig,
     NoFiniteObjectiveError,
     TooManyConstantsError,
@@ -290,6 +291,55 @@ def test_solves_match_the_reference_simplex(name):
                 ox, ofv, oevals, oconv = oracle_nelder_mead(func, x0, max_evals)
                 assert (x.tobytes(), fv, evals, conv) == (ox.tobytes(), ofv, oevals, oconv), (
                     n, x0.tolist(), max_evals)
+
+
+# hop counts around the window: fewer hops than it holds, one window, a window
+# and one more, two windows and one more, and the default
+LOCKSTEP_HOPS = [1, HOP_WINDOW - 1, HOP_WINDOW, HOP_WINDOW + 1, 2 * HOP_WINDOW + 1, 25]
+
+
+def _same_result(got, want):
+    return (got[0].tobytes(), *got[1:]) == (want[0].tobytes(), *want[1:])
+
+
+def test_lockstep_hops_commit_the_sequential_ones():
+    # every committed hop, and so the result, is the one-by-one hop's: the
+    # corpus has improvements at each slot of a window (counted from the
+    # first hop after the last improvement, where the window refills) and
+    # fits where no hop improves
+    slots, idle = set(), 0
+    for seed, name in enumerate(("bode", "dual_site_langmuir", "hubble", "kepler", "langmuir")):
+        d = load_builtin(name)
+        rng = random.Random(seed)
+        for i in range(4 * len(LOCKSTEP_HOPS)):
+            e = random_expression(rng, n_vars=1)
+            cfg = FitConfig(hops=LOCKSTEP_HOPS[i % len(LOCKSTEP_HOPS)], seed=i, max_evals=600)
+            objective = mse_objective(e, d.X, d.y)
+            x0 = np.asarray(e.initial_guess(), dtype=float)
+            improved = []
+            want = oracle_minimize(objective, x0, cfg, improved)
+            assert _same_result(minimize(objective, x0, cfg), want), (name, render(e), cfg.hops)
+            start = 0
+            for hop in improved:
+                slots.add(hop - start)
+                start = hop + 1
+            idle += x0.size > 0 and not improved
+    assert {0, HOP_WINDOW - 1} <= slots and slots & set(range(1, HOP_WINDOW - 1)), slots
+    assert idle
+
+
+@pytest.mark.parametrize("name", STALLING)
+def test_lockstep_hops_on_stalling_objectives(name):
+    # scalar objectives without a batch: minimize calls them point by point
+    func = STALLING[name]
+    rng = np.random.default_rng(sorted(STALLING).index(name))
+    for n in (1, 2, 3):
+        for x0 in (np.full(n, -2.0), rng.standard_normal(n)):
+            for hops in LOCKSTEP_HOPS:
+                for max_evals in (7, 97):
+                    cfg = FitConfig(hops=hops, seed=n, max_evals=max_evals)
+                    assert _same_result(minimize(func, x0, cfg), oracle_minimize(func, x0, cfg)), (
+                        n, x0.tolist(), hops, max_evals)
 
 
 @pytest.mark.parametrize("x0,max_evals,expected", [
