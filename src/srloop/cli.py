@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import json
 import os
 import sys
@@ -447,6 +448,7 @@ def cmd_datasets(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; parse_args leaves the parser as it was
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srloop",

@@ -5,20 +5,23 @@ coefficients are part of the public fit configuration and the hopping
 acceptance rule is strictly-better-only (no Metropolis temperature), which
 together with a seeded generator makes every fit bit-reproducible.
 
-The simplex is written once, as a generator that asks for one point at a
-time. ``nelder_mead`` drives one of them with a scalar objective;
-``minimize`` drives ``HOP_WINDOW`` basin hops in lockstep, one batched
-objective call per round, and commits them in hop order, so a fit's hops,
-result and evaluation count are those of running the hops one by one.
+The simplex is one generator that asks for one point at a time. It is
+generated as source and compiled once per number of coordinates, on the
+first solve of that dimension, with each coordinate a local of its own; the
+source holds only names and indices made from that number. ``nelder_mead``
+drives one of them with a scalar objective; ``minimize`` drives
+``HOP_WINDOW`` basin hops in lockstep, one batched objective call per
+round, and commits them in hop order, so a fit's hops, result and
+evaluation count are those of running the hops one by one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from operator import add
 
 import numpy as np
 
@@ -100,10 +103,16 @@ def nelder_mead(func, x0, cfg: FitConfig):
     evaluated. A simplex that returns to an earlier state with no new point
     would repeat that cycle until the budget, so whole cycles are skipped by
     adding their evaluations to ``evals``: the result is the same.
-    ``minimize`` runs the same simplex on its hops, several at once.
+    The simplex is a generator compiled once per process for x0's dimension
+    (see ``_simplex``); ``minimize`` runs the same one on its hops, several
+    at once. Its source holds only names and indices made from the
+    dimension, and it keeps the float operations of the NumPy form in their
+    order (the centroid summed row by row, never by ``sum()``), so its
+    results are bit for bit those of that form.
     """
+    x0 = np.asarray(x0, dtype=float)
     with np.errstate(all="ignore"):
-        solve = _simplex(x0, cfg)
+        solve = _simplex(x0.size)(x0.tolist(), cfg)
         try:
             x = next(solve)
             while True:
@@ -116,32 +125,32 @@ def _finite(v: float) -> float:
     return v if math.isfinite(v) else math.inf
 
 
-def _simplex(x0, cfg: FitConfig):
-    """The simplex of ``nelder_mead`` as a generator: it yields each point
-    (a list of floats) whose value it needs, is sent that value (a float,
-    inf where not finite), and returns ``(x, fval, evals, converged)``.
-    Points found in its memo are not yielded."""
-    # The simplex is kept as lists of Python floats: on 1 to 10 coordinates
-    # that is cheaper than NumPy calls. Fits must stay bit-identical to those
-    # of the NumPy form (earlier logs and the pinned tests hold its bits), so
-    # every point takes its operations in NumPy's order: the centroid is a
-    # row-by-row sum then / n (the order of np.add.reduce(sim[:-1], axis=0)
-    # / n), each trial point is c + coef * (p - c) per coordinate, and the
-    # vertex order is a stable sort by value. Each point is looked up in the
-    # memo before it is yielded, and evals counts it either way.
+@functools.cache
+def _simplex(n: int):
+    """The simplex of ``nelder_mead`` on n coordinates, compiled on its first
+    use: a generator function ``simplex(x0, cfg)`` over a list of n floats.
+    It yields each point (a tuple of floats) whose value it needs, is sent
+    that value (a float, inf where not finite), and returns ``(x, fval,
+    evals, converged)``. Points found in its memo are not yielded. Two
+    threads may both compile an n; either function is correct."""
+    ns = {"key": struct.Struct(f"{n}d").pack, "array": np.array, "bisect_right": bisect_right,
+          "nonzero_step": 1.05, "zero_step": 0.00025}
+    exec(compile(_source(n), f"<srloop simplex {n}>", "exec"), ns)
+    return ns["simplex"]
+
+
+# The simplex as source, for _source to fill in. Its coordinates are written
+# out one statement or term each: {v0} is the tuple of locals v0_0, v0_1, ...
+# that holds vertex 0 (the best), {centroid} the statements c0 = ..., c1 =
+# ..., and so on.
+_START = """\
+def simplex(x0, cfg):
     alpha, gamma, rho, sigma = cfg.reflection, cfg.expansion, cfg.contraction, cfg.shrink
     tol, max_evals = cfg.tol, cfg.max_evals
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
     evals = 0
-    seen: dict[bytes, float] = {}  # float64 bytes of a point -> its value
-    key = struct.Struct(f"{n}d").pack
-
-    sim = [x0.tolist()]
-    for i in range(n):
-        y = list(sim[0])
-        y[i] = y[i] * 1.05 if y[i] != 0 else 0.00025
-        sim.append(y)
+    seen = {{}}  # float64 bytes of a point -> its value
+    {v0} = x0
+    sim = [{vertices}]
     fsim = []
     for x in sim:
         evals += 1
@@ -149,11 +158,10 @@ def _simplex(x0, cfg: FitConfig):
         if f is None:
             f = seen[k] = yield x
         fsim.append(f)
-    if n == 0:
-        return x0, fsim[0], evals, True
-    order = sorted(range(n + 1), key=fsim.__getitem__)
+"""
+_STEPS = """\
+    order = sorted(range({n1}), key=fsim.__getitem__)
     sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
-
     converged = False
     # func is pure and each fsim[i] is its value at sim[i], so the loop body
     # is a function of the vertices' bytes: a state that comes back repeats
@@ -162,7 +170,7 @@ def _simplex(x0, cfg: FitConfig):
     # periods are skipped on evals. The skipped ones end at or before
     # max_evals - 1, so neither budget test (the while bound, the shrink's
     # break) would have fired inside them.
-    states: dict[tuple[bytes, ...], int] = {}  # vertex bytes since the last new point -> evals
+    states = {{}}  # vertex bytes since the last new point -> evals
     known = len(seen)
     while evals + 2 <= max_evals:
         if len(seen) > known:
@@ -174,30 +182,27 @@ def _simplex(x0, cfg: FitConfig):
             if first < evals:
                 period = evals - first
                 evals += (max_evals - 1 - evals) // period * period
-                states = {state: evals}
+                states = {{state: evals}}
                 continue
+        {vertices} = sim
         # fsim is sorted, so its spread is fsim[-1] - fsim[0]; inf - inf is
         # NaN and NaN <= tol is False, so an all-inf simplex never converges,
         # and neither does one with a NaN coordinate
-        if fsim[-1] - fsim[0] <= tol and all(
-            abs(v - b) <= tol for row in sim[1:] for v, b in zip(row, sim[0])
-        ):
+        if fsim[-1] - fsim[0] <= tol{close}:
             converged = True
             break
-        centroid = sim[0]
-        for row in sim[1:n]:
-            centroid = list(map(add, centroid, row))
-        centroid = [c / n for c in centroid]
-        worst = sim[-1]
-        xr = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
+        {centroid}
+        {reflection}
+        xr = {xr}
         evals += 1
-        fr = seen.get(k := key(*xr))
+        fr = seen.get(k := key({r}))
         if fr is None:
             fr = seen[k] = yield xr
         if fr < fsim[0]:
-            xe = [c + gamma * (r - c) for c, r in zip(centroid, xr)]
+            {expansion}
+            xe = {xe}
             evals += 1
-            fe = seen.get(k := key(*xe))
+            fe = seen.get(k := key({e}))
             if fe is None:
                 fe = seen[k] = yield xe
             x, f = (xe, fe) if fe < fr else (xr, fr)
@@ -206,34 +211,81 @@ def _simplex(x0, cfg: FitConfig):
         else:
             outside = fr < fsim[-1]
             if outside:
-                x = [c + rho * (r - c) for c, r in zip(centroid, xr)]
+                {outside}
             else:
-                x = [c + rho * (w - c) for c, w in zip(centroid, worst)]
+                {inside}
+            x = {xt}
             evals += 1
-            f = seen.get(k := key(*x))
+            f = seen.get(k := key({t}))
             if f is None:
                 f = seen[k] = yield x
             if not (f <= fr if outside else f < fsim[-1]):
-                best = sim[0]
-                for i in range(1, n + 1):
-                    sim[i] = [b + sigma * (v - b) for b, v in zip(best, sim[i])]
+                for i in range(1, {n1}):
+                    {w} = sim[i]
+                    sim[i] = x = {shrunk}
                     evals += 1
-                    f = seen.get(k := key(*sim[i]))
+                    f = seen.get(k := key(*x))
                     if f is None:
-                        f = seen[k] = yield sim[i]
+                        f = seen[k] = yield x
                     fsim[i] = f
                     if evals >= max_evals:
                         break
-                order = sorted(range(n + 1), key=fsim.__getitem__)
+                order = sorted(range({n1}), key=fsim.__getitem__)
                 sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
                 continue
         # only the worst vertex changed: move it to where a stable sort puts it
-        k = bisect_right(fsim, f, 0, n)
+        k = bisect_right(fsim, f, 0, {n})
         del sim[-1], fsim[-1]
         sim.insert(k, x)
         fsim.insert(k, f)
+    return array(sim[0]), fsim[0], evals, converged
+"""
 
-    return np.array(sim[0]), fsim[0], evals, converged
+
+def _source(n: int) -> str:
+    """The source of ``_simplex(n)``. It holds only names and indices made
+    from n: coefficients and budgets are read from ``cfg`` as it runs, and
+    the start's perturbation factors are bound by name.
+
+    Fits must stay bit-identical to those of the NumPy form of the simplex
+    (earlier logs and the pinned tests hold its bits), so every point takes
+    its operations in NumPy's order: the centroid is a row-by-row sum, left
+    to right, then a division by the int n (the order of
+    np.add.reduce(sim[:-1], axis=0) / n; never sum(), which Python 3.12 made
+    compensated), each trial point is c + coef * (p - c) per coordinate, and
+    the vertex order is a stable sort by value. Each point is looked up in
+    the memo before it is yielded, and evals counts it either way."""
+    J = range(n)
+
+    def tup(items) -> str:
+        items = list(items)
+        return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+    def point(template: str) -> str:  # a tuple of template per coordinate j
+        return tup(template.format(j=j) for j in J)
+
+    def each(template: str, indent: int) -> str:  # one statement per coordinate j
+        return ("\n" + " " * indent).join(template.format(j=j) for j in J)
+
+    v0 = point("v0_{j}")
+    perturbed = (tup(f"v0_{j} * nonzero_step if v0_{j} != 0 else zero_step" if j == i
+                     else f"v0_{j}" for j in J) for i in J)
+    start = _START.format(v0=v0, vertices=", ".join([v0, *perturbed]))
+    if n == 0:
+        return start + "    return array(sim[0]), fsim[0], evals, True\n"
+    return start + _STEPS.format(
+        n=n, n1=n + 1,
+        vertices=", ".join(point(f"v{i}_{{j}}") for i in range(n + 1)),
+        close="".join(f" and abs(v{i}_{j} - v0_{j}) <= tol" for i in range(1, n + 1) for j in J),
+        centroid=each(f"c{{j}} = ({' + '.join(f'v{i}_{{j}}' for i in J)}) / {n}", 8),
+        reflection=each(f"r{{j}} = c{{j}} + alpha * (c{{j}} - v{n}_{{j}})", 8),
+        expansion=each("e{j} = c{j} + gamma * (r{j} - c{j})", 12),
+        outside=each("t{j} = c{j} + rho * (r{j} - c{j})", 16),
+        inside=each(f"t{{j}} = c{{j}} + rho * (v{n}_{{j}} - c{{j}})", 16),
+        xr=point("r{j}"), r=", ".join(f"r{j}" for j in J),
+        xe=point("e{j}"), e=", ".join(f"e{j}" for j in J),
+        xt=point("t{j}"), t=", ".join(f"t{j}" for j in J),
+        w=point("w{j}"), shrunk=point("v0_{j} + sigma * (w{j} - v0_{j})"))
 
 
 def minimize(func, x0, cfg: FitConfig):
@@ -256,6 +308,7 @@ def minimize(func, x0, cfg: FitConfig):
     n = np.size(x0)
     if not n:
         return best_x, best_f, evals, converged
+    simplex = _simplex(n)
     steps = rng.standard_normal((cfg.hops, n))  # the numbers of one standard_normal(n) per hop
     batch = getattr(func, "batch", None) or (
         lambda points: [_finite(float(func(np.array(x, dtype=float)))) for x in points])
@@ -264,7 +317,7 @@ def minimize(func, x0, cfg: FitConfig):
     with np.errstate(all="ignore"):
         while flight or hop < cfg.hops:
             while len(flight) < HOP_WINDOW and hop < cfg.hops:
-                solve = _simplex(best_x + cfg.step_scale * steps[hop], cfg)
+                solve = simplex((best_x + cfg.step_scale * steps[hop]).tolist(), cfg)
                 flight.append([solve, next(solve), None])  # a new memo: x0 is a new point
                 hop += 1
             live = [h for h in flight if h[2] is None]

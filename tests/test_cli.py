@@ -642,6 +642,24 @@ class TestPareto:
                                                              f"{Path('fr', name)}: ")
 
 
+def test_commands_in_one_process_are_independent(finished_runs, workdir, capsys):
+    # main builds its parser once per process: no command's arguments or
+    # defaults may reach the next one
+    assert main(["score", *finished_runs, "--target", "langmuir", "--out", "first.csv"]) == 0
+    assert main(["score", *finished_runs, "--target", "langmuir"]) == 0
+    assert main(["pareto", *finished_runs, "--out", "fronts"]) == 0
+    capsys.readouterr()
+    assert main(["score", *finished_runs, "--target", "langmuir", "--frobnicate"]) == cli.EXIT_CONFIG
+    assert "--frobnicate" in capsys.readouterr().err
+    assert main(["pareto", *finished_runs]) == 0
+    assert main(["score", *finished_runs, "--target", "langmuir", "--out", "last.csv"]) == 0
+    first = (workdir / "first.csv").read_text()
+    assert (workdir / "score.csv").read_text() == first == (workdir / "last.csv").read_text()
+    for name in ("pareto_run01.csv", "pareto_total.csv"):
+        assert (workdir / "pareto" / name).read_text() == (workdir / "fronts" / name).read_text()
+    assert cli._parser() is cli._parser()
+
+
 @pytest.mark.parametrize("part,key", [
     ("header", "dataset"), ("header", "config"),
     ("summary", "rediscovery_iteration"), ("summary", "store"),

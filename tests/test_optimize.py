@@ -1,5 +1,8 @@
+import hashlib
 import math
 import random
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -7,8 +10,9 @@ import pytest
 
 from helpers import make_dataset, oracle_minimize, oracle_nelder_mead, random_expression
 
+from srloop import optimize
 from srloop.data import load_builtin
-from srloop.expressions import Dialect, evaluate_rows, render
+from srloop.expressions import MAX_CONSTANTS, Dialect, evaluate_rows, render
 from srloop.optimize import (
     HOP_WINDOW,
     FitConfig,
@@ -291,6 +295,107 @@ def test_solves_match_the_reference_simplex(name):
                 ox, ofv, oevals, oconv = oracle_nelder_mead(func, x0, max_evals)
                 assert (x.tobytes(), fv, evals, conv) == (ox.tobytes(), ofv, oevals, oconv), (
                     n, x0.tolist(), max_evals)
+
+
+def _seeded_objectives(rng: random.Random, n: int) -> dict:
+    """Objectives on n coordinates in Python floats alone, drawn from rng: a
+    tilted bowl, a banana valley, the bowl on a half-space only, the bowl
+    telling -0.0 from 0.0 in its first coordinate, and nowhere finite."""
+    centre = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+    weight = [rng.uniform(0.5, 4.0) for _ in range(n)]
+
+    def bowl(x):
+        total = 0.0
+        for v, c, w in zip(x.tolist(), centre, weight):
+            total += w * (v - c) * (v - c)
+        return total
+
+    def valley(x):
+        v = x.tolist()
+        total = 0.0
+        for a, b in zip(v, v[1:]):
+            total += 100.0 * (b - a * a) * (b - a * a) + (1.0 - a) * (1.0 - a)
+        return total
+
+    def first(x):
+        return (x.tolist() or [0.0])[0]
+
+    return {
+        "bowl": bowl,
+        "valley": valley,
+        "half_space": lambda x: bowl(x) if first(x) < 0.5 else math.inf,
+        "copysign": lambda x: bowl(x) - 1e-3 * math.copysign(1.0, first(x)),
+        "all_inf": lambda x: math.inf,
+        "all_nan": lambda x: math.nan,
+    }
+
+
+# SHA-256 over the repr of every (x, fval, evals, converged) of the test
+# below; its objectives use Python floats alone, so it holds on every platform
+SIMPLEX_DIGEST = "19af4191d2d95563e9597a2f4f1e5a0037b2367b1f5cdfb7a9c7d49097dd946b"
+
+
+def test_every_dimension_matches_the_reference_simplex(monkeypatch):
+    # each n from 0 to MAX_CONSTANTS is compiled once, on its first solve, and
+    # solves as the reference does: from starts with 0.0 and -0.0 coordinates
+    # (which take the 0.00025 step) and at budgets up to the first few
+    # iterations, so that an all-inf solve stops inside a shrink
+    compiled = []
+    source = optimize._source
+    monkeypatch.setattr(optimize, "_source", lambda n: compiled.append(n) or source(n))
+    optimize._simplex.cache_clear()
+    results = []
+    for n in range(MAX_CONSTANTS + 1):
+        rng = random.Random(n)
+        objectives = _seeded_objectives(rng, n)
+        starts = [[(0.0, -0.0)[j % 2] for j in range(n)],
+                  [(0.0, -0.0, rng.uniform(-3.0, 3.0))[j % 3] for j in range(n)],
+                  [rng.gauss(0.0, 2.0) for _ in range(n)]]
+        for name, func in objectives.items():
+            for x0 in map(np.array, starts):
+                for max_evals in [*range(1, 2 * n + 6), 150, 1000]:
+                    got = nelder_mead(func, x0, FitConfig(max_evals=max_evals))
+                    want = oracle_nelder_mead(func, x0, max_evals)
+                    assert _same_result(got, want), (n, name, x0.tolist(), max_evals)
+                    results.append(repr((got[0].tolist(), *got[1:])))
+    assert compiled == list(range(MAX_CONSTANTS + 1))
+    digest = hashlib.sha256("\n".join(results).encode()).hexdigest()
+    assert digest == SIMPLEX_DIGEST
+
+
+def test_dimensions_compiled_on_concurrent_threads_solve_alike():
+    # the runs of a batch fit on concurrent threads, so several threads may
+    # compile the same or different dimensions at once; each solve must still
+    # get its own dimension's simplex
+    func = STALLING["copysign"]
+    dims = list(range(1, 6))
+    cfg = FitConfig(max_evals=40)
+    want = {n: nelder_mead(func, np.full(n, 0.5), cfg) for n in dims}
+    got, errors = [], []
+
+    def work(order):
+        try:
+            for n in order:
+                got.append((n, nelder_mead(func, np.full(n, 0.5), cfg)))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(10):
+            optimize._simplex.cache_clear()
+            threads = [threading.Thread(target=work, args=(dims[::(-1) ** i],)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert len(got) == 10 * 6 * len(dims)
+    assert all(_same_result(result, want[n]) for n, result in got)
 
 
 # hop counts around the window: fewer hops than it holds, one window, a window
