@@ -27,9 +27,11 @@ from typing import get_args, get_type_hints
 
 from . import data, engine
 from .engine import BackendFailure, ConfigError, RunConfig
+from .expressions import Dialect
 from .llm import BackendConfig, ScriptedBackend, TokenUsage, UnknownModelError, estimate_cost
 from .optimize import FitConfig
 from .pareto import Candidate, CandidateStore, FeedbackPolicy
+from .parsing import parse
 from .prompts import PromptConfig, extra_instruction
 
 EXIT_OK = 0
@@ -348,13 +350,14 @@ def cmd_score(args) -> int:
         print("error: no run logs given", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        dataset = data.load_builtin(args.target)
+        info = data.dataset_info(args.target)  # the manifest alone: score reads no rows
     except data.UnknownDatasetError:
         print(f"error: unknown dataset {args.target!r}", file=sys.stderr)
         return EXIT_CONFIG
-    if dataset.target is None:
+    if not info["target"]:
         print(f"error: dataset {args.target!r} has no target model", file=sys.stderr)
         return EXIT_CONFIG
+    target = parse(info["target"], Dialect.INFIX, list(info["variables"]))
     logs = []
     iterations = 0
     for path, log_data in zip(args.logs, _load_logs(args.logs)):
@@ -372,7 +375,7 @@ def cmd_score(args) -> int:
         for i, n in enumerate(score, start=1):
             writer.writerow([i, n])
     found = sum(1 for log in logs if log.rediscovery_iteration is not None)
-    print(f"target: {dataset.target}")
+    print(f"target: {target}")
     print(f"runs: {len(logs)}, rediscovered in {found}")
     print("iteration  found-by")
     for i, n in enumerate(score, start=1):

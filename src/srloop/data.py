@@ -9,6 +9,7 @@ the per-dataset operator additions for the easy search.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -78,8 +79,15 @@ def _bundle():
 
 
 def _manifest() -> dict:
-    with resources.as_file(_bundle() / "manifest.json") as p:
-        return json.loads(Path(p).read_text())
+    """The manifest of the bundle, a new dict on every call: callers may
+    change it without changing what the next call returns."""
+    return json.loads(_read_text(_bundle() / "manifest.json"))
+
+
+@functools.cache  # once per process and file
+def _read_text(path) -> str:
+    with resources.as_file(path) as p:
+        return Path(p).read_text()
 
 
 def builtin_ids() -> list[str]:

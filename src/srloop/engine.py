@@ -498,7 +498,13 @@ def store_from_log(log_data: dict, variables) -> CandidateStore:
 def replay(log_data: dict, dataset: Dataset | None = None) -> RunLog:
     """Re-run the engine against a scripted backend built from the logged
     responses; with an unchanged log this reproduces the store exactly."""
-    cfg = config_from_dict(log_data["header"]["config"])
+    config = log_data["header"]["config"]
+    fit = config.get("fit", {})
+    if isinstance(fit, dict) and "solve_linear" not in fit:
+        # a log written before fits had the least-squares path fitted every
+        # candidate with the simplex, so it replays with solve_linear off
+        config = {**config, "fit": {**fit, "solve_linear": False}}
+    cfg = config_from_dict(config)
     responses = [text for rec in log_data["iterations"] for text in rec["responses"]]
     return run(cfg, dataset=dataset, backend=ScriptedBackend(responses, name="replay"))
 

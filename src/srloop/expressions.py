@@ -357,9 +357,21 @@ def compile_for_rows(e: Expression, X: np.ndarray):
     ``f`` at ``P[s]``. A raw variable operand of ``^`` is tested for NaN
     only if its column of ``X`` holds one. The same call rules as
     :func:`compile_evaluator` hold."""
-    nan_columns = frozenset(np.flatnonzero(np.isnan(X).any(axis=0)).tolist())
+    nan_columns = _nan_columns(X)
     return (_compile(e.root, nan_columns=nan_columns),
             _compile(e.root, batched=True, nan_columns=nan_columns))
+
+
+def compile_subtrees(roots: list[Node], X: np.ndarray) -> list[Callable]:
+    """The single-point evaluator of ``compile_for_rows`` for each tree of
+    ``roots``, subtrees of an expression included: ``f(params, X)``, where a
+    constant ci reads ``params[i - 1]``."""
+    nan_columns = _nan_columns(X)
+    return [_compile(root, nan_columns=nan_columns) for root in roots]
+
+
+def _nan_columns(X: np.ndarray) -> frozenset[int]:
+    return frozenset(np.flatnonzero(np.isnan(X).any(axis=0)).tolist())
 
 
 def evaluate_rows(e: Expression, params, X) -> np.ndarray:

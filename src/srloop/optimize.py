@@ -1,4 +1,11 @@
-"""Constant fitting: Nelder-Mead simplex inside a strict-descent basin-hopping loop.
+"""Constant fitting: one least-squares solve when every constant is linear,
+else a Nelder-Mead simplex inside a strict-descent basin-hopping loop.
+
+A candidate whose every constant scales one top-level term of a sum
+(``linear_terms``) has a closed-form optimum: ``fit`` solves it with one
+``numpy.linalg.lstsq`` call over the terms' columns, unless
+``FitConfig.solve_linear`` is off (as it is for logs written before that
+path existed, so they replay with the simplex).
 
 The local method is implemented here rather than borrowed because the simplex
 coefficients are part of the public fit configuration and the hopping
@@ -25,7 +32,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expressions import MAX_CONSTANTS, Expression, compile_for_rows
+from .expressions import (
+    MAX_CONSTANTS,
+    Binary,
+    Const,
+    Expression,
+    Node,
+    Unary,
+    compile_for_rows,
+    compile_subtrees,
+    walk,
+)
 
 
 class NoFiniteObjectiveError(RuntimeError):
@@ -39,7 +56,9 @@ class TooManyConstantsError(ValueError):
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs for one fit: hop count, perturbation scale, simplex coefficients,
-    evaluation budget per local solve, convergence tolerance and seeding."""
+    evaluation budget per local solve, convergence tolerance, seeding, and
+    whether a candidate linear in every constant is solved by least squares
+    (``solve_linear``; the simplex knobs then go unused)."""
 
     hops: int = 25
     step_scale: float = 1.0
@@ -51,6 +70,7 @@ class FitConfig:
     tol: float = 1e-8
     seed: int = 0
     refits: int = 1
+    solve_linear: bool = True
 
     def __post_init__(self):
         if self.hops < 1:
@@ -75,6 +95,11 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
+    """The fitted constants, in index order, with the MSE and MAE over all
+    rows at them. ``evals`` counts objective evaluations and ``converged``
+    tells whether the best solve met ``tol``; a least-squares fit makes no
+    evaluation and is exact, so it reports ``evals=0, converged=True``."""
+
     params: tuple[float, ...]
     mse: float
     mae: float
@@ -365,12 +390,103 @@ def _mse_of(evaluator, batched, X: np.ndarray, y: np.ndarray):
     return objective
 
 
+def linear_terms(e: Expression) -> tuple[list[tuple[float, Node]], list[tuple[float, Node]]] | None:
+    """The linear form of ``e``, or None when some constant is not linear.
+
+    ``e`` is read as a sum of top-level terms, each with the sign (1.0 or
+    -1.0) that the ``+`` and ``-`` nodes above it give it. It is linear when
+    it has constants c1..ck, k >= 1, each occurring once, in a term of the
+    form ``c``, ``c*t``, ``t*c`` or ``(c*t)/u`` with t and u free of
+    constants (nested, so ``x2*(c1*x1)`` and ``c1/x2`` are too), with unary
+    minus anywhere along the way to ``c``; every other term holds no
+    constant. Returns ``(columns, offset)``: the signed term of each
+    constant in index order, and the signed constant-free terms."""
+    terms: list[tuple[float, Node]] = []
+    stack = [(1.0, e.root)]
+    while stack:
+        sign, n = stack.pop()
+        if isinstance(n, Binary) and n.op in ("+", "-"):
+            stack.append((-sign if n.op == "-" else sign, n.right))
+            stack.append((sign, n.left))
+        else:
+            terms.append((sign, n))
+    columns: dict[int, tuple[float, Node]] = {}
+    offset = []
+    for sign, term in terms:
+        consts = [n for n in walk(term) if isinstance(n, Const)]
+        if not consts:
+            offset.append((sign, term))
+            continue
+        if len(consts) > 1 or consts[0].index in columns or not _scales(term, consts[0]):
+            return None
+        columns[consts[0].index] = (sign, term)
+    if not columns or sorted(columns) != list(range(1, len(columns) + 1)):
+        return None
+    return [columns[i] for i in sorted(columns)], offset
+
+
+def _scales(n: Node, c: Const) -> bool:
+    """Whether ``n``, which holds ``c`` once and no other constant, is ``c``
+    times a constant-free factor: the way down to ``c`` passes only unary
+    minus, either operand of ``*`` and the numerator of ``/``."""
+    while n is not c:
+        if isinstance(n, Unary) and n.op == "neg":
+            n = n.child
+        elif isinstance(n, Binary) and n.op == "*":
+            n = n.left if any(m is c for m in walk(n.left)) else n.right
+        elif isinstance(n, Binary) and n.op == "/" and any(m is c for m in walk(n.left)):
+            n = n.left
+        else:
+            return False
+    return True
+
+
+def _least_squares(e: Expression, terms, X: np.ndarray, y: np.ndarray) -> FitResult | None:
+    """The least-squares fit of ``e`` in its linear form ``terms``, or None
+    when its MSE is not finite (the simplex then fits ``e``). Column j is
+    the term of constant j evaluated with the constants at 1, times its
+    sign; the target is y minus the signed constant-free terms. A row whose
+    column or target value is non-finite at 1 is non-finite at every value
+    of the constants, so it raises NoFiniteObjectiveError: the simplex would
+    find no finite point either. Each column is scaled to a largest magnitude of
+    1 for the solve, so that a column of large values does not drown a small
+    one."""
+    columns, offset = terms
+    evaluator, *functions = compile_subtrees(
+        [e.root, *(t for _, t in columns), *(t for _, t in offset)], X)
+    ones = np.ones(len(columns))
+    with np.errstate(all="ignore"):
+        values = [f(ones, X) for f in functions]
+        A = np.column_stack([sign * v for (sign, _), v in zip(columns, values)])
+        b = y - sum((sign * v for (sign, _), v in zip(offset, values[len(columns):])), 0.0)
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            raise NoFiniteObjectiveError(f"no finite objective found for {e}")
+        scale = np.abs(A).max(axis=0)
+        scale[scale == 0] = 1.0
+        try:
+            solution = np.linalg.lstsq(A / scale, b, rcond=None)[0] / scale
+        except np.linalg.LinAlgError:
+            return None
+        resid = evaluator(solution, X) - y
+    mse = float(np.mean(resid * resid))
+    mae = float(np.mean(np.abs(resid)))
+    if not math.isfinite(mse):
+        return None
+    return FitResult(tuple(float(v) for v in solution), mse, mae, 0, True)
+
+
 def fit(e: Expression, d, cfg: FitConfig) -> FitResult:
     """Fit the constants of ``e`` to dataset ``d`` (anything with ``X`` and ``y``).
 
-    The objective is MSE over all rows. Raises NoFiniteObjectiveError when no
-    visited parameter vector gives a finite loss, and TooManyConstantsError
-    when the expression has more than MAX_CONSTANTS constants.
+    The objective is MSE over all rows. With ``cfg.solve_linear``, an
+    expression linear in every constant (see ``linear_terms``) is solved by
+    one least-squares call, whose result has ``evals=0`` and
+    ``converged=True``; ``hops``, ``seed`` and ``max_evals`` are not used.
+    Where its MSE is not finite, and for every other expression, the
+    simplex with basin hopping fits it. Raises NoFiniteObjectiveError when
+    no visited parameter vector gives a finite loss, and
+    TooManyConstantsError when the expression has more than MAX_CONSTANTS
+    constants.
     """
     k = e.n_constants
     if k > MAX_CONSTANTS:
@@ -379,6 +495,10 @@ def fit(e: Expression, d, cfg: FitConfig) -> FitResult:
     y = np.asarray(d.y, dtype=float)
     if len(y) < 1:
         raise ValueError("dataset has no rows")
+    if cfg.solve_linear and (terms := linear_terms(e)) is not None:
+        result = _least_squares(e, terms, X, y)
+        if result is not None:
+            return result
     evaluator, batched = compile_for_rows(e, X)
     x0 = np.asarray(e.initial_guess(), dtype=float)
     best_x, best_f, evals, converged = minimize(_mse_of(evaluator, batched, X, y), x0, cfg)
@@ -393,7 +513,11 @@ def fit(e: Expression, d, cfg: FitConfig) -> FitResult:
 
 def repeat_fit(e: Expression, d, cfg: FitConfig) -> FitResult:
     """``cfg.refits`` independent fits with seeds seed, seed+1, ...; returns the
-    one with the lowest MAE (ties: lower MSE, then lower seed index)."""
+    one with the lowest MAE (ties: lower MSE, then lower seed index). A fit
+    by least squares does not depend on the seed, so an expression ``fit``
+    solves that way is fitted once, whatever ``cfg.refits`` is."""
+    if cfg.solve_linear and linear_terms(e) is not None:
+        cfg = replace(cfg, refits=1)
     best: FitResult | None = None
     failures = 0
     for i in range(cfg.refits):

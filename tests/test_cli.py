@@ -522,6 +522,26 @@ class TestScore:
         assert rows[0] == ["iteration", "count"]
         assert [r[1] for r in rows[1:]] == ["0", "2", "2"]
 
+    def test_reads_the_target_from_the_manifest(self, finished_runs, workdir, capsys,
+                                                monkeypatch):
+        # score loads no dataset, and prints each target as the loaded one renders
+        datasets = [cli.data.load_builtin(name) for name in cli.data.builtin_ids()]
+        targets = {d.id: str(d.target) for d in datasets if d.target is not None}
+        lines = Path(finished_runs[0]).read_text().splitlines()
+        header = json.loads(lines[0])
+
+        def no_rows(name):
+            raise AssertionError(f"score loaded {name}")
+
+        monkeypatch.setattr(cli.data, "load_builtin", no_rows)
+        for name, target in targets.items():
+            header["dataset"] = name
+            log = workdir / f"{name}.jsonl"
+            log.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+            assert main(["score", str(log), "--target", name, "--out", "s.csv"]) == 0
+            assert capsys.readouterr().out.splitlines()[0] == f"target: {target}"
+        assert set(targets) == {"bode", "dual_site_langmuir", "hubble", "kepler", "langmuir"}
+
     def test_target_required_to_exist(self, finished_runs):
         assert main(["score", *finished_runs, "--target", "nikuradse"]) == 1
 
@@ -702,7 +722,8 @@ def test_log_with_a_key_of_another_type(kind, finished_runs, workdir, capsys):
 # What an INI key means: every key of the README block with a non-default
 # value, and each flag's precedence over the file. The literals were produced
 # by the per-section INI reader that build_run_config replaced, so they pin
-# that the reader kept the meaning of every key and flag.
+# that the reader kept the meaning of every key and flag; [fit] solve_linear,
+# added after that reader, was written into them by hand.
 
 FULL_INI = """[run]
 dataset = kepler
@@ -737,6 +758,7 @@ max_evals = 500
 tol = 1e-06
 seed = 11
 refits = 2
+solve_linear = false
 
 [llm]
 kind = http
@@ -795,7 +817,8 @@ INI_MEANING = {  # json.dumps(config_to_dict(cfg)) of each case, read by the old
         '"dialect": "latex"}, "policy": {"kind": "top_k", "min_count": 6, "k": 5, '
         '"include_params": true}, "fit": {"hops": 3, "step_scale": 0.5, "reflection": 1.5, '
         '"expansion": 2.5, "contraction": 0.25, "shrink": 0.75, "max_evals": 500, '
-        '"tol": 1e-06, "seed": 11, "refits": 2}, "iterations": 7, "runs": 2, '
+        '"tol": 1e-06, "seed": 11, "refits": 2, '
+        '"solve_linear": false}, "iterations": 7, "runs": 2, '
         '"backend": {"kind": "http", "endpoint": "http://localhost:9/v1/chat/completions", '
         '"model": "test-model", "key_env_var": "TEST_KEY", "timeout": 30.0, '
         '"max_retries": 1, "max_tokens": 256, "transcript": "t.txt"}, "temperature": 0.3, '
@@ -812,7 +835,8 @@ INI_MEANING = {  # json.dumps(config_to_dict(cfg)) of each case, read by the old
         '"dialect": "latex"}, "policy": {"kind": "top_k", "min_count": 6, "k": 5, '
         '"include_params": true}, "fit": {"hops": 3, "step_scale": 0.5, "reflection": 1.5, '
         '"expansion": 2.5, "contraction": 0.25, "shrink": 0.75, "max_evals": 500, '
-        '"tol": 1e-06, "seed": 11, "refits": 2}, "iterations": 7, "runs": 2, '
+        '"tol": 1e-06, "seed": 11, "refits": 2, '
+        '"solve_linear": false}, "iterations": 7, "runs": 2, '
         '"backend": {"kind": "http", "endpoint": "http://localhost:9/v1/chat/completions", '
         '"model": "test-model", "key_env_var": "TEST_KEY", "timeout": 30.0, '
         '"max_retries": 1, "max_tokens": 256, "transcript": "t.txt"}, "temperature": 0.3, '
@@ -829,7 +853,8 @@ INI_MEANING = {  # json.dumps(config_to_dict(cfg)) of each case, read by the old
         '"dialect": "latex"}, "policy": {"kind": "standard", "min_count": 6, "k": 5, '
         '"include_params": false}, "fit": {"hops": 3, "step_scale": 0.5, "reflection": 1.5, '
         '"expansion": 2.5, "contraction": 0.25, "shrink": 0.75, "max_evals": 500, '
-        '"tol": 1e-06, "seed": 11, "refits": 2}, "iterations": 2, "runs": 3, '
+        '"tol": 1e-06, "seed": 11, "refits": 2, '
+        '"solve_linear": false}, "iterations": 2, "runs": 3, '
         '"backend": {"kind": "scripted", '
         '"endpoint": "http://localhost:9/v1/chat/completions", "model": "test-model", '
         '"key_env_var": "TEST_KEY", "timeout": 30.0, "max_retries": 1, "max_tokens": 256, '
@@ -843,7 +868,8 @@ INI_MEANING = {  # json.dumps(config_to_dict(cfg)) of each case, read by the old
         '"policy": {"kind": "standard", "min_count": 6, "k": 5, "include_params": false}, '
         '"fit": {"hops": 25, "step_scale": 1.0, "reflection": 1.0, "expansion": 2.0, '
         '"contraction": 0.5, "shrink": 0.5, "max_evals": 10000, "tol": 1e-08, "seed": 0, '
-        '"refits": 1}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
+        '"refits": 1, '
+        '"solve_linear": true}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
         '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
         '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
         '"max_tokens": null, "transcript": "t.txt"}, "temperature": 0.7, "seed": 4, '
@@ -856,7 +882,8 @@ INI_MEANING = {  # json.dumps(config_to_dict(cfg)) of each case, read by the old
         '"dialect": "infix"}, "policy": {"kind": "standard", "min_count": 6, "k": 5, '
         '"include_params": false}, "fit": {"hops": 25, "step_scale": 1.0, "reflection": 1.0, '
         '"expansion": 2.0, "contraction": 0.5, "shrink": 0.5, "max_evals": 10000, '
-        '"tol": 1e-08, "seed": 0, "refits": 1}, "iterations": 15, "runs": 5, '
+        '"tol": 1e-08, "seed": 0, "refits": 1, '
+        '"solve_linear": true}, "iterations": 15, "runs": 5, '
         '"backend": {"kind": "scripted", '
         '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
         '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
@@ -870,7 +897,8 @@ INI_MEANING = {  # json.dumps(config_to_dict(cfg)) of each case, read by the old
         '"policy": {"kind": "standard", "min_count": 6, "k": 5, "include_params": false}, '
         '"fit": {"hops": 25, "step_scale": 1.0, "reflection": 1.0, "expansion": 2.0, '
         '"contraction": 0.5, "shrink": 0.5, "max_evals": 10000, "tol": 1e-08, "seed": 9, '
-        '"refits": 1}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
+        '"refits": 1, '
+        '"solve_linear": true}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
         '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
         '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
         '"max_tokens": null, "transcript": "t.txt"}, "temperature": 0.7, "seed": 9, '
@@ -883,7 +911,8 @@ INI_MEANING = {  # json.dumps(config_to_dict(cfg)) of each case, read by the old
         '"policy": {"kind": "standard", "min_count": 6, "k": 5, "include_params": false}, '
         '"fit": {"hops": 25, "step_scale": 1.0, "reflection": 1.0, "expansion": 2.0, '
         '"contraction": 0.5, "shrink": 0.5, "max_evals": 10000, "tol": 1e-08, "seed": 0, '
-        '"refits": 1}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
+        '"refits": 1, '
+        '"solve_linear": true}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
         '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
         '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
         '"max_tokens": null, "transcript": "t.txt"}, "temperature": 0.0, "seed": 0, '
@@ -896,7 +925,8 @@ INI_MEANING = {  # json.dumps(config_to_dict(cfg)) of each case, read by the old
         '"policy": {"kind": "standard", "min_count": 6, "k": 5, "include_params": false}, '
         '"fit": {"hops": 25, "step_scale": 1.0, "reflection": 1.0, "expansion": 2.0, '
         '"contraction": 0.5, "shrink": 0.5, "max_evals": 10000, "tol": 1e-08, "seed": 0, '
-        '"refits": 1}, "iterations": 15, "runs": 5, "backend": {"kind": "http", '
+        '"refits": 1, '
+        '"solve_linear": true}, "iterations": 15, "runs": 5, "backend": {"kind": "http", '
         '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
         '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
         '"max_tokens": null, "transcript": null}, "temperature": 0.7, "seed": 0, '

@@ -1,9 +1,11 @@
 import hashlib
+import json
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from srloop import data
 from srloop.data import (
     Dataset,
     MalformedCsvError,
@@ -94,6 +96,36 @@ class TestReferenceModels:
     def test_unknown(self):
         with pytest.raises(UnknownDatasetError):
             reference_models("hubble")
+
+
+class TestManifest:
+    def test_read_once(self):
+        dataset_info("bode")
+        before = data._read_text.cache_info().misses
+        for name in ALL_IDS:
+            dataset_info(name)
+        reference_models()
+        assert builtin_ids() == ALL_IDS
+        assert data._read_text.cache_info().misses == before
+
+    def test_callers_cannot_change_it(self):
+        info = dataset_info("bode")
+        info["variables"].append("x2")
+        info["target"] = None
+        reference_models()["external"].clear()
+        assert dataset_info("bode")["variables"] == ["x1"]
+        assert dataset_info("bode")["target"] == "c1*exp(c2*x1)+c3"
+        assert reference_models()["external"]
+
+    def test_a_swapped_bundle_is_read(self, tmp_path, monkeypatch):
+        bode = dict(dataset_info("bode"), sha256="0" * 64)
+        manifest = {"datasets": {"swapped": bode}, "reference_models": {}}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        monkeypatch.setattr(data, "_bundle", lambda: tmp_path)
+        assert builtin_ids() == ["swapped"]
+        assert dataset_info("swapped")["sha256"] == "0" * 64
+        monkeypatch.undo()
+        assert builtin_ids() == ALL_IDS
 
 
 class TestLoadCsv:

@@ -1,7 +1,10 @@
 """The golden replay corpus: scripted runs whose logs are committed in
 ``tests/golden/`` and must replay exactly, and which ``srloop run`` on each
 case's INI file must write again byte for byte. ``tools/make_golden.py``
-regenerates a log; only a change that alters results on purpose may."""
+regenerates a log; only a change that alters results on purpose may.
+``tests/legacy_logs/`` keeps logs written before fits had their
+least-squares path (no ``solve_linear`` in their configuration), which must
+still replay ``ok``."""
 
 import json
 from pathlib import Path
@@ -13,6 +16,8 @@ from srloop.engine import load_runlog_data, replay, save_runlog
 
 GOLDEN = Path(__file__).parent / "golden"
 LOGS = sorted(GOLDEN.glob("*/run*.jsonl"))
+LEGACY = Path(__file__).parent / "legacy_logs"
+LEGACY_LOGS = sorted(LEGACY.glob("*/run*.jsonl"))
 CASES = sorted(path.parent.name for path in GOLDEN.glob("*/config.ini"))
 
 
@@ -26,6 +31,27 @@ def test_replays_ok(log, capsys):
     out = capsys.readouterr().out
     assert "DIVERGED" not in out
     assert out.startswith(f"{log}: ok (")
+
+
+@pytest.mark.parametrize("log", LEGACY_LOGS, ids=log_id)
+def test_legacy_log_replays_ok(log, capsys):
+    assert main(["replay", str(log)]) == 0
+    assert capsys.readouterr().out.startswith(f"{log}: ok (")
+
+
+def test_legacy_log_needs_the_simplex(tmp_path, capsys):
+    # the legacy rule matters: with solve_linear on, bode's quadratic is
+    # fitted by least squares and its MAE moves by about 6e-9 relative
+    lines = (LEGACY / "bode" / "run01.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    assert "solve_linear" not in header["config"]["fit"]
+    header["config"]["fit"]["solve_linear"] = True
+    log = tmp_path / "run01.jsonl"
+    log.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    assert main(["replay", str(log)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"{log}: DIVERGED" and len(out) == 2
+    assert out[1].startswith("  c1+c2*x1+c3*x1**2: mae diverged 2.775299680165561 vs 2.77529966")
 
 
 @pytest.mark.parametrize("log", LOGS, ids=log_id)

@@ -12,13 +12,14 @@ from helpers import make_dataset, oracle_minimize, oracle_nelder_mead, random_ex
 
 from srloop import optimize
 from srloop.data import load_builtin
-from srloop.expressions import MAX_CONSTANTS, Dialect, evaluate_rows, render
+from srloop.expressions import MAX_CONSTANTS, Dialect, Expression, evaluate_rows, render
 from srloop.optimize import (
     HOP_WINDOW,
     FitConfig,
     NoFiniteObjectiveError,
     TooManyConstantsError,
     fit,
+    linear_terms,
     minimize,
     mse_objective,
     nelder_mead,
@@ -126,6 +127,112 @@ class TestRepeatFit:
         d = make_dataset([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(NoFiniteObjectiveError):
             repeat_fit(infix("log(-x1)"), d, FitConfig(hops=1, seed=0, refits=3, max_evals=100))
+
+
+LINEAR_FORMS = ["c1*x1+c2", "c1+c2*x1+c3/x2", "c1*x1-c2*x2", "-c1*x1+x2", "x2*(c1*x1)",
+                "c1*(x1+x2)", "c1*log(x1)+c2"]
+NONLINEAR_FORMS = ["c1*x1/(c2+x1)", "x1/c1", "c1*c2*x1", "c1*x1+c1", "(c1+c2)*x1",
+                   "exp(c1)*x1", "c1*x1**c2"]
+
+
+class TestLinear:
+    @pytest.mark.parametrize("text", LINEAR_FORMS + NONLINEAR_FORMS)
+    def test_detection(self, text):
+        e = infix(text, ("x1", "x2"))
+        assert (linear_terms(e) is not None) == (text in LINEAR_FORMS)
+
+    def test_signs_and_offset(self):
+        columns, offset = linear_terms(infix("x2-(c1*x1-c2)-c3/x1", ("x1", "x2")))
+        signed = [(sign, render(Expression(term))) for sign, term in columns + offset]
+        assert signed == [(-1.0, "c1*x1"), (1.0, "c2"), (-1.0, "c3/x1"), (1.0, "x2")]
+
+    def test_least_squares_matches_the_simplex(self):
+        d = load_builtin("nikuradse")
+        e = infix("c1+c2*x1+c3/x2", ("x1", "x2"))
+        linear = fit(e, d, FitConfig())
+        simplex = fit(e, d, FitConfig(solve_linear=False))
+        assert (linear.evals, linear.converged) == (0, True) and simplex.evals > 0
+        assert linear.mse <= simplex.mse * (1 + 1e-10)
+        assert linear.params == pytest.approx(simplex.params, rel=1e-6)
+        resid = evaluate_rows(e, linear.params, d.X) - d.y
+        assert linear.mse == float(np.mean(resid * resid))
+        assert linear.mae == float(np.mean(np.abs(resid)))
+
+    def test_no_worse_than_the_simplex_on_random_trees(self):
+        # every fully linear seeded tree: least squares reaches the simplex's
+        # MSE, and is unfittable exactly when the simplex is
+        linear = unfittable = 0
+        for seed, name in enumerate(("bode", "dual_site_langmuir", "hubble", "kepler",
+                                     "langmuir", "nikuradse")):
+            d = load_builtin(name)
+            rng = random.Random(seed)
+            for _ in range(300):
+                e = random_expression(rng, n_vars=len(d.variables))
+                if linear_terms(e) is None:
+                    continue
+                linear += 1
+                results = []
+                for solve_linear in (True, False):
+                    try:
+                        results.append(fit(e, d, FitConfig(solve_linear=solve_linear)))
+                    except NoFiniteObjectiveError:
+                        results.append(None)
+                lsq, simplex = results
+                assert (lsq is None) == (simplex is None), (name, render(e))
+                if lsq is None:
+                    unfittable += 1
+                    continue
+                assert lsq.evals == 0 and simplex.evals > 0
+                assert lsq.mse <= simplex.mse * (1 + 1e-10), (name, render(e))
+        assert linear >= 100 and unfittable
+
+    def test_rank_deficient(self):
+        d = load_builtin("hubble")
+        both = fit(infix("c1*x1+c2*x1"), d, FitConfig())
+        one = fit(infix("c1*x1"), d, FitConfig())
+        assert both.params[0] == pytest.approx(both.params[1], rel=1e-12)
+        assert both.params[0] + both.params[1] == pytest.approx(one.params[0], rel=1e-12)
+        assert both.mse == pytest.approx(one.mse, rel=1e-12)
+
+    def test_more_constants_than_rows(self):
+        # 7 constants, 6 rows: the polynomial interpolates kepler's periods
+        d = load_builtin("kepler")
+        e = infix("+".join(["c1", *(f"c{i + 1}*x1**{i}" for i in range(1, 7))]))
+        lsq = fit(e, d, FitConfig())
+        simplex = fit(e, d, FitConfig(solve_linear=False))
+        assert lsq.evals == 0
+        assert lsq.mse <= 1e-12 * float(np.mean(d.y * d.y))
+        assert lsq.mse <= simplex.mse
+
+    def test_refits_solve_once(self, monkeypatch):
+        d = load_builtin("langmuir")
+        e = infix("c1*sqrt(x1)+c2")
+        calls = []
+        solve = optimize._least_squares
+        monkeypatch.setattr(optimize, "_least_squares", lambda *a: calls.append(a) or solve(*a))
+        assert repeat_fit(e, d, FitConfig(refits=3, seed=4)) == fit(e, d, FitConfig())
+        assert len(calls) == 2  # one for repeat_fit, one for the fit it is compared with
+
+    def test_unfittable_column_or_offset(self):
+        bode = load_builtin("bode")
+        for text in ("c1*log(-x1)", "c1*x1+log(-x1)", "c1/(x1-x1)+c2"):
+            for refits in (1, 3):
+                with pytest.raises(NoFiniteObjectiveError):
+                    repeat_fit(infix(text), bode, FitConfig(refits=refits))
+
+    @pytest.mark.parametrize("failure", ["inf", "raise"])
+    def test_falls_back_to_the_simplex(self, failure, monkeypatch):
+        # an MSE that is not finite at the solution, or a solve that fails,
+        # leaves the fit to the simplex
+        def lstsq(a, b, rcond=None):
+            if failure == "raise":
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return np.full(a.shape[1], np.inf), None, 0, None
+
+        d = load_builtin("hubble")
+        e = infix("c1*x1+c2")
+        monkeypatch.setattr(optimize.np.linalg, "lstsq", lstsq)
+        assert fit(e, d, FitConfig()) == fit(e, d, FitConfig(solve_linear=False))
 
 
 class TestMinimize:

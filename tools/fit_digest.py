@@ -13,6 +13,8 @@ The corpus is the fits pinned in ``tests/test_optimize.py`` plus seeded
 ``random_expression`` fits (300 per dataset on the five one-variable
 datasets, ``hops=3, max_evals=600``). An unfittable or over-capped
 expression contributes the name of its exception. It takes about a minute.
+The count after the digest is how many of the fits took the least-squares
+path, their expressions being linear in every constant.
 """
 
 from __future__ import annotations
@@ -43,10 +45,12 @@ PER_DATASET = 300
 
 
 def corpus_lines():
+    """Each fit's line, and whether it took the least-squares path."""
     from helpers import random_expression
     from srloop.data import load_builtin
-    from srloop.expressions import Dialect
-    from srloop.optimize import FitConfig, NoFiniteObjectiveError, TooManyConstantsError, fit
+    from srloop.expressions import MAX_CONSTANTS, Dialect
+    from srloop.optimize import (FitConfig, NoFiniteObjectiveError, TooManyConstantsError, fit,
+                                 linear_terms)
     from srloop.parsing import parse
 
     def outcome(e, d, cfg):
@@ -55,17 +59,21 @@ def corpus_lines():
         except (NoFiniteObjectiveError, TooManyConstantsError) as exc:
             return type(exc).__name__
 
+    def linear(e, cfg):
+        return cfg.solve_linear and e.n_constants <= MAX_CONSTANTS and linear_terms(e) is not None
+
     for name, text, kwargs in PINNED:
         d = load_builtin(name)
         e = d.target if text is None else parse(text, Dialect.INFIX, list(d.variables))
-        yield f"{name}\t{e}\t{kwargs}\t{outcome(e, d, FitConfig(**kwargs))}"
+        cfg = FitConfig(**kwargs)
+        yield f"{name}\t{e}\t{kwargs}\t{outcome(e, d, cfg)}", linear(e, cfg)
     cfg = FitConfig(hops=3, max_evals=600)
     for seed, name in enumerate(RANDOM_DATASETS):
         d = load_builtin(name)
         rng = random.Random(seed)
         for _ in range(PER_DATASET):
             e = random_expression(rng, n_vars=1)
-            yield f"{name}\t{e}\t{outcome(e, d, cfg)}"
+            yield f"{name}\t{e}\t{outcome(e, d, cfg)}", linear(e, cfg)
 
 
 def main(argv=None) -> int:
@@ -76,12 +84,14 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "tests")]
     digest = hashlib.sha256()
     lines = []
-    for line in corpus_lines():
+    by_least_squares = 0
+    for line, linear in corpus_lines():
         digest.update(line.encode() + b"\n")
         lines.append(line)
+        by_least_squares += linear
     if args.lines is not None:
         args.lines.write_text("".join(line + "\n" for line in lines))
-    print(f"{digest.hexdigest()}  {len(lines)} fits")
+    print(f"{digest.hexdigest()}  {len(lines)} fits, {by_least_squares} by least squares")
     return 0
 
 
