@@ -74,6 +74,7 @@ class Dataset:
         return self.X.shape[0]
 
 
+@functools.cache  # once per process: each lookup of the namespace package scans for it
 def _bundle():
     return resources.files("srloop.datasets")
 

@@ -495,15 +495,22 @@ def store_from_log(log_data: dict, variables) -> CandidateStore:
     return store
 
 
+#: The value of each fit key that a log written before the key existed was
+#: fitted with, unlike the key's default: before ``solve_linear`` every
+#: candidate was fitted with the simplex, and before ``patience`` every hop ran.
+_LEGACY_FIT = {"solve_linear": False, "patience": 0}
+
+
 def replay(log_data: dict, dataset: Dataset | None = None) -> RunLog:
     """Re-run the engine against a scripted backend built from the logged
-    responses; with an unchanged log this reproduces the store exactly."""
+    responses; with an unchanged log this reproduces the store exactly. A
+    fit key of ``_LEGACY_FIT`` missing from the logged configuration takes
+    the value there, so a log written before the key existed replays as it
+    was fitted."""
     config = log_data["header"]["config"]
     fit = config.get("fit", {})
-    if isinstance(fit, dict) and "solve_linear" not in fit:
-        # a log written before fits had the least-squares path fitted every
-        # candidate with the simplex, so it replays with solve_linear off
-        config = {**config, "fit": {**fit, "solve_linear": False}}
+    if isinstance(fit, dict):
+        config = {**config, "fit": {**_LEGACY_FIT, **fit}}
     cfg = config_from_dict(config)
     responses = [text for rec in log_data["iterations"] for text in rec["responses"]]
     return run(cfg, dataset=dataset, backend=ScriptedBackend(responses, name="replay"))

@@ -13,8 +13,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
 TRANSCRIPT_DELIMITER = "%%%"
 
 
@@ -146,10 +144,14 @@ class HttpBackend:
     at ``timeout``) replaces the backoff. A status that survives all retries,
     or any other non-2xx status at once, surfaces as ApiError. Calls share one
     ``requests.Session``, so a keep-alive endpoint is connected to once;
-    ``close`` releases it. Single-consumer, like the session.
+    ``close`` releases it. Single-consumer, like the session. ``requests`` is
+    imported by the first backend made, not with the module: it is the
+    slowest import of the package, and only this backend needs it.
     """
 
     def __init__(self, config: BackendConfig, backoff: float = 0.5):
+        import requests
+
         self.config = config
         self.backoff = backoff
         self._session = requests.Session()
@@ -161,6 +163,8 @@ class HttpBackend:
         return f"HttpBackend(endpoint={self.config.endpoint!r}, model={self.config.model!r})"
 
     def complete(self, req: ChatRequest) -> ChatResponse:
+        import requests
+
         cfg = self.config
         key = os.environ.get(cfg.key_env_var)
         if not key:

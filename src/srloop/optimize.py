@@ -19,7 +19,10 @@ source holds only names and indices made from that number. ``nelder_mead``
 drives one of them with a scalar objective; ``minimize`` drives
 ``HOP_WINDOW`` basin hops in lockstep, one batched objective call per
 round, and commits them in hop order, so a fit's hops, result and
-evaluation count are those of running the hops one by one.
+evaluation count are those of running the hops one by one. It starts no
+more hops once ``FitConfig.patience`` committed hops in a row have been
+idle (see ``IDLE_GAIN``), so such a fit is the one with fewer hops and no
+patience.
 """
 
 from __future__ import annotations
@@ -56,9 +59,12 @@ class TooManyConstantsError(ValueError):
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs for one fit: hop count, perturbation scale, simplex coefficients,
-    evaluation budget per local solve, convergence tolerance, seeding, and
+    evaluation budget per local solve, convergence tolerance, seeding,
     whether a candidate linear in every constant is solved by least squares
-    (``solve_linear``; the simplex knobs then go unused)."""
+    (``solve_linear``; the simplex knobs then go unused), and after how many
+    idle hops in a row basin hopping stops (``patience``; 0 runs every hop).
+    A log written before ``solve_linear`` or ``patience`` existed replays
+    with that switch off."""
 
     hops: int = 25
     step_scale: float = 1.0
@@ -71,6 +77,7 @@ class FitConfig:
     seed: int = 0
     refits: int = 1
     solve_linear: bool = True
+    patience: int = 10
 
     def __post_init__(self):
         if self.hops < 1:
@@ -91,6 +98,8 @@ class FitConfig:
             raise ValueError("refits must be >= 1")
         if self.seed < 0:
             raise ValueError(f"fit seed must be >= 0, not {self.seed}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0 (0 turns it off), not {self.patience}")
 
 
 @dataclass(frozen=True)
@@ -111,6 +120,12 @@ class FitResult:
 #: makes fewer, larger objective calls but drops more work when an early hop
 #: improves; of 4, 5 and 6, 6 fitted the benchmark's fits fastest.
 HOP_WINDOW = 6
+
+#: A committed hop is idle when the best value is finite and the hop does not
+#: lower it by more than this fraction of its magnitude: gains of rounding
+#: alone do not keep basin hopping going. A hop at an infinite best is never
+#: idle, so a fit that has found no finite point yet runs every hop.
+IDLE_GAIN = 1e-12
 
 
 def nelder_mead(func, x0, cfg: FitConfig):
@@ -314,9 +329,18 @@ def _source(n: int) -> str:
 
 
 def minimize(func, x0, cfg: FitConfig):
-    """Nelder-Mead plus ``cfg.hops`` basin hops: perturb the incumbent with a
-    per-coordinate Gaussian of scale ``step_scale``, re-minimize locally, and
-    accept only strict improvements. Deterministic given ``cfg.seed``.
+    """Nelder-Mead plus up to ``cfg.hops`` basin hops: perturb the incumbent
+    with a per-coordinate Gaussian of scale ``step_scale``, re-minimize
+    locally, and accept only strict improvements. Deterministic given
+    ``cfg.seed``.
+
+    With ``cfg.patience`` > 0, no hop is started once that many committed
+    hops in a row have been idle: each found a finite best and lowered it
+    by no more than ``IDLE_GAIN`` times its magnitude (such a hop is still
+    accepted when it is lower at all). Hops at an infinite best are never
+    idle. The perturbations are drawn for all ``cfg.hops`` up front, so a
+    fit that stops after h hops is bit for bit the fit with ``hops=h,
+    patience=0``.
 
     The first solve calls ``func`` on one point at a time. The hops run
     ``HOP_WINDOW`` at a time in lockstep: each round evaluates the next point
@@ -326,7 +350,8 @@ def minimize(func, x0, cfg: FitConfig):
     later ones in flight are dropped and restarted from the new incumbent,
     with the same perturbations. So the committed hops, the result and
     ``evals`` are those of running the hops one after another, and the
-    dropped work is not counted.
+    dropped work is not counted, nor are the hops in flight when patience
+    runs out.
     """
     rng = np.random.default_rng(cfg.seed)
     best_x, best_f, evals, converged = nelder_mead(func, x0, cfg)
@@ -339,6 +364,7 @@ def minimize(func, x0, cfg: FitConfig):
         lambda points: [_finite(float(func(np.array(x, dtype=float)))) for x in points])
     flight: list[list] = []  # per hop in flight, in hop order: [solve, point, result or None]
     hop = 0  # the next hop to start
+    idle = 0  # idle hops committed in a row
     with np.errstate(all="ignore"):
         while flight or hop < cfg.hops:
             while len(flight) < HOP_WINDOW and hop < cfg.hops:
@@ -354,9 +380,14 @@ def minimize(func, x0, cfg: FitConfig):
             while flight and flight[0][2] is not None:
                 x, fv, ev, conv = flight.pop(0)[2]
                 evals += ev
+                gained = not math.isfinite(best_f) or best_f - fv > IDLE_GAIN * abs(best_f)
+                idle = 0 if gained else idle + 1
                 if fv < best_f:
                     best_x, best_f, converged = x, fv, conv
                     hop -= len(flight)
+                    flight.clear()
+                if cfg.patience and idle == cfg.patience:
+                    hop = cfg.hops
                     flight.clear()
     return best_x, best_f, evals, converged
 
@@ -481,10 +512,13 @@ def fit(e: Expression, d, cfg: FitConfig) -> FitResult:
     The objective is MSE over all rows. With ``cfg.solve_linear``, an
     expression linear in every constant (see ``linear_terms``) is solved by
     one least-squares call, whose result has ``evals=0`` and
-    ``converged=True``; ``hops``, ``seed`` and ``max_evals`` are not used.
-    Where its MSE is not finite, and for every other expression, the
-    simplex with basin hopping fits it. Raises NoFiniteObjectiveError when
-    no visited parameter vector gives a finite loss, and
+    ``converged=True``; ``hops``, ``seed``, ``max_evals`` and ``patience``
+    are not used. Where its MSE is not finite, and for every other
+    expression, the simplex with basin hopping fits it (``minimize``); it
+    stops hopping after ``cfg.patience`` idle hops in a row, and ``evals``
+    counts the evaluations of the first solve and of the hops it ran.
+    Raises NoFiniteObjectiveError when no visited parameter vector gives a
+    finite loss, and
     TooManyConstantsError when the expression has more than MAX_CONSTANTS
     constants.
     """

@@ -290,21 +290,34 @@ def oracle_nelder_mead(func, x0, max_evals: int, tol: float = 1e-8):
     return np.array(sim[0]), fsim[0], evals, converged
 
 
-def oracle_minimize(func, x0, cfg, improved: list | None = None):
+def oracle_minimize(func, x0, cfg, improved: list | None = None,
+                    committed: list | None = None):
     """``optimize.minimize`` as it was before its hops ran in lockstep: one
     hop after another, each perturbation drawn as the hop starts, every
-    objective value from a call of ``func`` on one point. Appends the index
-    of each hop that improves to ``improved``, when given."""
-    from srloop.optimize import nelder_mead
+    objective value from a call of ``func`` on one point. It stops after
+    ``cfg.patience`` idle hops in a row, when that is not 0: hops that leave
+    a finite best lower by no more than ``IDLE_GAIN`` times its magnitude.
+    Appends the index of each hop that improves to ``improved``, and of each
+    hop run to ``committed``, when given."""
+    from srloop.optimize import IDLE_GAIN, nelder_mead
 
     rng = np.random.default_rng(cfg.seed)
     best_x, best_f, evals, converged = nelder_mead(func, x0, cfg)
     n = np.size(x0)
+    idle = 0
     if n:
         for hop in range(cfg.hops):
+            if cfg.patience and idle == cfg.patience:
+                break
             trial = best_x + cfg.step_scale * rng.standard_normal(n)
             x, fv, ev, conv = nelder_mead(func, trial, cfg)
             evals += ev
+            if committed is not None:
+                committed.append(hop)
+            if math.isfinite(best_f) and best_f - fv <= IDLE_GAIN * abs(best_f):
+                idle += 1
+            else:
+                idle = 0
             if fv < best_f:
                 best_x, best_f, converged = x, fv, conv
                 if improved is not None:

@@ -2,6 +2,8 @@ import configparser
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 from dataclasses import fields, replace
@@ -499,7 +501,7 @@ class TestReplay:
 
     def test_unknown_config_key_fails_replay(self, finished_runs, capsys):
         path = Path(finished_runs[0])
-        path.write_text(path.read_text().replace('"refits": 1', '"refits": 1, "patience": 5', 1))
+        path.write_text(path.read_text().replace('"refits": 1', '"refits": 1, "no_such_key": 5', 1))
         assert main(["replay", str(path)]) == 2
         assert "replay failed" in capsys.readouterr().err
 
@@ -722,8 +724,8 @@ def test_log_with_a_key_of_another_type(kind, finished_runs, workdir, capsys):
 # What an INI key means: every key of the README block with a non-default
 # value, and each flag's precedence over the file. The literals were produced
 # by the per-section INI reader that build_run_config replaced, so they pin
-# that the reader kept the meaning of every key and flag; [fit] solve_linear,
-# added after that reader, was written into them by hand.
+# that the reader kept the meaning of every key and flag; [fit] solve_linear
+# and patience, added after that reader, were written into them by hand.
 
 FULL_INI = """[run]
 dataset = kepler
@@ -759,6 +761,7 @@ tol = 1e-06
 seed = 11
 refits = 2
 solve_linear = false
+patience = 3
 
 [llm]
 kind = http
@@ -818,7 +821,7 @@ INI_MEANING = {  # json.dumps(config_to_dict(cfg)) of each case, read by the old
         '"include_params": true}, "fit": {"hops": 3, "step_scale": 0.5, "reflection": 1.5, '
         '"expansion": 2.5, "contraction": 0.25, "shrink": 0.75, "max_evals": 500, '
         '"tol": 1e-06, "seed": 11, "refits": 2, '
-        '"solve_linear": false}, "iterations": 7, "runs": 2, '
+        '"solve_linear": false, "patience": 3}, "iterations": 7, "runs": 2, '
         '"backend": {"kind": "http", "endpoint": "http://localhost:9/v1/chat/completions", '
         '"model": "test-model", "key_env_var": "TEST_KEY", "timeout": 30.0, '
         '"max_retries": 1, "max_tokens": 256, "transcript": "t.txt"}, "temperature": 0.3, '
@@ -836,7 +839,7 @@ INI_MEANING = {  # json.dumps(config_to_dict(cfg)) of each case, read by the old
         '"include_params": true}, "fit": {"hops": 3, "step_scale": 0.5, "reflection": 1.5, '
         '"expansion": 2.5, "contraction": 0.25, "shrink": 0.75, "max_evals": 500, '
         '"tol": 1e-06, "seed": 11, "refits": 2, '
-        '"solve_linear": false}, "iterations": 7, "runs": 2, '
+        '"solve_linear": false, "patience": 3}, "iterations": 7, "runs": 2, '
         '"backend": {"kind": "http", "endpoint": "http://localhost:9/v1/chat/completions", '
         '"model": "test-model", "key_env_var": "TEST_KEY", "timeout": 30.0, '
         '"max_retries": 1, "max_tokens": 256, "transcript": "t.txt"}, "temperature": 0.3, '
@@ -854,7 +857,7 @@ INI_MEANING = {  # json.dumps(config_to_dict(cfg)) of each case, read by the old
         '"include_params": false}, "fit": {"hops": 3, "step_scale": 0.5, "reflection": 1.5, '
         '"expansion": 2.5, "contraction": 0.25, "shrink": 0.75, "max_evals": 500, '
         '"tol": 1e-06, "seed": 11, "refits": 2, '
-        '"solve_linear": false}, "iterations": 2, "runs": 3, '
+        '"solve_linear": false, "patience": 3}, "iterations": 2, "runs": 3, '
         '"backend": {"kind": "scripted", '
         '"endpoint": "http://localhost:9/v1/chat/completions", "model": "test-model", '
         '"key_env_var": "TEST_KEY", "timeout": 30.0, "max_retries": 1, "max_tokens": 256, '
@@ -869,7 +872,7 @@ INI_MEANING = {  # json.dumps(config_to_dict(cfg)) of each case, read by the old
         '"fit": {"hops": 25, "step_scale": 1.0, "reflection": 1.0, "expansion": 2.0, '
         '"contraction": 0.5, "shrink": 0.5, "max_evals": 10000, "tol": 1e-08, "seed": 0, '
         '"refits": 1, '
-        '"solve_linear": true}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
+        '"solve_linear": true, "patience": 10}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
         '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
         '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
         '"max_tokens": null, "transcript": "t.txt"}, "temperature": 0.7, "seed": 4, '
@@ -883,7 +886,7 @@ INI_MEANING = {  # json.dumps(config_to_dict(cfg)) of each case, read by the old
         '"include_params": false}, "fit": {"hops": 25, "step_scale": 1.0, "reflection": 1.0, '
         '"expansion": 2.0, "contraction": 0.5, "shrink": 0.5, "max_evals": 10000, '
         '"tol": 1e-08, "seed": 0, "refits": 1, '
-        '"solve_linear": true}, "iterations": 15, "runs": 5, '
+        '"solve_linear": true, "patience": 10}, "iterations": 15, "runs": 5, '
         '"backend": {"kind": "scripted", '
         '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
         '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
@@ -898,7 +901,7 @@ INI_MEANING = {  # json.dumps(config_to_dict(cfg)) of each case, read by the old
         '"fit": {"hops": 25, "step_scale": 1.0, "reflection": 1.0, "expansion": 2.0, '
         '"contraction": 0.5, "shrink": 0.5, "max_evals": 10000, "tol": 1e-08, "seed": 9, '
         '"refits": 1, '
-        '"solve_linear": true}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
+        '"solve_linear": true, "patience": 10}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
         '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
         '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
         '"max_tokens": null, "transcript": "t.txt"}, "temperature": 0.7, "seed": 9, '
@@ -912,7 +915,7 @@ INI_MEANING = {  # json.dumps(config_to_dict(cfg)) of each case, read by the old
         '"fit": {"hops": 25, "step_scale": 1.0, "reflection": 1.0, "expansion": 2.0, '
         '"contraction": 0.5, "shrink": 0.5, "max_evals": 10000, "tol": 1e-08, "seed": 0, '
         '"refits": 1, '
-        '"solve_linear": true}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
+        '"solve_linear": true, "patience": 10}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
         '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
         '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
         '"max_tokens": null, "transcript": "t.txt"}, "temperature": 0.0, "seed": 0, '
@@ -926,7 +929,7 @@ INI_MEANING = {  # json.dumps(config_to_dict(cfg)) of each case, read by the old
         '"fit": {"hops": 25, "step_scale": 1.0, "reflection": 1.0, "expansion": 2.0, '
         '"contraction": 0.5, "shrink": 0.5, "max_evals": 10000, "tol": 1e-08, "seed": 0, '
         '"refits": 1, '
-        '"solve_linear": true}, "iterations": 15, "runs": 5, "backend": {"kind": "http", '
+        '"solve_linear": true, "patience": 10}, "iterations": 15, "runs": 5, "backend": {"kind": "http", '
         '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
         '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
         '"max_tokens": null, "transcript": null}, "temperature": 0.7, "seed": 0, '
@@ -1082,3 +1085,13 @@ class TestDatasets:
         info = dataset_info("nikuradse")
         assert info["rows"] == 360
         assert "0.00923655" in table
+
+
+def test_import_leaves_requests_out():
+    # only an http backend needs requests, the slowest import of the package:
+    # score, pareto, replay, datasets and scripted runs do not pay for it
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = "import sys, srloop.cli; print(sorted(m for m in sys.modules if 'requests' in m))"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

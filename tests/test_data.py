@@ -99,6 +99,9 @@ class TestReferenceModels:
 
 
 class TestManifest:
+    def test_bundle_resolved_once(self):
+        assert data._bundle() is data._bundle()
+
     def test_read_once(self):
         dataset_info("bode")
         before = data._read_text.cache_info().misses

@@ -315,7 +315,7 @@ class TestConfigRoundTrip:
             '"policy": {"kind": "top_k", "min_count": 6, "k": 4, "include_params": true}, '
             '"fit": {"hops": 2, "step_scale": 0.5, "reflection": 1.0, "expansion": 2.0, '
             '"contraction": 0.5, "shrink": 0.5, "max_evals": 700, "tol": 1e-06, "seed": 9, '
-            '"refits": 2, "solve_linear": true}, "iterations": 4, "runs": 2, '
+            '"refits": 2, "solve_linear": true, "patience": 10}, "iterations": 4, "runs": 2, '
             '"backend": {"kind": "http", '
             '"endpoint": "http://127.0.0.1:1/v1", "model": "m", "key_env_var": "K", '
             '"timeout": 5.0, "max_retries": 1, "max_tokens": 256, "transcript": null}, '
@@ -331,8 +331,8 @@ class TestConfigRoundTrip:
 
     def test_unknown_key_is_value_error(self):
         d = config_to_dict(RunConfig("kepler"))
-        d["fit"]["patience"] = 5
-        with pytest.raises(ValueError, match="patience"):
+        d["fit"]["no_such_key"] = 5
+        with pytest.raises(ValueError, match="no_such_key"):
             config_from_dict(d)
 
     def test_operator_resolution(self):

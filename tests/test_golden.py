@@ -3,8 +3,10 @@
 case's INI file must write again byte for byte. ``tools/make_golden.py``
 regenerates a log; only a change that alters results on purpose may.
 ``tests/legacy_logs/`` keeps logs written before fits had their
-least-squares path (no ``solve_linear`` in their configuration), which must
-still replay ``ok``."""
+least-squares path (no ``solve_linear`` in their configuration) or stopped
+basin hopping after idle hops (no ``patience``: ``kepler_default_fit``, one
+kepler proposal fitted at the default settings), which must still replay
+``ok``."""
 
 import json
 from pathlib import Path
@@ -52,6 +54,21 @@ def test_legacy_log_needs_the_simplex(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == f"{log}: DIVERGED" and len(out) == 2
     assert out[1].startswith("  c1+c2*x1+c3*x1**2: mae diverged 2.775299680165561 vs 2.77529966")
+
+
+def test_legacy_log_needs_every_hop(tmp_path, capsys):
+    # the legacy rule matters: with patience on, kepler's c1*x1**c2 stops
+    # after 10 of its 25 hops and its MAE moves by about 4.5e-8 relative
+    lines = (LEGACY / "kepler_default_fit" / "run01.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    assert "patience" not in header["config"]["fit"]
+    header["config"]["fit"]["patience"] = 10
+    log = tmp_path / "run01.jsonl"
+    log.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    assert main(["replay", str(log)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"{log}: DIVERGED",
+        "  c1*x1**c2: mae diverged 2.0909971495264705 vs 2.0909970562731153"]
 
 
 @pytest.mark.parametrize("log", LOGS, ids=log_id)

@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -274,6 +275,7 @@ class TestFitConfig:
             {"refits": 0},
             {"max_evals": 0},
             {"tol": 0.0},
+            {"patience": -1},
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -285,36 +287,51 @@ class TestFitConfig:
 # one errstate per solve and incremental simplex ordering (the first four) and
 # before the simplex moved to Python floats with a per-solve memo (the 6-, 7-
 # and 10-constant fits, which sum the centroid over many rows); every bit must
-# stay.
+# stay with patience off. The last four are the fits that stop early at the
+# default patience, pinned when it was introduced.
 PINNED_FITS = [
-    ("bode", "c1*exp(c2*x1)+c3", FitConfig(max_evals=1000),
+    ("bode", "c1*exp(c2*x1)+c3", FitConfig(max_evals=1000, patience=0),
      "FitResult(params=(0.0576718316683838, 0.7237630662931395, 0.48529646205678434), "
      "mse=0.019845891649821985, mae=0.1069760634656383, evals=15701, converged=True)"),
-    ("nikuradse", "c1*x2**c2+c3*x1", FitConfig(hops=5),
+    ("nikuradse", "c1*x2**c2+c3*x1", FitConfig(hops=5, patience=0),
      "FitResult(params=(0.10363854261158464, -0.24692638793487606, -7.404640850556469e-05), "
      "mse=3.779827362436026e-05, mae=0.0046511727844505, evals=3064, converged=True)"),
-    ("dual_site_langmuir", None, FitConfig(),
+    ("dual_site_langmuir", None, FitConfig(patience=0),
      "FitResult(params=(1.9822831766520888, 0.04881452909081546, 4.005921062439193, "
      "9.689319881626226), mse=0.000336705687524199, mae=0.0157620069230859, evals=15751, "
      "converged=True)"),
-    ("kepler", "c1*x1**c2", FitConfig(),
+    ("kepler", "c1*x1**c2", FitConfig(patience=0),
      "FitResult(params=(362.38258812955064, 1.5054253302193765), mse=5.807880298646893, "
      "mae=2.0909971495264705, evals=4726, converged=True)"),
-    ("nikuradse", "c1+c2*x1+c3/x2+c4*x1*x2+c5*x2**c6", FitConfig(hops=3, max_evals=4000),
+    ("nikuradse", "c1+c2*x1+c3/x2+c4*x1*x2+c5*x2**c6",
+     FitConfig(hops=3, max_evals=4000, patience=0),
      "FitResult(params=(20.835659427911132, 0.0008364568435457846, 0.6130767450272879, "
      "-8.92990114978363e-06, -20.843541021541846, -0.000356448196618752), "
      "mse=2.8899280114248957e-05, mae=0.004057001384139211, evals=6595, converged=True)"),
     ("dual_site_langmuir", "c1*x1/(c2+x1)+c3*x1/(c4+x1)+c5*x1/(c6+x1)+c7",
-     FitConfig(hops=3, max_evals=4000),
+     FitConfig(hops=3, max_evals=4000, patience=0),
      "FitResult(params=(3.550310615108632, 8.545486621109157, 1.9759011822675612, "
      "0.047118645812205324, 0.5697208465175299, 31.767896285544474, -0.01239509053398087), "
      "mse=0.0003126454492380523, mae=0.015433847437308806, evals=15108, converged=False)"),
     ("bode", "c1+c2*x1+c3*x1**2+c4*x1**3+c5*x1**4+c6*x1**5+c7*x1**6+c8*exp(c9*x1+c10)",
-     FitConfig(hops=3, max_evals=4000),
+     FitConfig(hops=3, max_evals=4000, patience=0),
      "FitResult(params=(1.9694955572306099, -2.65573846683918, 1.6712596934301156, "
      "-0.5089262729394984, 0.09470550715770008, -0.009833221520744532, "
      "0.00048222470892442595, -7.273282460219326, -6.043567762547729, -0.9106098443922606), "
      "mse=0.01467475451579041, mae=0.09997500420590599, evals=15997, converged=False)"),
+    ("bode", "c1*exp(c2*x1)+c3", FitConfig(max_evals=1000),
+     "FitResult(params=(0.0576718316683838, 0.7237630662931395, 0.48529646205678434), "
+     "mse=0.019845891649821985, mae=0.1069760634656383, evals=6220, converged=True)"),
+    ("nikuradse", "c1*x2**c2+c3*x1", FitConfig(),
+     "FitResult(params=(0.10363854261158464, -0.24692638793487606, -7.404640850556469e-05), "
+     "mse=3.779827362436026e-05, mae=0.0046511727844505, evals=5762, converged=True)"),
+    ("dual_site_langmuir", None, FitConfig(),
+     "FitResult(params=(1.9822831766520888, 0.04881452909081546, 4.005921062439193, "
+     "9.689319881626226), mse=0.000336705687524199, mae=0.0157620069230859, evals=5912, "
+     "converged=True)"),
+    ("kepler", "c1*x1**c2", FitConfig(),
+     "FitResult(params=(362.382587959784, 1.5054253304635359), mse=5.807880298646903, "
+     "mae=2.0909970562731153, evals=2125, converged=True)"),
 ]
 
 
@@ -508,6 +525,8 @@ def test_dimensions_compiled_on_concurrent_threads_solve_alike():
 # hop counts around the window: fewer hops than it holds, one window, a window
 # and one more, two windows and one more, and the default
 LOCKSTEP_HOPS = [1, HOP_WINDOW - 1, HOP_WINDOW, HOP_WINDOW + 1, 2 * HOP_WINDOW + 1, 25]
+# patience off, the smallest, one inside a window, and the default
+PATIENCES = [0, 1, 3, 10]
 
 
 def _same_result(got, want):
@@ -518,14 +537,16 @@ def test_lockstep_hops_commit_the_sequential_ones():
     # every committed hop, and so the result, is the one-by-one hop's: the
     # corpus has improvements at each slot of a window (counted from the
     # first hop after the last improvement, where the window refills) and
-    # fits where no hop improves
-    slots, idle = set(), 0
+    # fits where no hop improves. Each fit is also made with patience, each
+    # patience at each hop count, and some of those stop early.
+    slots, idle, stopped = set(), 0, set()
     for seed, name in enumerate(("bode", "dual_site_langmuir", "hubble", "kepler", "langmuir")):
         d = load_builtin(name)
         rng = random.Random(seed)
         for i in range(4 * len(LOCKSTEP_HOPS)):
             e = random_expression(rng, n_vars=1)
-            cfg = FitConfig(hops=LOCKSTEP_HOPS[i % len(LOCKSTEP_HOPS)], seed=i, max_evals=600)
+            cfg = FitConfig(hops=LOCKSTEP_HOPS[i % len(LOCKSTEP_HOPS)], seed=i, max_evals=600,
+                            patience=0)
             objective = mse_objective(e, d.X, d.y)
             x0 = np.asarray(e.initial_guess(), dtype=float)
             improved = []
@@ -536,8 +557,16 @@ def test_lockstep_hops_commit_the_sequential_ones():
                 slots.add(hop - start)
                 start = hop + 1
             idle += x0.size > 0 and not improved
+            cfg = replace(cfg, patience=PATIENCES[1 + i // len(LOCKSTEP_HOPS) % 3])
+            committed = []
+            want = oracle_minimize(objective, x0, cfg, committed=committed)
+            assert _same_result(minimize(objective, x0, cfg), want), (
+                name, render(e), cfg.hops, cfg.patience)
+            if x0.size and len(committed) < cfg.hops:
+                stopped.add(cfg.patience)
     assert {0, HOP_WINDOW - 1} <= slots and slots & set(range(1, HOP_WINDOW - 1)), slots
     assert idle
+    assert stopped == set(PATIENCES) - {0}, stopped
 
 
 @pytest.mark.parametrize("name", STALLING)
@@ -549,9 +578,62 @@ def test_lockstep_hops_on_stalling_objectives(name):
         for x0 in (np.full(n, -2.0), rng.standard_normal(n)):
             for hops in LOCKSTEP_HOPS:
                 for max_evals in (7, 97):
-                    cfg = FitConfig(hops=hops, seed=n, max_evals=max_evals)
-                    assert _same_result(minimize(func, x0, cfg), oracle_minimize(func, x0, cfg)), (
-                        n, x0.tolist(), hops, max_evals)
+                    for patience in PATIENCES:
+                        cfg = FitConfig(hops=hops, seed=n, max_evals=max_evals, patience=patience)
+                        want = oracle_minimize(func, x0, cfg)
+                        assert _same_result(minimize(func, x0, cfg), want), (
+                            n, x0.tolist(), hops, max_evals, patience)
+
+
+def test_patience_runs_every_hop_at_an_infinite_best():
+    # no hop at an infinite best is idle, as any of them may find the first
+    # finite point: an all-inf fit runs every hop whatever the patience
+    func, x0 = STALLING["all_inf"], np.array([1.0, 2.0])
+    for hops in LOCKSTEP_HOPS:
+        got = minimize(func, x0, FitConfig(hops=hops, max_evals=50, patience=1))
+        assert _same_result(got, minimize(func, x0, FitConfig(hops=hops, max_evals=50,
+                                                               patience=0))), hops
+        assert got[1] == math.inf
+
+
+@pytest.mark.parametrize("patience", [1, 3, 10])
+def test_patience_stops_after_that_many_idle_hops(patience):
+    # every hop on a flat objective is idle: patience p runs p of the 25 hops,
+    # and the fit is the one with p hops and patience off
+    func, x0 = STALLING["flat"], np.array([0.5, -1.5])
+    committed = []
+    oracle_minimize(func, x0, FitConfig(max_evals=40, patience=patience), committed=committed)
+    assert committed == list(range(patience))
+    got = minimize(func, x0, FitConfig(max_evals=40, patience=patience))
+    assert _same_result(got, minimize(func, x0, FitConfig(hops=patience, max_evals=40,
+                                                           patience=0)))
+
+
+def test_default_fits_are_prefixes_of_the_full_hop_run():
+    # a fit with patience is the fit with patience off and the hops it ran:
+    # seeded nonlinear trees on every dataset, at default settings
+    early = 0
+    for seed, name in enumerate(("bode", "dual_site_langmuir", "hubble", "kepler", "langmuir",
+                                 "nikuradse")):
+        d = load_builtin(name)
+        rng = random.Random(100 + seed)
+        trees = 0
+        while trees < 2:
+            e = random_expression(rng, n_vars=len(d.variables))
+            if not e.n_constants or linear_terms(e) is not None:
+                continue
+            committed = []
+            oracle_minimize(mse_objective(e, d.X, d.y), np.asarray(e.initial_guess(), dtype=float),
+                            FitConfig(), committed=committed)
+            try:
+                got = repr(fit(e, d, FitConfig()))
+            except NoFiniteObjectiveError:
+                continue
+            trees += 1
+            assert got == repr(fit(e, d, FitConfig(hops=len(committed), patience=0))), (
+                name, render(e))
+            early += len(committed) < FitConfig().hops
+    assert early
 
 
 @pytest.mark.parametrize("x0,max_evals,expected", [

@@ -9,10 +9,11 @@ script:
     python tools/fit_digest.py --src ../other/src   # srloop from elsewhere
     python tools/fit_digest.py --lines out.txt      # also write one line per fit
 
-The corpus is the fits pinned in ``tests/test_optimize.py`` plus seeded
-``random_expression`` fits (300 per dataset on the five one-variable
-datasets, ``hops=3, max_evals=600``). An unfittable or over-capped
-expression contributes the name of its exception. It takes about a minute.
+The corpus is the fits pinned in ``tests/test_optimize.py``, at the default
+``patience``, plus seeded ``random_expression`` fits (300 per dataset on the
+five one-variable datasets, ``hops=3, max_evals=600``). An unfittable or
+over-capped expression contributes the name of its exception. It takes
+about a minute.
 The count after the digest is how many of the fits took the least-squares
 path, their expressions being linear in every constant.
 """
