@@ -272,12 +272,11 @@ def _site_test(op: str, position: int, operand: Node,
     return None
 
 
-def _compile(root: Node, mark_root: bool = False, batched: bool = False,
-             nan_columns: frozenset[int] | None = None) -> Callable:
+def _compile(root: Node, batched: bool, nan_columns: frozenset[int] | None) -> Callable:
     """The flat function of ``root``: ``f(p, X)``, or with ``batched``
-    ``f(P, X)`` over the rows of ``P``. ``mark_root`` makes a root that is
-    not raw a site too. ``nan_columns`` holds the 0-based columns of every
-    ``X`` the function will see that may hold NaN; None means any may."""
+    ``f(P, X)`` over the rows of ``P``. ``nan_columns`` holds the 0-based
+    columns of every ``X`` the function will see that may hold NaN; None
+    means any may."""
     ns = dict(_RUNTIME)
     body: list[str] = []
     leaves: dict[Node, str] = {}
@@ -324,8 +323,6 @@ def _compile(root: Node, mark_root: bool = False, batched: bool = False,
         return t, any(is_array for _, is_array in args)
 
     out, is_array = emit(root)
-    if mark_root and _raw_leaf(root) is None:
-        site(out, out, is_array, "nonfinite")
     shape = "(p.shape[0], X.shape[0])" if batched else "X.shape[0]"
     body.append(f"return {out}" if is_array else f"return full({shape}, float({out}))")
     source = "def evaluator(p, X):\n    p = asarray(p, dtype=float)\n    X = asarray(X, dtype=float)\n"
@@ -333,8 +330,12 @@ def _compile(root: Node, mark_root: bool = False, batched: bool = False,
     return ns["evaluator"]
 
 
-def compile_evaluator(e: Expression) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Compile to ``f(params, X) -> y_hat`` over row-major inputs.
+def compile_evaluator(e: Expression, X: np.ndarray | None = None,
+                      batched: bool = False) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Compile to ``f(params, X) -> y_hat`` over row-major inputs, or with
+    ``batched`` to ``f(P, X)`` over S parameter rows ``P`` of shape (S, k),
+    whose result is (S, rows) or broadcastable to it; row s is bit-equal to
+    the single-point form at ``P[s]``. A constant ci reads ``params[i - 1]``.
 
     Undefined rows (division by zero, log of a non-positive value, sqrt of a
     negative value, overflow) come back non-finite (inf or NaN) instead of
@@ -343,49 +344,15 @@ def compile_evaluator(e: Expression) -> Callable[[np.ndarray, np.ndarray], np.nd
     of ``exp``, an operand of ``^``), is the operand checked, by one
     ``np.add.reduce`` (``math.isfinite`` for a scalar); only when that is
     non-finite is a row mask computed and those rows of the site's result
-    set to NaN. See :func:`evaluate_rows` for NaN-marked output.
+    set to NaN. Given ``X``, the function is for that input matrix alone:
+    a raw variable operand of ``^`` is tested for NaN only if its column of
+    ``X`` holds one.
     Call the returned function under ``np.errstate(all="ignore")``: it does
     not enter one itself, so that a fit can enter it once per local solve.
     """
-    return _compile(e.root)
-
-
-def compile_for_rows(e: Expression, X: np.ndarray):
-    """The single-point and the batched evaluator of ``e`` for the fixed
-    input matrix ``X`` alone: ``(f(params, X) -> (rows,), g(P, X) -> (S,
-    rows) or broadcastable to it)``, where row s of ``g`` is bit-equal to
-    ``f`` at ``P[s]``. A raw variable operand of ``^`` is tested for NaN
-    only if its column of ``X`` holds one. The same call rules as
-    :func:`compile_evaluator` hold."""
-    nan_columns = _nan_columns(X)
-    return (_compile(e.root, nan_columns=nan_columns),
-            _compile(e.root, batched=True, nan_columns=nan_columns))
-
-
-def compile_subtrees(roots: list[Node], X: np.ndarray) -> list[Callable]:
-    """The single-point evaluator of ``compile_for_rows`` for each tree of
-    ``roots``, subtrees of an expression included: ``f(params, X)``, where a
-    constant ci reads ``params[i - 1]``."""
-    nan_columns = _nan_columns(X)
-    return [_compile(root, nan_columns=nan_columns) for root in roots]
-
-
-def _nan_columns(X: np.ndarray) -> frozenset[int]:
-    return frozenset(np.flatnonzero(np.isnan(X).any(axis=0)).tolist())
-
-
-def evaluate_rows(e: Expression, params, X) -> np.ndarray:
-    """Vectorized evaluation over a (rows, n_vars) input matrix; NaN marks
-    undefined rows (the root is a site too, so a non-finite row becomes NaN;
-    a raw root, a leaf or a negated leaf, passes as it is). Emits no
-    floating-point warnings. Raises ValueError unless there is one
-    parameter per constant."""
-    params = tuple(float(v) for v in params)
-    if len(params) != e.n_constants:
-        raise ValueError(f"expression has {e.n_constants} constants, got {len(params)} parameters")
-    evaluator = _compile(e.root, mark_root=True)
-    with np.errstate(all="ignore"):
-        return evaluator(np.asarray(params), np.atleast_2d(np.asarray(X, dtype=float)))
+    nan_columns = None if X is None else frozenset(
+        np.flatnonzero(np.isnan(np.asarray(X, dtype=float)).any(axis=0)).tolist())
+    return _compile(e.root, batched, nan_columns)
 
 
 # ---------------------------------------------------------------------------

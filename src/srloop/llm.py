@@ -199,7 +199,8 @@ class HttpBackend:
             try:
                 body = resp.json()
                 text = body["choices"][0]["message"]["content"]
-                usage = body.get("usage", {})
+                usage = body.get("usage")
+                usage = {} if usage is None else usage  # "usage": null as if left out
                 prompt_tokens = usage.get("prompt_tokens", 0)
                 completion_tokens = usage.get("completion_tokens", 0)
             except (ValueError, LookupError, TypeError, AttributeError,

@@ -42,8 +42,7 @@ from .expressions import (
     Expression,
     Node,
     Unary,
-    compile_for_rows,
-    compile_subtrees,
+    compile_evaluator,
     walk,
 )
 
@@ -392,17 +391,12 @@ def minimize(func, x0, cfg: FitConfig):
     return best_x, best_f, evals, converged
 
 
-def mse_objective(e: Expression, X, y):
-    """Mean squared error over all rows; any undefined row maps to +inf.
-    The objective's ``batch`` takes a list of points and returns their MSEs,
-    each bit-equal to one call at that point; ``minimize`` evaluates its
-    hops with it. Neither enters an ``np.errstate``: call them under
-    ``np.errstate(all="ignore")``, as ``nelder_mead`` and ``minimize`` do."""
-    X = np.asarray(X, dtype=float)
-    return _mse_of(*compile_for_rows(e, X), X, np.asarray(y, dtype=float))
-
-
 def _mse_of(evaluator, batched, X: np.ndarray, y: np.ndarray):
+    """The MSE over all rows as ``f(params)``, from the single-point and the
+    batched form of ``compile_evaluator``; an undefined row makes it +inf.
+    Its ``batch`` maps a list of points to their MSEs, each bit-equal to one
+    call. Call both under ``np.errstate(all="ignore")``, as ``minimize`` does."""
+
     def objective(params):
         resid = evaluator(params, X) - y
         # the sum and division of np.mean; non-finite whenever a residual is
@@ -483,8 +477,8 @@ def _least_squares(e: Expression, terms, X: np.ndarray, y: np.ndarray) -> FitRes
     1 for the solve, so that a column of large values does not drown a small
     one."""
     columns, offset = terms
-    evaluator, *functions = compile_subtrees(
-        [e.root, *(t for _, t in columns), *(t for _, t in offset)], X)
+    evaluator = compile_evaluator(e, X)
+    functions = [compile_evaluator(Expression(t), X) for _, t in columns + offset]
     ones = np.ones(len(columns))
     with np.errstate(all="ignore"):
         values = [f(ones, X) for f in functions]
@@ -533,7 +527,8 @@ def fit(e: Expression, d, cfg: FitConfig) -> FitResult:
         result = _least_squares(e, terms, X, y)
         if result is not None:
             return result
-    evaluator, batched = compile_for_rows(e, X)
+    evaluator = compile_evaluator(e, X)
+    batched = compile_evaluator(e, X, batched=True)
     x0 = np.asarray(e.initial_guess(), dtype=float)
     best_x, best_f, evals, converged = minimize(_mse_of(evaluator, batched, X, y), x0, cfg)
     if not np.isfinite(best_f):

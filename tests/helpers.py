@@ -16,6 +16,7 @@ from srloop import expressions
 from srloop.data import Dataset
 from srloop.expressions import Binary, Const, Dialect, Expression, Lit, Unary, Var, render
 from srloop.llm import TRANSCRIPT_DELIMITER
+from srloop.optimize import _mse_of
 from srloop.pareto import Candidate
 from srloop.parsing import parse
 
@@ -150,12 +151,12 @@ def oracle_eval(node, params, row):
     return out if math.isfinite(out) else None
 
 
-def oracle_evaluator(e: Expression, mark_root: bool = False):
+def oracle_evaluator(e: Expression):
     """The closure-tree evaluator ``expressions`` compiled each tree to before
     its flat compiler: every site is guarded on every call by setting its
     non-finite values to NaN, and each ^ result is NaN wherever it or a
     tested operand is. Returns ``f(params, X)`` as ``compile_evaluator``
-    does; ``mark_root=True`` guards the root too, as ``evaluate_rows`` does."""
+    does."""
 
     def guard(v):
         return np.where(np.isfinite(v), v, np.nan)
@@ -206,7 +207,7 @@ def oracle_evaluator(e: Expression, mark_root: bool = False):
             return np.where(bad, np.nan, r)
         return pw
 
-    fn = node(e.root, guarded=mark_root)
+    fn = node(e.root)
 
     def evaluator(params, X):
         X = np.asarray(X, dtype=float)
@@ -216,6 +217,16 @@ def oracle_evaluator(e: Expression, mark_root: bool = False):
         return out
 
     return evaluator
+
+
+def mse_objective(e: Expression, X, y):
+    """The objective ``fit`` minimizes for ``e`` on rows ``X`` and target
+    ``y``: ``_mse_of`` over the single-point and the batched form of
+    ``compile_evaluator`` for ``X``. Call it under ``np.errstate``."""
+    X = np.asarray(X, dtype=float)
+    return _mse_of(expressions.compile_evaluator(e, X),
+                   expressions.compile_evaluator(e, X, batched=True), X,
+                   np.asarray(y, dtype=float))
 
 
 def oracle_nelder_mead(func, x0, max_evals: int, tol: float = 1e-8):

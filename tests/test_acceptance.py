@@ -10,7 +10,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import candidate, make_dataset, random_expression, reply, write_transcript
+from helpers import (candidate, make_dataset, mse_objective, random_expression, reply,
+                     write_transcript)
 
 from srloop.cli import main as cli_main, reference_table
 from srloop.data import load_builtin
@@ -24,7 +25,7 @@ from srloop.expressions import (
     sr_equivalent,
 )
 from srloop.llm import ScriptedBackend
-from srloop.optimize import FitConfig, fit, mse_objective, repeat_fit
+from srloop.optimize import FitConfig, fit, repeat_fit
 from srloop.pareto import CandidateStore
 from srloop.parsing import parse
 from srloop.prompts import PromptConfig, build_initial, make_data_view, operator_note

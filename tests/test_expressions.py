@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from helpers import make_dataset, oracle_eval, oracle_evaluator, random_expression, random_node
+from helpers import (make_dataset, mse_objective, oracle_eval, oracle_evaluator,
+                     random_expression, random_node)
 
 from srloop.expressions import (
     BINARY_OPERATORS,
@@ -19,12 +20,9 @@ from srloop.expressions import (
     UnknownOperatorError,
     Var,
     compile_evaluator,
-    compile_for_rows,
     complexity,
-    evaluate_rows,
     render,
 )
-from srloop.optimize import mse_objective
 from srloop.parsing import parse
 from srloop.prompts import operator_note
 
@@ -35,7 +33,8 @@ def infix(text, variables=("x1",)):
 
 def at_row(e, params, row):
     """The value of ``e`` at one input row, from a one-row matrix."""
-    return float(evaluate_rows(e, params, [row])[0])
+    with np.errstate(all="ignore"):
+        return float(compile_evaluator(e)(params, np.array([row], dtype=float))[0])
 
 
 class TestRender:
@@ -99,7 +98,7 @@ class TestEvaluate:
         assert at_row(infix("x1+c1"), [2.0], [3.0]) == 5.0
 
     def test_protected_division(self):
-        assert math.isnan(at_row(infix("c1/x1"), [1.0], [0.0]))
+        assert not math.isfinite(at_row(infix("c1/x1"), [1.0], [0.0]))
 
     def test_langmuir_value(self):
         assert at_row(infix("c1*x1/(c2+x1)"), [5.0, 2.0], [2.0]) == 2.5
@@ -116,18 +115,16 @@ class TestEvaluate:
         ],
     )
     def test_protected_cases(self, text, params, row):
-        assert math.isnan(at_row(infix(text), params, row))
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
-            evaluate_rows(infix("c1*x1"), [1.0, 2.0], [[1.0]])
+        assert not math.isfinite(at_row(infix(text), params, row))
 
     def test_rows_match_scalar(self):
         e = infix("c1*x1/(c2+x1)+sqrt(x1)")
         X = np.array([[0.5], [2.0], [7.0]])
-        out = evaluate_rows(e, [3.0, 1.5], X)
-        for i in range(len(X)):
-            assert out[i] == evaluate_rows(e, [3.0, 1.5], X[i:i + 1])[0]
+        evaluator = compile_evaluator(e)
+        with np.errstate(all="ignore"):
+            out = evaluator([3.0, 1.5], X)
+            for i in range(len(X)):
+                assert out[i] == evaluator([3.0, 1.5], X[i:i + 1])[0]
 
     def test_agrees_with_brute_force_oracle(self):
         rng = random.Random(99)
@@ -139,7 +136,7 @@ class TestEvaluate:
             expected = oracle_eval(e.root, params, row)
             got = at_row(e, params, row)
             if expected is None:
-                assert math.isnan(got), render(e)
+                assert not math.isfinite(got), render(e)
             else:
                 assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-300), render(e)
             checked += 1
@@ -148,10 +145,9 @@ class TestEvaluate:
 class TestFlatCompiler:
     """The flat compiler against the closure compiler it replaced
     (``helpers.oracle_evaluator``): ``compile_evaluator`` is non-finite
-    exactly where the oracle is and bit-equal elsewhere, and
-    ``evaluate_rows`` is byte-equal to the oracle with its root guarded.
-    The batched form, on mixed batches of points, against
-    ``compile_evaluator`` at each point."""
+    exactly where the oracle is and bit-equal elsewhere. The forms compiled
+    for one ``X``, on mixed batches of points, against ``compile_evaluator``
+    at each point."""
 
     PARAMS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]
     ROWS = [0.0, -0.0, 1e308, -1e308, 5e-324, 1.0, -1.0]
@@ -165,9 +161,6 @@ class TestFlatCompiler:
         finite = np.isfinite(want)
         assert np.array_equal(np.isfinite(got), finite), (render(e), params, got, want)
         assert got[finite].tobytes() == want[finite].tobytes(), (render(e), params)
-        with np.errstate(all="ignore"):
-            want = oracle_evaluator(e, mark_root=True)(params, X)
-        assert evaluate_rows(e, params, X).tobytes() == want.tobytes(), (render(e), params)
 
     @staticmethod
     def assert_batch_like_single(e, points, X):
@@ -178,7 +171,7 @@ class TestFlatCompiler:
         X = np.asarray(X, dtype=float)
         P = np.asarray(points, dtype=float).reshape(len(points), e.n_constants)
         evaluator = compile_evaluator(e)
-        single, batched = compile_for_rows(e, X)
+        single, batched = compile_evaluator(e, X), compile_evaluator(e, X, batched=True)
         y = np.linspace(-1.0, 1.0, len(X))
         objective = mse_objective(e, X, y)
         with np.errstate(all="ignore"):
@@ -256,29 +249,32 @@ class TestFlatCompiler:
         self.assert_like_oracle(e, params, rows)
         ones = [1.0] * e.n_constants
         self.assert_batch_like_single(e, [ones, params, ones, params], rows)
-        assert np.isnan(evaluate_rows(e, params, rows)).tolist() == undefined, render(e)
+        with np.errstate(all="ignore"):
+            out = compile_evaluator(e)(params, np.array(rows, dtype=float))
+        assert (~np.isfinite(out)).tolist() == undefined, render(e)
 
     def test_a_nan_column_is_tested_in_every_form(self):
         # nan**0 is 1, so a NaN in x1 must mark its row, on any X
         e = infix("x1**c1")
         X = np.array([[math.nan], [2.0]])
-        single, batched = compile_for_rows(e, X)
+        single, batched = compile_evaluator(e, X), compile_evaluator(e, X, batched=True)
         with np.errstate(all="ignore"):
             assert np.isnan(compile_evaluator(e)([0.0], X)).tolist() == [True, False]
             assert np.isnan(single([0.0], X)).tolist() == [True, False]
             assert np.isnan(batched(np.array([[0.0], [1.0]]), X)).tolist() == [[True, False]] * 2
-        assert np.isnan(evaluate_rows(e, [0.0], X)).tolist() == [True, False]
         # forms compiled for rows without a NaN do not test x1 on each call
         # (so, given a NaN outside their contract, they pass nan**0 through)
-        single, batched = compile_for_rows(e, np.array([[1.0], [2.0]]))
+        clean = np.array([[1.0], [2.0]])
+        single, batched = compile_evaluator(e, clean), compile_evaluator(e, clean, batched=True)
         with np.errstate(all="ignore"):
             assert single([0.0], X).tolist() == [1.0, 1.0]
             assert batched(np.array([[0.0]]), X).tolist() == [[1.0, 1.0]]
 
     def test_a_raw_root_passes_as_it_is(self):
         X = np.array([[math.inf], [math.nan], [-0.0]])
-        assert evaluate_rows(infix("-x1"), (), X).tobytes() == (-X[:, 0]).tobytes()
-        assert evaluate_rows(infix("c1"), [math.inf], X).tolist() == [math.inf] * 3
+        with np.errstate(all="ignore"):
+            assert compile_evaluator(infix("-x1"))((), X).tobytes() == (-X[:, 0]).tobytes()
+            assert compile_evaluator(infix("c1"))([math.inf], X).tolist() == [math.inf] * 3
 
 
 class TestOperatorSet:
@@ -323,10 +319,12 @@ class TestOperatorTable:
     ROWS = np.array([[-2.0, 0.5], [0.0, 3.0], [0.5, -1.0], [3.0, 0.0], [800.0, 2.5]])
 
     def assert_like_oracle(self, e):
-        for row, got in zip(self.ROWS, evaluate_rows(e, (), self.ROWS)):
+        with np.errstate(all="ignore"):
+            out = compile_evaluator(e)((), self.ROWS)
+        for row, got in zip(self.ROWS, out):
             expected = oracle_eval(e.root, (), row)
             if expected is None:
-                assert math.isnan(got), (render(e), row)
+                assert not math.isfinite(got), (render(e), row)
             else:
                 assert math.isclose(got, expected, rel_tol=1e-12), (render(e), row)
 
@@ -353,7 +351,7 @@ class TestOperatorTable:
     @pytest.mark.parametrize("root", [Unary("tan", Var(1)), Binary("%", Var(1), Var(1))])
     def test_an_operator_outside_the_table_is_not_evaluated(self, root):
         with pytest.raises(UnknownOperatorError):
-            evaluate_rows(Expression(root), (), [[1.0]])
+            compile_evaluator(Expression(root))
 
 
 def test_expression_initial_guess_defaults_to_ones():

@@ -206,6 +206,7 @@ class TestHttp:
         b"<html>not json</html>",
         b'{"choices": [{"message": {"role": "assistant", "content": null}}]}',
         b'{"usage": {"prompt_tokens": 1}}',
+        b'{"choices":[{"message":{"content":"x"}}],"usage":[]}',
         # a count out of an int's reach, and a negative one
         b'{"choices":[{"message":{"content":"x"}}],"usage":{"prompt_tokens":1e400}}',
         b'{"choices":[{"message":{"content":"x"}}],"usage":{"prompt_tokens":-5}}',
@@ -221,6 +222,16 @@ class TestHttp:
         backend = HttpBackend(stub_config(stub_server))
         with pytest.raises(MalformedResponseError):
             backend.complete(REQ)
+
+    @pytest.mark.parametrize("body", [
+        b'{"choices":[{"message":{"content":"x"}}]}',
+        b'{"choices":[{"message":{"content":"x"}}],"usage":null}',
+    ])
+    def test_a_body_without_usage_counts_no_tokens(self, stub_server, monkeypatch, body):
+        monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
+        _Handler.canned_body = body
+        reply = HttpBackend(stub_config(stub_server)).complete(REQ)
+        assert (reply.text, reply.prompt_tokens, reply.completion_tokens) == ("x", 0, 0)
 
     def test_calls_share_one_connection(self, monkeypatch):
         class KeepAlive(_Handler):

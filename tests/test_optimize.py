@@ -3,17 +3,17 @@ import math
 import random
 import sys
 import threading
-import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import make_dataset, oracle_minimize, oracle_nelder_mead, random_expression
+from helpers import (make_dataset, mse_objective, oracle_minimize, oracle_nelder_mead,
+                     random_expression)
 
-from srloop import optimize
+from srloop import expressions, optimize
 from srloop.data import load_builtin
-from srloop.expressions import MAX_CONSTANTS, Dialect, Expression, evaluate_rows, render
+from srloop.expressions import MAX_CONSTANTS, Dialect, Expression, compile_evaluator, render
 from srloop.optimize import (
     HOP_WINDOW,
     FitConfig,
@@ -22,7 +22,6 @@ from srloop.optimize import (
     fit,
     linear_terms,
     minimize,
-    mse_objective,
     nelder_mead,
     repeat_fit,
 )
@@ -155,7 +154,8 @@ class TestLinear:
         assert (linear.evals, linear.converged) == (0, True) and simplex.evals > 0
         assert linear.mse <= simplex.mse * (1 + 1e-10)
         assert linear.params == pytest.approx(simplex.params, rel=1e-6)
-        resid = evaluate_rows(e, linear.params, d.X) - d.y
+        with np.errstate(all="ignore"):
+            resid = compile_evaluator(e)(linear.params, d.X) - d.y
         assert linear.mse == float(np.mean(resid * resid))
         assert linear.mae == float(np.mean(np.abs(resid)))
 
@@ -665,10 +665,64 @@ def test_cycle_skip_reaches_a_huge_cap(x0, max_evals, expected):
 def test_undefined_rows_stay_undefined(text, params, x, defined):
     e = infix(text)
     X = np.array(x).reshape(-1, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = evaluate_rows(e, params, X)
-        with np.errstate(all="ignore"):
-            assert mse_objective(e, X, np.zeros(len(x)))(np.array(params)) == math.inf
+    with np.errstate(all="ignore"):
+        out = compile_evaluator(e, X)(params, X)
+        assert mse_objective(e, X, np.zeros(len(x)))(np.array(params)) == math.inf
     assert list(np.isfinite(out)) == defined
-    assert not np.isinf(out).any()  # undefined rows are NaN
+    assert not np.isinf(out).any()  # each root is a site, so its undefined rows are NaN
+
+
+@pytest.mark.parametrize("dataset,text,forms", [
+    ("langmuir", "c1*x1/(c2+x1)", 2),  # the simplex: the single-point and the batched form
+    ("hubble", "c1*x1+c2", 3),  # least squares: the whole expression and each term
+])
+def test_fits_evaluate_only_through_compile_evaluator(monkeypatch, dataset, text, forms):
+    # the benchmark's tracer times evaluations by wrapping what
+    # compile_evaluator returns, as optimize holds it: a fit that compiled
+    # its tree another way, or evaluated it outside those functions, would
+    # drop out of its figures
+    made = []  # every flat function compiled, through the hook or not
+    raw_compile = expressions._compile
+    monkeypatch.setattr(expressions, "_compile",
+                        lambda *args: made.append(args) or raw_compile(*args))
+    calls = {"single": 0, "batched": 0}  # calls of the functions the hook returned
+    hooked = []
+    raw_evaluator = optimize.compile_evaluator
+
+    def counting_evaluator(*args, **kwargs):
+        evaluator = raw_evaluator(*args, **kwargs)
+        hooked.append(evaluator)
+
+        def counted(params, X):
+            calls["batched" if np.ndim(params) == 2 else "single"] += 1
+            return evaluator(params, X)
+
+        return counted
+
+    monkeypatch.setattr(optimize, "compile_evaluator", counting_evaluator)
+    objective = {"single": 0, "batched": 0}  # calls of the objective minimize is given
+    raw_minimize = optimize.minimize
+
+    def counting_minimize(func, x0, cfg):
+        def counted(x):
+            objective["single"] += 1
+            return func(x)
+
+        def batch(points):
+            objective["batched"] += 1
+            return func.batch(points)
+
+        counted.batch = batch
+        return raw_minimize(counted, x0, cfg)
+
+    monkeypatch.setattr(optimize, "minimize", counting_minimize)
+    result = fit(infix(text), load_builtin(dataset), FitConfig())
+    assert bool(result.evals) == (forms == 2)
+    assert len(hooked) == len(made) == forms
+    if result.evals:
+        # every objective call is one evaluator call; the fit's residual is one more
+        assert objective["single"] > 0 and objective["batched"] > 0
+        assert calls == {"single": objective["single"] + 1, "batched": objective["batched"]}
+    else:
+        assert objective == {"single": 0, "batched": 0}
+        assert calls == {"single": forms, "batched": 0}
