@@ -417,18 +417,24 @@ def save_runlog(log: RunLog, path) -> None:
 
 def load_runlog_data(path) -> dict:
     """Load the raw JSONL structure: {header, iterations, summary}. A line
-    that is not a JSON object, a log without its header or summary, or one
-    without a key that replay, score or pareto reads, or with such a key of
-    another JSON type, is a ValueError."""
+    that is not a JSON object, is nested too deeply to decode or has no
+    type, a log without its header or summary, or one without a key that
+    replay, score or pareto reads, or with such a key of another JSON type,
+    is a ValueError."""
     header = None
     iterations = []
     summary = None
     for line in Path(path).read_text().splitlines():
         if not line.strip():
             continue
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except RecursionError:
+            raise ValueError(f"{path}: a line is nested too deeply to decode") from None
         if not isinstance(obj, dict):
             raise ValueError(f"{path}: a line is not a JSON object")
+        if "type" not in obj:
+            raise ValueError(f"{path}: a line has no type")
         if obj["type"] == "header":
             header = obj
         elif obj["type"] == "iteration":

@@ -9,6 +9,7 @@ are separated by a line containing only ``%%%``.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,6 +64,8 @@ class BackendConfig:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if not self.timeout > 0:
             raise ValueError(f"timeout must be above 0, not {self.timeout}")
+        if self.timeout > threading.TIMEOUT_MAX:  # a socket or time.sleep would overflow
+            raise ValueError(f"timeout must be at most {threading.TIMEOUT_MAX}, not {self.timeout}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, not {self.max_retries}")
 

@@ -1,8 +1,10 @@
 """Candidate store, complexity/error Pareto front, and feedback selection.
 
-The store keeps at most one candidate per canonical form (the best-MSE fit
-wins), computes the non-dominated front over (complexity, mse), and selects
-the records that get serialized back into the next iteration prompt.
+The store keeps at most one candidate per canonical form, in the order in
+which the forms were first stored; a lower-MSE equivalent takes the
+incumbent's place (only the merged store of ``srloop pareto`` ever replaces
+one). It computes the non-dominated front over (complexity, mse), and
+selects the records that get serialized back into the next iteration prompt.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 from .expressions import Expression, Node, render
 
@@ -58,84 +61,66 @@ class CandidateStore:
     """Single-writer store of evaluated candidates, deduplicated by canonical form."""
 
     def __init__(self):
-        self._items: list[Candidate] = []
-        self._by_canonical: dict[Node, int] = {}  # by canonical tree, sr_equivalent's equality
+        self._cands: dict[Node, Candidate] = {}  # by canonical tree, in first-insertion order
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._cands)
 
     def __iter__(self):
-        return iter(self._items)
+        return iter(self._cands.values())
 
     def find_equivalent(self, canonical: Expression) -> Candidate | None:
-        pos = self._by_canonical.get(canonical.root)
-        return self._items[pos] if pos is not None else None
+        return self._cands.get(canonical.root)
 
     def insert(self, cand: Candidate) -> bool:
         """Add a candidate; an sr-equivalent incumbent is kept unless the new
-        fit has strictly lower MSE. Returns True when the store changed."""
-        key = cand.canonical.root
-        pos = self._by_canonical.get(key)
-        if pos is None:
-            self._by_canonical[key] = len(self._items)
-            self._items.append(cand)
-            return True
-        if cand.mse < self._items[pos].mse:
-            self._items[pos] = cand
-            return True
-        return False
+        fit has strictly lower MSE, which then takes its place. Returns True
+        when the store changed."""
+        incumbent = self._cands.get(cand.canonical.root)
+        if incumbent is not None and not cand.mse < incumbent.mse:
+            return False
+        self._cands[cand.canonical.root] = cand  # a replaced key keeps its place
+        return True
 
     def pareto_front(self) -> list[Candidate]:
         """Finite-MSE candidates not dominated in (complexity, mse), sorted by
         ascending complexity; ties keep the earlier iteration first."""
-        finite = [c for c in self._items if math.isfinite(c.mse)]
-        finite.sort(key=lambda c: (c.complexity, c.mse, c.iteration_born))
+        finite = sorted((c for c in self if math.isfinite(c.mse)),
+                        key=lambda c: (c.complexity, c.mse, c.iteration_born))
         front: list[Candidate] = []
         best = math.inf
-        i = 0
-        while i < len(finite):
-            j = i
-            while j < len(finite) and finite[j].complexity == finite[i].complexity:
-                j += 1
-            group_min = finite[i].mse
-            if group_min < best:
-                front.extend(c for c in finite[i:j] if c.mse == group_min)
-                best = group_min
-            i = j
+        for _, group in groupby(finite, key=lambda c: c.complexity):
+            group = list(group)
+            if group[0].mse < best:
+                best = group[0].mse
+                front.extend(c for c in group if c.mse == best)
         return front
 
     def select_feedback(self, policy: FeedbackPolicy) -> list[Candidate]:
         """Pick the candidates to send back, ordered by descending MSE (best last).
         Infinite-MSE candidates are stored for duplicate suppression but never fed back."""
-        finite = [c for c in self._items if math.isfinite(c.mse)]
+        finite = [c for c in self if math.isfinite(c.mse)]
+        by_mse = sorted(finite, key=lambda c: (c.mse, c.complexity, c.iteration_born))
         if policy.kind == "top_k":
-            chosen = sorted(finite, key=lambda c: (c.mse, c.complexity, c.iteration_born))
-            chosen = chosen[: policy.k]
+            chosen = by_mse[: policy.k]
+        elif len(finite) <= policy.min_count:
+            chosen = finite
         else:
-            if len(finite) <= policy.min_count:
-                chosen = list(finite)
-            else:
-                chosen = list(self.pareto_front())
-                picked = set(id(c) for c in chosen)
-                by_mse = sorted(finite, key=lambda c: (c.mse, c.complexity, c.iteration_born))
-                for c in by_mse:
-                    if len(chosen) >= policy.min_count:
-                        break
-                    if id(c) not in picked:
-                        chosen.append(c)
-                        picked.add(id(c))
-                newest = sorted(finite, key=lambda c: -c.iteration_born)[:2]
-                for c in newest:
-                    if id(c) not in picked:
-                        chosen.append(c)
-                        picked.add(id(c))
+            picked = {id(c): c for c in self.pareto_front()}  # an ordered set of candidates
+            for c in by_mse:
+                if len(picked) >= policy.min_count:
+                    break
+                picked.setdefault(id(c), c)
+            for c in sorted(finite, key=lambda c: -c.iteration_born)[:2]:
+                picked.setdefault(id(c), c)
+            chosen = picked.values()
         return sorted(chosen, key=lambda c: (-c.mse, c.complexity, c.equation))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["equation", "complexity", "mse", "mae", "iteration"])
-            for c in self._items:
+            for c in self:
                 writer.writerow([c.equation, c.complexity, repr(c.mse), repr(c.mae), c.iteration_born])
 
 

@@ -336,6 +336,70 @@ def oracle_minimize(func, x0, cfg, improved: list | None = None,
     return best_x, best_f, evals, converged
 
 
+class OracleStore:
+    """The candidate store ``pareto`` had before it kept one dict: a list of
+    candidates and a dict of positions into it by canonical tree, a hand-rolled
+    group-by for the front and a list plus an ``id`` set for the selection."""
+
+    def __init__(self):
+        self._items: list[Candidate] = []
+        self._by_canonical: dict = {}
+
+    def insert(self, cand: Candidate) -> bool:
+        key = cand.canonical.root
+        pos = self._by_canonical.get(key)
+        if pos is None:
+            self._by_canonical[key] = len(self._items)
+            self._items.append(cand)
+            return True
+        if cand.mse < self._items[pos].mse:
+            self._items[pos] = cand
+            return True
+        return False
+
+    def pareto_front(self) -> list[Candidate]:
+        finite = [c for c in self._items if math.isfinite(c.mse)]
+        finite.sort(key=lambda c: (c.complexity, c.mse, c.iteration_born))
+        front: list[Candidate] = []
+        best = math.inf
+        i = 0
+        while i < len(finite):
+            j = i
+            while j < len(finite) and finite[j].complexity == finite[i].complexity:
+                j += 1
+            group_min = finite[i].mse
+            if group_min < best:
+                front.extend(c for c in finite[i:j] if c.mse == group_min)
+                best = group_min
+            i = j
+        return front
+
+    def select_feedback(self, policy) -> list[Candidate]:
+        finite = [c for c in self._items if math.isfinite(c.mse)]
+        if policy.kind == "top_k":
+            chosen = sorted(finite, key=lambda c: (c.mse, c.complexity, c.iteration_born))
+            chosen = chosen[: policy.k]
+        else:
+            if len(finite) <= policy.min_count:
+                chosen = list(finite)
+            else:
+                chosen = list(self.pareto_front())
+                picked = set(id(c) for c in chosen)
+                by_mse = sorted(finite, key=lambda c: (c.mse, c.complexity, c.iteration_born))
+                for c in by_mse:
+                    if len(chosen) >= policy.min_count:
+                        break
+                    if id(c) not in picked:
+                        chosen.append(c)
+                        picked.add(id(c))
+                newest = sorted(finite, key=lambda c: -c.iteration_born)[:2]
+                for c in newest:
+                    if id(c) not in picked:
+                        chosen.append(c)
+                        picked.add(id(c))
+        return sorted(chosen, key=lambda c: (-c.mse, c.complexity, c.equation))
+
+
 def reply(*exprs: str, scratchpad: str = "scratchpad: looking at trends.") -> str:
     """A scripted model response carrying the given candidate lines."""
     from srloop.prompts import BEGIN_MARKER, END_MARKER

@@ -443,9 +443,10 @@ WRONG_TYPES = {
 
 def unreadable_log(kind, workdir, finished_runs) -> str:
     """A run log that cannot be loaded: no file at all, a header alone, a
-    complete log with a line that is JSON but not an object, or one whose
-    dataset is not bundled, whose first store equation does not parse, whose
-    first store params are not numbers, or with a key of WRONG_TYPES."""
+    complete log with a line that is JSON but not an object, one nested too
+    deeply to decode or an object without a type, or one whose dataset is not
+    bundled, whose first store equation does not parse, whose first store
+    params are not numbers, or with a key of WRONG_TYPES."""
     path = workdir / f"{kind}.jsonl"
     lines = Path(finished_runs[0]).read_text().splitlines()
     header, summary = json.loads(lines[0]), json.loads(lines[-1])
@@ -453,6 +454,10 @@ def unreadable_log(kind, workdir, finished_runs) -> str:
         lines = lines[:1]
     elif kind == "not_an_object":
         lines.append("[1, 2]")
+    elif kind == "too_deep":
+        lines.append("[" * 100_000 + "]" * 100_000)
+    elif kind == "no_type":
+        lines.append('{"index": 3}')
     elif kind == "unknown_dataset":
         header["dataset"] = "phlogiston"
     elif kind == "bad_equation":
@@ -513,6 +518,22 @@ class TestReplay:
         assert capsys.readouterr().err == (f"{path}: replay failed: "
                                            f"--subsample -3 is below 1\n")
 
+    @pytest.mark.parametrize("value", ["Infinity", "1e10"])
+    def test_oversized_timeout_fails_replay(self, value, workdir, capsys):
+        golden = Path(__file__).parent / "golden" / "hubble" / "run01.jsonl"
+        path = workdir / "run01.jsonl"
+        path.write_text(golden.read_text().replace('"timeout": 120.0', f'"timeout": {value}', 1))
+        assert main(["replay", str(path)]) == 2
+        assert capsys.readouterr().err == (f"{path}: replay failed: timeout must be at most "
+                                           f"{threading.TIMEOUT_MAX}, not {float(value)}\n")
+
+    @pytest.mark.parametrize("kind,error", [("too_deep", "a line is nested too deeply to decode"),
+                                            ("no_type", "a line has no type")])
+    def test_undecodable_line_fails_replay(self, kind, error, finished_runs, workdir, capsys):
+        bad = unreadable_log(kind, workdir, finished_runs)
+        assert main(["replay", bad]) == 2
+        assert capsys.readouterr().err == f"{bad}: replay failed: {bad}: {error}\n"
+
 
 class TestScore:
     def test_score_csv(self, finished_runs, workdir, capsys):
@@ -565,7 +586,8 @@ class TestScore:
         assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {out}: ")
         assert not (workdir / "nonexistent").exists()
 
-    @pytest.mark.parametrize("kind", ["missing", "header_only", "not_an_object"])
+    @pytest.mark.parametrize("kind", ["missing", "header_only", "not_an_object", "too_deep",
+                                      "no_type"])
     def test_unreadable_log(self, kind, finished_runs, workdir, capsys):
         bad = unreadable_log(kind, workdir, finished_runs)
         argv = ["score", *finished_runs, bad, "--target", "langmuir", "--out", "score.csv"]
@@ -646,8 +668,9 @@ class TestPareto:
                                                              "directory taken: ")
         assert (workdir / "taken").read_text() == "keep\n"
 
-    @pytest.mark.parametrize("kind", ["missing", "header_only", "not_an_object",
-                                      "unknown_dataset", "bad_equation", "bad_params"])
+    @pytest.mark.parametrize("kind", ["missing", "header_only", "not_an_object", "too_deep",
+                                      "no_type", "unknown_dataset", "bad_equation",
+                                      "bad_params"])
     def test_unreadable_log(self, kind, finished_runs, workdir, capsys):
         bad = unreadable_log(kind, workdir, finished_runs)
         assert_refused(["pareto", *finished_runs, bad, "--out", "fronts"], bad, workdir, capsys)
@@ -1027,6 +1050,8 @@ def assert_config_refused(error, workdir, capsys, flags=()):
     ("llm", "kind = htp", "unknown backend kind 'htp'"),
     ("llm", "timeout = 0", "timeout must be above 0, not 0.0"),
     ("llm", "timeout = nan", "timeout must be above 0, not nan"),
+    ("llm", "timeout = inf", f"timeout must be at most {threading.TIMEOUT_MAX}, not inf"),
+    ("llm", "timeout = 1e10", f"timeout must be at most {threading.TIMEOUT_MAX}, not 10000000000.0"),
     ("llm", "max_retries = -1", "max_retries must be >= 0, not -1"),
     (None, "iterations = 1", "cannot read config file config.ini: File contains no section "
                              "headers. file: 'config.ini', line: 1 'iterations = 1\\n'"),

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import pytest
@@ -22,7 +23,7 @@ from srloop.engine import (
     score_runs,
 )
 from srloop.expressions import Dialect, OperatorSet, Unary, canonicalize, sr_equivalent
-from srloop.llm import ScriptedBackend
+from srloop.llm import HttpBackend, ScriptedBackend
 from srloop.optimize import FitConfig
 from srloop.pareto import Candidate, FeedbackPolicy
 from srloop.parsing import parse
@@ -185,6 +186,21 @@ class TestRun:
             run(config(iterations=3), backend=ScriptedBackend(entries))
         assert len(err.value.log.records) == 1
         assert err.value.log.error
+
+    @pytest.mark.parametrize("owned", [True, False])
+    @pytest.mark.parametrize("turns", [2, 1])  # with 1, the run ends in BackendFailure
+    def test_only_an_http_backend_the_run_makes_is_closed(self, owned, turns, monkeypatch):
+        script = ScriptedBackend([reply("c1*x1"), reply("c1/x1")][:turns])
+        closed, close = [], HttpBackend.close
+        monkeypatch.setattr(HttpBackend, "complete", lambda self, req: script.complete(req))
+        monkeypatch.setattr(HttpBackend, "close", lambda self: (closed.append(self), close(self)))
+        passed = None if owned else HttpBackend(BackendConfig(kind="http"))
+        cfg = config(iterations=2, backend=BackendConfig(kind="http"))
+        with pytest.raises(BackendFailure) if turns == 1 else contextlib.nullcontext():
+            run(cfg, backend=passed)
+        assert len(closed) == (1 if owned else 0) and all(isinstance(b, HttpBackend) for b in closed)
+        if passed is not None:
+            passed.close()
 
     def test_candidate_count_bound(self):
         entries = [reply(f"c1*x1**{k}.5", f"c1*x1**{k}.25", f"c1*x1**{k}.75", "c1*x1")

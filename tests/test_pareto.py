@@ -2,10 +2,11 @@ import csv
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from helpers import candidate
+from helpers import OracleStore, candidate
 
 from srloop.expressions import Dialect
 from srloop.pareto import CandidateStore, FeedbackPolicy, to_feedback_json
@@ -185,6 +186,34 @@ class TestSelectFeedback:
             FeedbackPolicy(kind="nope")
         with pytest.raises(ValueError):
             FeedbackPolicy(min_count=0)
+
+
+def test_store_matches_the_reference_store():
+    """Random stores with repeated canonical forms stored at higher, equal and
+    lower MSE, infinite MSEs and ties in complexity, MSE and iteration keep,
+    front and select the same candidates in the same order as OracleStore."""
+    rng = random.Random(22)
+    forms = [cand(1.0, key=k) for k in range(30)]  # one canonical form each
+    policies = [*(FeedbackPolicy(min_count=m) for m in (1, 2, 6, 12, 40)),
+                *(FeedbackPolicy(kind="top_k", k=k) for k in (1, 3, 5, 40))]
+    seen = {"new": 0, "lower": 0, "equal": 0, "higher": 0}
+    for _ in range(300):
+        store, oracle = CandidateStore(), OracleStore()
+        pool = forms[: rng.randint(1, len(forms))]
+        for _ in range(rng.randint(0, 60)):
+            c = replace(rng.choice(pool), mse=rng.choice([0.25, 0.5, 1.0, math.inf, rng.random()]),
+                        complexity=rng.randint(1, 6), iteration_born=rng.randint(1, 5))
+            incumbent = store.find_equivalent(c.canonical)
+            seen["new" if incumbent is None else "lower" if c.mse < incumbent.mse
+                 else "equal" if c.mse == incumbent.mse else "higher"] += 1
+            assert store.insert(c) == oracle.insert(c)
+        got, want = [list(store), store.pareto_front()], [oracle._items, oracle.pareto_front()]
+        for policy in policies:
+            got.append(store.select_feedback(policy))
+            want.append(oracle.select_feedback(policy))
+        for g, w in zip(got, want):
+            assert len(g) == len(w) and all(a is b for a, b in zip(g, w))
+    assert min(seen.values()) > 500
 
 
 class TestFeedbackJson:
