@@ -305,8 +305,7 @@ def cmd_run(args) -> int:
 
 def cmd_replay(args) -> int:
     if not args.logs:
-        print("error: no run logs given", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("no run logs given")
     failures = 0
     for path in args.logs:
         try:
@@ -347,16 +346,13 @@ def _load_logs(paths, with_stores: bool = False) -> list[dict]:
 
 def cmd_score(args) -> int:
     if not args.logs:
-        print("error: no run logs given", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("no run logs given")
     try:
         info = data.dataset_info(args.target)  # the manifest alone: score reads no rows
     except data.UnknownDatasetError:
-        print(f"error: unknown dataset {args.target!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"unknown dataset {args.target!r}") from None
     if not info["target"]:
-        print(f"error: dataset {args.target!r} has no target model", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"dataset {args.target!r} has no target model")
     target = parse(info["target"], Dialect.INFIX, list(info["variables"]))
     logs = []
     iterations = 0
@@ -394,8 +390,7 @@ def _write_front_csv(front: list[Candidate], path) -> None:
 
 def cmd_pareto(args) -> int:
     if not args.logs:
-        print("error: no run logs given", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("no run logs given")
     logs = _load_logs(args.logs, with_stores=True)
     datasets = sorted({log_data["header"]["dataset"] for log_data in logs})
     if len(datasets) > 1:

@@ -420,7 +420,7 @@ def load_runlog_data(path) -> dict:
     that is not a JSON object, is nested too deeply to decode or has no
     type, a log without its header or summary, or one without a key that
     replay, score or pareto reads, or with such a key of another JSON type,
-    is a ValueError."""
+    is a ValueError; its message leaves naming the file to the caller."""
     header = None
     iterations = []
     summary = None
@@ -430,11 +430,11 @@ def load_runlog_data(path) -> dict:
         try:
             obj = json.loads(line)
         except RecursionError:
-            raise ValueError(f"{path}: a line is nested too deeply to decode") from None
+            raise ValueError("a line is nested too deeply to decode") from None
         if not isinstance(obj, dict):
-            raise ValueError(f"{path}: a line is not a JSON object")
+            raise ValueError("a line is not a JSON object")
         if "type" not in obj:
-            raise ValueError(f"{path}: a line has no type")
+            raise ValueError("a line has no type")
         if obj["type"] == "header":
             header = obj
         elif obj["type"] == "iteration":
@@ -442,13 +442,13 @@ def load_runlog_data(path) -> dict:
         elif obj["type"] == "summary":
             summary = obj
     if header is None or summary is None:
-        raise ValueError(f"{path}: not a complete run log")
-    _check_keys(path, "the header", header)
-    _check_keys(path, "the summary", summary)
+        raise ValueError("not a complete run log")
+    _check_keys("the header", header)
+    _check_keys("the summary", summary)
     for entry in summary["store"]:
-        _check_keys(path, "a store entry", entry)
+        _check_keys("a store entry", entry)
     for rec in iterations:
-        _check_keys(path, "an iteration", rec)
+        _check_keys("an iteration", rec)
     return {"header": header, "iterations": iterations, "summary": summary}
 
 
@@ -472,15 +472,15 @@ _JSON_KINDS = {  # type() rather than isinstance(), so that true is not an integ
 }
 
 
-def _check_keys(path, part: str, obj) -> None:
+def _check_keys(part: str, obj) -> None:
     """A ValueError unless ``obj`` holds each key of ``part``, of its JSON kind."""
     keys = _LOG_KEYS[part]
     missing = [key for key in keys if not isinstance(obj, dict) or key not in obj]
     if missing:
-        raise ValueError(f"{path}: {part} has no {', '.join(missing)}")
+        raise ValueError(f"{part} has no {', '.join(missing)}")
     for key, kind in keys.items():
         if not _JSON_KINDS[kind](obj[key]):
-            raise ValueError(f"{path}: {part}'s {key} is not {kind}")
+            raise ValueError(f"{part}'s {key} is not {kind}")
 
 
 def store_from_log(log_data: dict, variables) -> CandidateStore:

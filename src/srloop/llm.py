@@ -9,12 +9,16 @@ are separated by a line containing only ``%%%``.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 TRANSCRIPT_DELIMITER = "%%%"
+
+#: The largest ``BackendConfig.timeout``, one day, in seconds. It bounds the
+#: socket timeout and a ``Retry-After`` sleep, which is capped at the timeout:
+#: ``time.sleep`` refuses a value near ``threading.TIMEOUT_MAX`` with an OSError.
+MAX_TIMEOUT = 86400.0
 
 
 class BackendError(Exception):
@@ -64,10 +68,12 @@ class BackendConfig:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if not self.timeout > 0:
             raise ValueError(f"timeout must be above 0, not {self.timeout}")
-        if self.timeout > threading.TIMEOUT_MAX:  # a socket or time.sleep would overflow
-            raise ValueError(f"timeout must be at most {threading.TIMEOUT_MAX}, not {self.timeout}")
+        if self.timeout > MAX_TIMEOUT:  # a socket or a Retry-After time.sleep would overflow
+            raise ValueError(f"timeout must be at most {MAX_TIMEOUT}, not {self.timeout}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, not {self.max_retries}")
+        if self.max_tokens is not None and self.max_tokens < 1:
+            raise ValueError(f"max_tokens must be >= 1, not {self.max_tokens}")
 
 
 @dataclass(frozen=True)

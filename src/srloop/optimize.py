@@ -81,18 +81,21 @@ class FitConfig:
     def __post_init__(self):
         if self.hops < 1:
             raise ValueError("hops must be a positive integer")
-        if self.step_scale <= 0:
-            raise ValueError("step_scale must be positive")
-        if self.reflection <= 0:
-            raise ValueError("reflection coefficient must be > 0")
-        if self.expansion <= 1:
-            raise ValueError("expansion coefficient must be > 1")
+        # each test is one that NaN fails, and the upper bounds refuse inf
+        if not 0 < self.step_scale < math.inf:
+            raise ValueError(f"step_scale must be positive and finite, not {self.step_scale}")
+        if not 0 < self.reflection < math.inf:
+            raise ValueError(f"reflection coefficient must be > 0 and finite, not {self.reflection}")
+        if not 1 < self.expansion < math.inf:
+            raise ValueError(f"expansion coefficient must be > 1 and finite, not {self.expansion}")
         if not 0 < self.contraction < 1:
             raise ValueError("contraction coefficient must be in (0, 1)")
         if not 0 < self.shrink < 1:
             raise ValueError("shrink coefficient must be in (0, 1)")
-        if self.max_evals < 1 or self.tol <= 0:
-            raise ValueError("max_evals and tol must be positive")
+        if self.max_evals < 1:
+            raise ValueError("max_evals must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, not {self.tol}")
         if self.refits < 1:
             raise ValueError("refits must be >= 1")
         if self.seed < 0:
@@ -466,18 +469,16 @@ def _scales(n: Node, c: Const) -> bool:
     return True
 
 
-def _least_squares(e: Expression, terms, X: np.ndarray, y: np.ndarray) -> FitResult | None:
-    """The least-squares fit of ``e`` in its linear form ``terms``, or None
-    when its MSE is not finite (the simplex then fits ``e``). Column j is
-    the term of constant j evaluated with the constants at 1, times its
-    sign; the target is y minus the signed constant-free terms. A row whose
-    column or target value is non-finite at 1 is non-finite at every value
-    of the constants, so it raises NoFiniteObjectiveError: the simplex would
-    find no finite point either. Each column is scaled to a largest magnitude of
-    1 for the solve, so that a column of large values does not drown a small
-    one."""
+def _least_squares(e: Expression, terms, X: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """The least-squares constants of ``e`` in its linear form ``terms``, or
+    None when ``lstsq`` raises. Column j is the term of constant j evaluated
+    with the constants at 1, times its sign; the target is y minus the
+    signed constant-free terms. A row whose column or target value is
+    non-finite at 1 is non-finite at every value of the constants, so it
+    raises NoFiniteObjectiveError: the simplex would find no finite point
+    either. Each column is scaled to a largest magnitude of 1 for the solve,
+    so that a column of large values does not drown a small one."""
     columns, offset = terms
-    evaluator = compile_evaluator(e, X)
     functions = [compile_evaluator(Expression(t), X) for _, t in columns + offset]
     ones = np.ones(len(columns))
     with np.errstate(all="ignore"):
@@ -489,15 +490,18 @@ def _least_squares(e: Expression, terms, X: np.ndarray, y: np.ndarray) -> FitRes
         scale = np.abs(A).max(axis=0)
         scale[scale == 0] = 1.0
         try:
-            solution = np.linalg.lstsq(A / scale, b, rcond=None)[0] / scale
+            return np.linalg.lstsq(A / scale, b, rcond=None)[0] / scale
         except np.linalg.LinAlgError:
             return None
-        resid = evaluator(solution, X) - y
+
+
+def _result(evaluator, x, X: np.ndarray, y: np.ndarray, evals: int, converged: bool) -> FitResult:
+    """The ``FitResult`` of constants ``x``: its MSE and MAE over all rows."""
+    with np.errstate(all="ignore"):
+        resid = evaluator(x, X) - y
     mse = float(np.mean(resid * resid))
     mae = float(np.mean(np.abs(resid)))
-    if not math.isfinite(mse):
-        return None
-    return FitResult(tuple(float(v) for v in solution), mse, mae, 0, True)
+    return FitResult(tuple(float(v) for v in x), mse, mae, evals, converged)
 
 
 def fit(e: Expression, d, cfg: FitConfig) -> FitResult:
@@ -507,14 +511,14 @@ def fit(e: Expression, d, cfg: FitConfig) -> FitResult:
     expression linear in every constant (see ``linear_terms``) is solved by
     one least-squares call, whose result has ``evals=0`` and
     ``converged=True``; ``hops``, ``seed``, ``max_evals`` and ``patience``
-    are not used. Where its MSE is not finite, and for every other
-    expression, the simplex with basin hopping fits it (``minimize``); it
-    stops hopping after ``cfg.patience`` idle hops in a row, and ``evals``
-    counts the evaluations of the first solve and of the hops it ran.
-    Raises NoFiniteObjectiveError when no visited parameter vector gives a
-    finite loss, and
-    TooManyConstantsError when the expression has more than MAX_CONSTANTS
-    constants.
+    are not used. Where that solve raises or its MSE is not finite, and for
+    every other expression, the simplex with basin hopping fits it
+    (``minimize``); it stops hopping after ``cfg.patience`` idle hops in a
+    row, and ``evals`` counts the evaluations of the first solve and of the
+    hops it ran. Either way ``e`` is compiled once for one point, and
+    ``_result`` makes the one ``FitResult``. Raises NoFiniteObjectiveError
+    when no visited parameter vector gives a finite loss, and
+    TooManyConstantsError when ``e`` has more than MAX_CONSTANTS constants.
     """
     k = e.n_constants
     if k > MAX_CONSTANTS:
@@ -523,21 +527,19 @@ def fit(e: Expression, d, cfg: FitConfig) -> FitResult:
     y = np.asarray(d.y, dtype=float)
     if len(y) < 1:
         raise ValueError("dataset has no rows")
-    if cfg.solve_linear and (terms := linear_terms(e)) is not None:
-        result = _least_squares(e, terms, X, y)
-        if result is not None:
-            return result
     evaluator = compile_evaluator(e, X)
+    if cfg.solve_linear and (terms := linear_terms(e)) is not None:
+        solution = _least_squares(e, terms, X, y)
+        if solution is not None:
+            result = _result(evaluator, solution, X, y, 0, True)
+            if math.isfinite(result.mse):
+                return result
     batched = compile_evaluator(e, X, batched=True)
     x0 = np.asarray(e.initial_guess(), dtype=float)
     best_x, best_f, evals, converged = minimize(_mse_of(evaluator, batched, X, y), x0, cfg)
     if not np.isfinite(best_f):
         raise NoFiniteObjectiveError(f"no finite objective found for {e}")
-    with np.errstate(all="ignore"):
-        resid = evaluator(best_x, X) - y
-    mse = float(np.mean(resid * resid))
-    mae = float(np.mean(np.abs(resid)))
-    return FitResult(tuple(float(v) for v in best_x), mse, mae, evals, converged)
+    return _result(evaluator, best_x, X, y, evals, converged)
 
 
 def repeat_fit(e: Expression, d, cfg: FitConfig) -> FitResult:

@@ -103,8 +103,6 @@ class CandidateStore:
         by_mse = sorted(finite, key=lambda c: (c.mse, c.complexity, c.iteration_born))
         if policy.kind == "top_k":
             chosen = by_mse[: policy.k]
-        elif len(finite) <= policy.min_count:
-            chosen = finite
         else:
             picked = {id(c): c for c in self.pareto_front()}  # an ordered set of candidates
             for c in by_mse:

@@ -19,6 +19,11 @@ import numpy as np
 
 from .expressions import BINARY_OPERATORS, FUNCTIONS, Dialect, OperatorSet
 
+#: The most decimals a prompt cell is rounded to. More only lengthen every
+#: cell (a count in the billions raises from the format); a cell left
+#: unrounded (None) prints every digit of its float by repr.
+MAX_DECIMALS = 17
+
 BEGIN_MARKER = "BEGIN_EXPRESSIONS"
 END_MARKER = "END_EXPRESSIONS"
 
@@ -62,8 +67,9 @@ class PromptConfig:
     def __post_init__(self):
         if self.n_expressions < 1:
             raise ValueError("n_expressions must be >= 1")
-        if self.rounding_decimals is not None and self.rounding_decimals < 0:
-            raise ValueError("rounding_decimals must be >= 0")
+        if self.rounding_decimals is not None and not 0 <= self.rounding_decimals <= MAX_DECIMALS:
+            raise ValueError(f"rounding_decimals must be in [0, {MAX_DECIMALS}], "
+                             f"not {self.rounding_decimals}")
 
 
 @dataclass(frozen=True)
@@ -139,12 +145,6 @@ def build_system() -> str:
     return _template("system").template.strip()
 
 
-def _context_block(context: str | None, cfg: PromptConfig) -> str:
-    if cfg.use_context and context:
-        return f"Background: {context}\n"
-    return ""
-
-
 def _data_block(view: DataView, cfg: PromptConfig) -> str:
     if not cfg.include_data:
         return ""
@@ -158,28 +158,17 @@ def _data_block(view: DataView, cfg: PromptConfig) -> str:
     return head + "\n```\n" + "\n".join(view.rows) + "\n```\n"
 
 
-def _extra_block(cfg: PromptConfig) -> str:
-    if not cfg.extra_instructions:
-        return ""
-    return "".join(f"- {line}\n" for line in cfg.extra_instructions)
-
-
-def _scratchpad_block(cfg: PromptConfig) -> str:
-    if not cfg.use_scratchpad:
-        return ""
-    return _template("scratchpad").template.strip() + "\n"
-
-
 def _common_fields(view: DataView, context: str | None, cfg: PromptConfig) -> dict:
     return {
         "n_expressions": cfg.n_expressions,
         "variables": ", ".join(view.variables),
-        "context_block": _context_block(context, cfg),
+        "context_block": f"Background: {context}\n" if cfg.use_context and context else "",
         "data_block": _data_block(view, cfg),
         "operator_note": cfg.operator_note,
         "dialect_note": _DIALECT_NOTES[cfg.dialect],
-        "extra_block": _extra_block(cfg),
-        "scratchpad_block": _scratchpad_block(cfg),
+        "extra_block": "".join(f"- {line}\n" for line in cfg.extra_instructions),
+        "scratchpad_block": (_template("scratchpad").template.strip() + "\n"
+                             if cfg.use_scratchpad else ""),
         "begin_marker": BEGIN_MARKER,
         "end_marker": END_MARKER,
     }

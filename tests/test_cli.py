@@ -525,14 +525,14 @@ class TestReplay:
         path.write_text(golden.read_text().replace('"timeout": 120.0', f'"timeout": {value}', 1))
         assert main(["replay", str(path)]) == 2
         assert capsys.readouterr().err == (f"{path}: replay failed: timeout must be at most "
-                                           f"{threading.TIMEOUT_MAX}, not {float(value)}\n")
+                                           f"86400.0, not {float(value)}\n")
 
     @pytest.mark.parametrize("kind,error", [("too_deep", "a line is nested too deeply to decode"),
                                             ("no_type", "a line has no type")])
     def test_undecodable_line_fails_replay(self, kind, error, finished_runs, workdir, capsys):
         bad = unreadable_log(kind, workdir, finished_runs)
         assert main(["replay", bad]) == 2
-        assert capsys.readouterr().err == f"{bad}: replay failed: {bad}: {error}\n"
+        assert capsys.readouterr().err == f"{bad}: replay failed: {error}\n"
 
 
 class TestScore:
@@ -726,7 +726,7 @@ def test_log_without_a_required_key(part, key, finished_runs, workdir, capsys):
     assert main(["replay", str(bad)]) == 2
     err = capsys.readouterr().err
     where = {"store entry": "a store entry", "iteration": "an iteration"}.get(part, f"the {part}")
-    assert err.splitlines() == [f"{bad}: replay failed: {bad}: {where} has no {key}"]
+    assert err.splitlines() == [f"{bad}: replay failed: {where} has no {key}"]
 
 
 @pytest.mark.parametrize("kind", WRONG_TYPES)
@@ -739,7 +739,7 @@ def test_log_with_a_key_of_another_type(kind, finished_runs, workdir, capsys):
     part, key, _ = WRONG_TYPES[kind]
     where = {"header": "the header's", "summary": "the summary's",
              "store": "a store entry's", "iteration": "an iteration's"}[part]
-    assert capsys.readouterr().err.startswith(f"{bad}: replay failed: {bad}: {where} {key} "
+    assert capsys.readouterr().err.startswith(f"{bad}: replay failed: {where} {key} "
                                               f"is not ")
 
 
@@ -1050,9 +1050,25 @@ def assert_config_refused(error, workdir, capsys, flags=()):
     ("llm", "kind = htp", "unknown backend kind 'htp'"),
     ("llm", "timeout = 0", "timeout must be above 0, not 0.0"),
     ("llm", "timeout = nan", "timeout must be above 0, not nan"),
-    ("llm", "timeout = inf", f"timeout must be at most {threading.TIMEOUT_MAX}, not inf"),
-    ("llm", "timeout = 1e10", f"timeout must be at most {threading.TIMEOUT_MAX}, not 10000000000.0"),
+    ("llm", "timeout = inf", "timeout must be at most 86400.0, not inf"),
+    ("llm", "timeout = 1e10", "timeout must be at most 86400.0, not 10000000000.0"),
+    ("llm", "timeout = 86401", "timeout must be at most 86400.0, not 86401.0"),
     ("llm", "max_retries = -1", "max_retries must be >= 0, not -1"),
+    ("llm", "max_tokens = 0", "max_tokens must be >= 1, not 0"),
+    ("llm", "max_tokens = -5", "max_tokens must be >= 1, not -5"),
+    ("fit", "tol = inf", "tol must be positive and finite, not inf"),
+    ("fit", "tol = nan", "tol must be positive and finite, not nan"),
+    ("fit", "tol = 0", "tol must be positive and finite, not 0.0"),
+    ("fit", "step_scale = inf", "step_scale must be positive and finite, not inf"),
+    ("fit", "step_scale = nan", "step_scale must be positive and finite, not nan"),
+    ("fit", "reflection = nan", "reflection coefficient must be > 0 and finite, not nan"),
+    ("fit", "reflection = inf", "reflection coefficient must be > 0 and finite, not inf"),
+    ("fit", "expansion = nan", "expansion coefficient must be > 1 and finite, not nan"),
+    ("fit", "expansion = inf", "expansion coefficient must be > 1 and finite, not inf"),
+    ("prompt", "rounding_decimals = 2147483648",
+     "rounding_decimals must be in [0, 17], not 2147483648"),
+    ("prompt", "rounding_decimals = 18", "rounding_decimals must be in [0, 17], not 18"),
+    ("prompt", "rounding_decimals = -1", "rounding_decimals must be in [0, 17], not -1"),
     (None, "iterations = 1", "cannot read config file config.ini: File contains no section "
                              "headers. file: 'config.ini', line: 1 'iterations = 1\\n'"),
     ("run", "[run]", "cannot read config file config.ini: While reading from 'config.ini' "

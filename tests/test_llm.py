@@ -12,6 +12,7 @@ from srloop.llm import (
     BackendConfig,
     ChatRequest,
     ChatResponse,
+    MAX_TIMEOUT,
     HttpBackend,
     MalformedResponseError,
     ScriptedBackend,
@@ -190,6 +191,19 @@ class TestHttp:
         assert backend.complete(REQ).text == "canned text"
         assert len(_Handler.received) == 2
         assert sleeps == [delay]
+
+    @pytest.mark.parametrize("retry_after", ["86401", "9223372036", "1e300", "inf"])
+    def test_retry_after_is_capped_at_the_largest_timeout(self, stub_server, monkeypatch, sleeps,
+                                                          retry_after):
+        # time.sleep raises OSError at once for a value near threading.TIMEOUT_MAX
+        # (9223372036 s on Linux), so every timeout stays far below it
+        monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
+        _Handler.statuses = [503]
+        _Handler.retry_after = retry_after
+        backend = HttpBackend(stub_config(stub_server, timeout=MAX_TIMEOUT), backoff=0.001)
+        assert backend.complete(REQ).text == "canned text"
+        assert sleeps == [86400.0]
+        assert MAX_TIMEOUT < threading.TIMEOUT_MAX / 1000
 
     def test_exhausted_retries_raise_last_status(self, stub_server, monkeypatch, sleeps):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")

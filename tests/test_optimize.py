@@ -224,7 +224,8 @@ class TestLinear:
     @pytest.mark.parametrize("failure", ["inf", "raise"])
     def test_falls_back_to_the_simplex(self, failure, monkeypatch):
         # an MSE that is not finite at the solution, or a solve that fails,
-        # leaves the fit to the simplex
+        # leaves the fit to the simplex, which reuses the single-point
+        # evaluator of e that the least-squares residual was taken with
         def lstsq(a, b, rcond=None):
             if failure == "raise":
                 raise np.linalg.LinAlgError("SVD did not converge")
@@ -232,8 +233,15 @@ class TestLinear:
 
         d = load_builtin("hubble")
         e = infix("c1*x1+c2")
+        simplex = fit(e, d, FitConfig(solve_linear=False))
+        compiled = []  # (expression, batched) of each compile
+        raw_compile = optimize.compile_evaluator
+        monkeypatch.setattr(optimize, "compile_evaluator", lambda f, X, batched=False:
+                            compiled.append((f, batched)) or raw_compile(f, X, batched=batched))
         monkeypatch.setattr(optimize.np.linalg, "lstsq", lstsq)
-        assert fit(e, d, FitConfig()) == fit(e, d, FitConfig(solve_linear=False))
+        assert fit(e, d, FitConfig()) == simplex
+        assert [batched for f, batched in compiled if f is e] == [False, True]
+        assert len(compiled) == 4  # and one compile of each term, c1*x1 and c2
 
 
 class TestMinimize:
@@ -276,6 +284,11 @@ class TestFitConfig:
             {"max_evals": 0},
             {"tol": 0.0},
             {"patience": -1},
+            # NaN fails every comparison, and inf passes a lower bound alone
+            *({key: value} for key in ("step_scale", "reflection", "expansion", "tol")
+              for value in (math.nan, math.inf)),
+            {"contraction": math.nan},
+            {"shrink": math.nan},
         ],
     )
     def test_invalid_configs(self, kwargs):

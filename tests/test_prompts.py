@@ -11,6 +11,7 @@ from srloop.expressions import OperatorSet
 from srloop.prompts import (
     BEGIN_MARKER,
     END_MARKER,
+    MAX_DECIMALS,
     DataView,
     InvalidFeedbackError,
     MissingDataError,
@@ -49,6 +50,12 @@ class TestDataView:
         d = make_dataset([2.718281], [1.414213])
         v = make_data_view(d, rounding=3)
         assert v.rows == ("2.718, 1.414",)
+
+    def test_most_decimals(self):
+        # the refusals of a rounding_decimals above MAX_DECIMALS are in test_cli
+        d = make_dataset([2.718281], [1.0])
+        assert cfg(rounding_decimals=MAX_DECIMALS).rounding_decimals == 17
+        assert make_data_view(d, rounding=17).rows == ("2.71828100000000017, 1.00000000000000000",)
 
     def test_full_precision_by_default(self):
         d = make_dataset([2.718281], [1.0])
