@@ -15,6 +15,7 @@ import configparser
 import csv
 import functools
 import json
+import math
 import os
 import sys
 import threading
@@ -145,21 +146,25 @@ def build_run_config(args, ini: configparser.ConfigParser) -> RunConfig:
     try:
         return engine.config_from_dict({
             "prompt": prompt, "fit": fit, "backend": backend, **run,
-            "policy": engine.config_to_dict(_policy(args.policy or run.get("policy", "standard"))),
+            "policy": engine.to_json(_policy(args.policy or run.get("policy", "standard"))),
         })
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _price_table(ini: configparser.ConfigParser) -> dict[str, tuple[float, float]]:
-    """``[prices]``: per model, its prompt and its completion price per token."""
+    """``[prices]``: per model, its prompt and its completion price per token,
+    each finite and at least 0."""
     table = {}
     for model, value in (ini["prices"].items() if ini.has_section("prices") else ()):
         try:
             prompt, completion = (float(v) for v in value.split(","))
+            if not (0 <= prompt < math.inf and 0 <= completion < math.inf):  # NaN fails too
+                raise ValueError
         except ValueError:
-            raise ConfigError(f"[prices] {model} must be two numbers, the prompt and the "
-                              f"completion price per token, not {value!r}") from None
+            raise ConfigError(f"[prices] {model} must be two finite numbers of at least 0, "
+                              f"the prompt and the completion price per token, "
+                              f"not {value!r}") from None
         table[model] = (prompt, completion)
     return table
 
@@ -237,7 +242,7 @@ def _out_dir(path: str) -> Path:
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot make output directory {path}: {exc}") from exc
+        raise ConfigError(f"cannot make output directory {path}: {_reason(exc)}") from exc
     return outdir
 
 
@@ -246,7 +251,13 @@ def _open_csv(path):
     try:
         return open(path, "w", newline="")
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+        raise ConfigError(f"cannot write {path}: {_reason(exc)}") from exc
+
+
+def _reason(exc: Exception) -> str:
+    """``exc`` for a message that names its file already: an OSError's text
+    without the path (its ``strerror``), where it has one."""
+    return exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
 
 
 def _run_and_save(outdir: Path, k: int, cfg: RunConfig, dataset: data.Dataset) -> engine.RunLog:
@@ -313,7 +324,7 @@ def cmd_replay(args) -> int:
             fresh = engine.replay(log_data)
             problems = engine.diff_replay(log_data, fresh)
         except (OSError, ValueError, KeyError, BackendFailure) as exc:
-            print(f"{path}: replay failed: {exc}", file=sys.stderr)
+            print(f"{path}: replay failed: {_reason(exc)}", file=sys.stderr)
             failures += 1
             continue
         if problems:
@@ -339,7 +350,7 @@ def _load_logs(paths, with_stores: bool = False) -> list[dict]:
         except data.UnknownDatasetError as exc:
             raise ConfigError(f"{path}: cannot load run log: unknown dataset {exc}") from exc
         except (OSError, ValueError, KeyError) as exc:
-            raise ConfigError(f"{path}: cannot load run log: {exc}") from exc
+            raise ConfigError(f"{path}: cannot load run log: {_reason(exc)}") from exc
         logs.append(log_data)
     return logs
 

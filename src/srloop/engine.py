@@ -106,6 +106,7 @@ class RunConfig:
 
 @dataclass
 class ParseOutcome:
+    """What became of one extracted proposal. Field order is the log's key order."""
     text: str
     status: str  # fitted | duplicate | syntax_error | too_complex |
     #              unknown_operator | implicit_form | operator_rejected |
@@ -116,6 +117,7 @@ class ParseOutcome:
 
 @dataclass
 class IterationRecord:
+    """One iteration of a run, logged by ``to_json``: field order is the log's key order."""
     index: int
     prompt: str
     responses: list[str]
@@ -163,8 +165,10 @@ def make_backend(bcfg: BackendConfig):
     return ScriptedBackend.from_file(bcfg.transcript)
 
 
-def run(cfg: RunConfig, dataset: Dataset | None = None, backend=None) -> RunLog:
-    """Execute one run. A malformed candidate never aborts the loop: it is
+def run(cfg: RunConfig, dataset: Dataset | None = None, backend=None,
+        iterations: int | None = None) -> RunLog:
+    """Execute one run of ``iterations`` (by default ``cfg.iterations``)
+    iterations. A malformed candidate never aborts the loop: it is
     logged and skipped, and so is one whose evaluation fails unexpectedly
     (outcome ``internal_error``, the exception and where it was raised in its
     detail). Backend failure raises BackendFailure carrying the partial log."""
@@ -182,10 +186,10 @@ def run(cfg: RunConfig, dataset: Dataset | None = None, backend=None) -> RunLog:
     required_vars = frozenset(range(1, len(dataset.variables) + 1))
 
     resolved = replace(cfg, prompt=pcfg, operators=opset)
-    log = RunLog(dataset_id=dataset.id, config=config_to_dict(resolved))
+    log = RunLog(dataset_id=dataset.id, config=to_json(resolved))
 
     try:
-        for iteration in range(1, cfg.iterations + 1):
+        for iteration in range(1, (cfg.iterations if iterations is None else iterations) + 1):
             if iteration == 1:
                 user = build_initial(view, dataset.context, pcfg)
             else:
@@ -324,24 +328,29 @@ def score_runs(logs: list[RunLog], iterations: int | None = None,
 # ---------------------------------------------------------------------------
 # Config and log (de)serialization
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    """JSON-ready form of a config: dataclasses become dicts in field order,
-    enums their values, frozensets sorted lists and tuples lists."""
-    if is_dataclass(cfg):
-        return {f.name: config_to_dict(getattr(cfg, f.name)) for f in fields(cfg)}
-    if isinstance(cfg, Enum):
-        return cfg.value
-    if isinstance(cfg, frozenset):
-        return sorted(cfg)
-    if isinstance(cfg, tuple):
-        return [config_to_dict(v) for v in cfg]
-    return cfg
+def to_json(v):
+    """JSON-ready form of a config or a log record: dataclasses become dicts in
+    field order, a Candidate its log entry (an infinite error as null), enums
+    their values, frozensets sorted lists, and tuples and lists lists."""
+    if isinstance(v, Candidate):
+        return {"equation": v.equation, "params": list(v.params), "mse": _num(v.mse),
+                "mae": _num(v.mae), "complexity": v.complexity, "iteration": v.iteration_born}
+    if is_dataclass(v):
+        return {f.name: to_json(getattr(v, f.name)) for f in fields(v)}
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, frozenset):
+        return sorted(v)
+    if isinstance(v, (tuple, list)):
+        return [to_json(x) for x in v]
+    return v
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    """Inverse of config_to_dict, typed by the dataclass annotations. A missing
-    key takes the field's default, so older logs still load; an unknown key or
-    a missing required one is a ValueError."""
+    """Inverse of to_json, typed by the dataclass annotations. A missing
+    key takes the field's default, so older logs still load; an unknown key,
+    a missing required one or a value its field does not take (``_takes``)
+    is a ValueError."""
     return _decode(RunConfig, d)
 
 
@@ -355,6 +364,9 @@ def _decode(tp, v):
         unknown = set(v) - {f.name for f in fields(tp)}
         if unknown:
             raise ValueError(f"unknown {tp.__name__} config key(s): {', '.join(sorted(unknown))}")
+        for k, x in v.items():  # a dataclass field names its own class when it is no mapping
+            if not (is_dataclass(hints[k]) or _takes(hints[k], x)):
+                raise ValueError(f"bad {tp.__name__} config: {k} cannot be {x!r}")
         try:
             return tp(**{k: _decode(hints[k], x) for k, x in v.items()})
         except TypeError as exc:  # a required key is missing or a value has the wrong type
@@ -366,6 +378,26 @@ def _decode(tp, v):
     return v
 
 
+#: the JSON values a scalar field takes, by the field's type: an int is not
+#: true or false, and a float may be written as an integer
+_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _takes(tp, v) -> bool:
+    """Whether a field of type ``tp`` takes the value ``v``: a scalar of its
+    kind, None where ``tp`` allows it, a tuple or frozenset as a list of its
+    elements, and a dataclass as a mapping. An enum checks its own values."""
+    if get_origin(tp) in (Union, UnionType):
+        return any(_takes(t, v) for t in get_args(tp))
+    if get_origin(tp) in (frozenset, tuple):
+        return isinstance(v, (list, tuple)) and all(_takes(get_args(tp)[0], x) for x in v)
+    if is_dataclass(tp):
+        return isinstance(v, dict)
+    if tp is type(None):
+        return v is None
+    return tp not in _SCALARS or type(v) in _SCALARS[tp]
+
+
 def _num(v: float):
     return v if math.isfinite(v) else None
 
@@ -374,40 +406,16 @@ def _error(v) -> float:  # the inverse of _num
     return math.inf if v is None else float(v)
 
 
-def _candidate_dict(c: Candidate) -> dict:
-    return {
-        "equation": c.equation,
-        "params": list(c.params),
-        "mse": _num(c.mse),
-        "mae": _num(c.mae),
-        "complexity": c.complexity,
-        "iteration": c.iteration_born,
-    }
-
-
 def save_runlog(log: RunLog, path) -> None:
     """Persist as line-delimited JSON: header, one record per iteration, summary.
-    Infinite errors are stored as null."""
+    Records and stored candidates are written by to_json."""
     lines = [json.dumps({"type": "header", "dataset": log.dataset_id, "config": log.config})]
-    for rec in log.records:
-        lines.append(json.dumps({
-            "type": "iteration",
-            "index": rec.index,
-            "prompt": rec.prompt,
-            "responses": rec.responses,
-            "extracted": rec.extracted,
-            "outcomes": [{"text": o.text, "status": o.status, "detail": o.detail}
-                         for o in rec.outcomes],
-            "candidates": [_candidate_dict(c) for c in rec.candidates],
-            "prompt_tokens": rec.prompt_tokens,
-            "completion_tokens": rec.completion_tokens,
-            "target_on_front": rec.target_on_front,
-        }))
+    lines += (json.dumps({"type": "iteration", **to_json(rec)}) for rec in log.records)
     usage = log.usage
     lines.append(json.dumps({
         "type": "summary",
         "rediscovery_iteration": log.rediscovery_iteration,
-        "store": [_candidate_dict(c) for c in log.store],
+        "store": to_json(list(log.store)),
         "prompt_tokens": usage.prompt_tokens,
         "completion_tokens": usage.completion_tokens,
         "error": log.error,
@@ -509,17 +517,19 @@ _LEGACY_FIT = {"solve_linear": False, "patience": 0}
 
 def replay(log_data: dict, dataset: Dataset | None = None) -> RunLog:
     """Re-run the engine against a scripted backend built from the logged
-    responses; with an unchanged log this reproduces the store exactly. A
-    fit key of ``_LEGACY_FIT`` missing from the logged configuration takes
-    the value there, so a log written before the key existed replays as it
-    was fitted."""
+    responses, for as many iterations as the log holds, so the partial log
+    of an aborted run replays too; with an unchanged log this reproduces the
+    store exactly. A fit key of ``_LEGACY_FIT`` missing from the logged
+    configuration takes the value there, so a log written before the key
+    existed replays as it was fitted."""
     config = log_data["header"]["config"]
     fit = config.get("fit", {})
     if isinstance(fit, dict):
         config = {**config, "fit": {**_LEGACY_FIT, **fit}}
     cfg = config_from_dict(config)
     responses = [text for rec in log_data["iterations"] for text in rec["responses"]]
-    return run(cfg, dataset=dataset, backend=ScriptedBackend(responses, name="replay"))
+    return run(cfg, dataset=dataset, backend=ScriptedBackend(responses, name="replay"),
+               iterations=len(log_data["iterations"]))
 
 
 def diff_replay(log_data: dict, fresh: RunLog, rtol: float = 1e-9) -> list[str]:

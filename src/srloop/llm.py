@@ -149,13 +149,14 @@ class HttpBackend:
 
     The API key is read from the environment at call time and never stored or
     logged. Transport failures and 408, 429 and 5xx responses are retried
-    with exponential backoff; for a status, a numeric ``Retry-After`` (capped
-    at ``timeout``) replaces the backoff. A status that survives all retries,
-    or any other non-2xx status at once, surfaces as ApiError. Calls share one
-    ``requests.Session``, so a keep-alive endpoint is connected to once;
-    ``close`` releases it. Single-consumer, like the session. ``requests`` is
-    imported by the first backend made, not with the module: it is the
-    slowest import of the package, and only this backend needs it.
+    with exponential backoff, each wait capped at ``timeout``; for a status,
+    a numeric ``Retry-After`` (capped likewise) replaces the backoff. A
+    status that survives all retries, or any other non-2xx status at once,
+    surfaces as ApiError. Calls share one ``requests.Session``, so a
+    keep-alive endpoint is connected to once; ``close`` releases it.
+    Single-consumer, like the session. ``requests`` is imported by the first
+    backend made, not with the module: it is the slowest import of the
+    package, and only this backend needs it.
     """
 
     def __init__(self, config: BackendConfig, backoff: float = 0.5):
@@ -198,7 +199,7 @@ class HttpBackend:
             except requests.RequestException as exc:
                 last_exc = exc
                 if attempt < cfg.max_retries:
-                    time.sleep(self.backoff * 2**attempt)
+                    time.sleep(self._backoff(attempt))
                 continue
             if resp.status_code // 100 != 2:
                 if attempt == cfg.max_retries or not _retryable(resp.status_code):
@@ -229,7 +230,12 @@ class HttpBackend:
         except ValueError:  # an HTTP date
             delay = -1.0
         # NaN fails the test too, and an infinite delay is capped
-        return min(delay, self.config.timeout) if delay >= 0 else self.backoff * 2**attempt
+        return min(delay, self.config.timeout) if delay >= 0 else self._backoff(attempt)
+
+    def _backoff(self, attempt: int) -> float:
+        """``backoff * 2**attempt`` seconds, capped at ``timeout``. The power
+        stops at 2**1023, the largest a float holds, so no attempt overflows."""
+        return min(self.backoff * 2.0 ** min(attempt, 1023), self.config.timeout)
 
 
 def _retryable(status: int) -> bool:

@@ -490,6 +490,30 @@ def assert_refused(argv, bad, workdir, capsys):
     assert sorted(workdir.rglob("*")) == before
 
 
+@pytest.mark.parametrize("make,reason", [(None, "No such file or directory"),
+                                         (Path.mkdir, "Is a directory")])
+def test_an_unreadable_log_is_named_once(make, reason, workdir, capsys):
+    if make is not None:
+        make(workdir / "nothere.jsonl")
+    for argv in (["score", "--target", "langmuir"], ["pareto"]):
+        assert main([*argv, "nothere.jsonl"]) == 1
+        assert capsys.readouterr().err == f"error: nothere.jsonl: cannot load run log: {reason}\n"
+    assert main(["replay", "nothere.jsonl"]) == 2
+    assert capsys.readouterr().err == f"nothere.jsonl: replay failed: {reason}\n"
+
+
+# the operator set of the golden hubble log's header
+OPERATORS = '"operators": {"binary": ["*", "+", "-", "/"], "unary": [], "name": "easy"}'
+
+
+def edited_golden(workdir, old, new) -> Path:
+    """A copy in ``workdir`` of the golden hubble log, its first ``old`` made ``new``."""
+    golden = Path(__file__).parent / "golden" / "hubble" / "run01.jsonl"
+    path = workdir / "run01.jsonl"
+    path.write_text(golden.read_text().replace(old, new, 1))
+    return path
+
+
 class TestReplay:
     def test_fresh_logs_replay_clean(self, finished_runs, capsys):
         assert main(["replay", *finished_runs]) == 0
@@ -504,6 +528,20 @@ class TestReplay:
     def test_no_logs_is_usage_error(self, capsys):
         assert main(["replay"]) == 1
 
+    @pytest.mark.parametrize("turns,stored", [(2, 2), (0, 0)])
+    def test_an_aborted_run_replays(self, turns, stored, workdir, capsys):
+        # the transcript runs out after ``turns`` of 4 iterations; with 0 the first call fails
+        write_transcript([reply("c1*x1"), reply("c1*x1*x1")][:turns], workdir / "t.txt")
+        argv = ["run", "--dataset", "hubble", "--backend", "scripted", "--transcript", "t.txt",
+                "--iterations", "4", "--runs", "1", "--out", "out"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: run 1 aborted: transcript scripted:t.txt "
+                                           f"exhausted after {turns} turns (partial log kept)\n")
+        path = workdir / "out" / "run01.jsonl"
+        assert len(load_runlog_data(path)["iterations"]) == turns
+        assert main(["replay", str(path)]) == 0
+        assert capsys.readouterr().out == f"{path}: ok ({stored} candidates reproduced)\n"
+
     def test_unknown_config_key_fails_replay(self, finished_runs, capsys):
         path = Path(finished_runs[0])
         path.write_text(path.read_text().replace('"refits": 1', '"refits": 1, "no_such_key": 5', 1))
@@ -517,6 +555,38 @@ class TestReplay:
         assert main(["replay", str(path)]) == 2
         assert capsys.readouterr().err == (f"{path}: replay failed: "
                                            f"--subsample -3 is below 1\n")
+
+    @pytest.mark.parametrize("old,new,error", [
+        ('"iterations": 3', '"iterations": 2.5', "RunConfig config: iterations cannot be 2.5"),
+        ('"iterations": 3', '"iterations": true', "RunConfig config: iterations cannot be True"),
+        ('"n_expressions": 3', '"n_expressions": 2.0',
+         "PromptConfig config: n_expressions cannot be 2.0"),
+        ('"max_tokens": null', '"max_tokens": 2.5', "BackendConfig config: max_tokens cannot be 2.5"),
+        ('"use_scratchpad": true', '"use_scratchpad": 1',
+         "PromptConfig config: use_scratchpad cannot be 1"),
+        ('"score_mode": "cumulative"', '"score_mode": 5', "RunConfig config: score_mode cannot be 5"),
+        ('"extra_instructions": []', '"extra_instructions": [1]',
+         "PromptConfig config: extra_instructions cannot be [1]"),
+        ('"extra_instructions": []', '"extra_instructions": "ab"',
+         "PromptConfig config: extra_instructions cannot be 'ab'"),
+        ('"unary": []', '"unary": [null]', "OperatorSet config: unary cannot be [None]"),
+        (OPERATORS, '"operators": 5', "RunConfig config: operators cannot be 5"),
+        ('"temperature": 0.7', '"temperature": "0.7"',
+         "RunConfig config: temperature cannot be '0.7'"),
+    ])
+    def test_a_config_value_of_another_kind_fails_replay(self, old, new, error, workdir, capsys):
+        path = edited_golden(workdir, old, new)
+        assert main(["replay", str(path)]) == 2
+        assert capsys.readouterr().err == f"{path}: replay failed: bad {error}\n"
+
+    @pytest.mark.parametrize("old,new", [('"temperature": 0.7', '"temperature": 1'),
+                                         (OPERATORS, '"operators": "easy"'),
+                                         ('"max_tokens": null', '"max_tokens": 9')])
+    def test_a_config_value_of_its_kind_replays(self, old, new, workdir, capsys):
+        # a float field takes an integer, and an optional one its type or null
+        path = edited_golden(workdir, old, new)
+        assert main(["replay", str(path)]) == 0
+        assert capsys.readouterr().out.startswith(f"{path}: ok (")
 
     @pytest.mark.parametrize("value", ["Infinity", "1e10"])
     def test_oversized_timeout_fails_replay(self, value, workdir, capsys):
@@ -831,7 +901,7 @@ INI_CASES = [
     ("dataset_flag_only", None, ["--dataset", "langmuir", "--backend", "http"]),
 ]
 
-INI_MEANING = {  # json.dumps(config_to_dict(cfg)) of each case, read by the old reader
+INI_MEANING = {  # json.dumps(to_json(cfg)) of each case, read by the old reader
     "full": (
         '{"dataset": "kepler", "operators": "hard", "prompt": {"use_scratchpad": false, '
         '"use_context": false, "include_data": false, "n_expressions": 5, '
@@ -969,7 +1039,7 @@ def test_ini_meaning(name, text, flags, tmp_path):
         argv += ["--config", str(tmp_path / "config.ini")]
     args = cli._parser().parse_args(argv)
     cfg = cli.build_run_config(args, cli._load_ini(args.config))
-    assert json.dumps(engine.config_to_dict(cfg)) == INI_MEANING[name]
+    assert json.dumps(engine.to_json(cfg)) == INI_MEANING[name]
 
 
 # ---------------------------------------------------------------------------
@@ -1101,11 +1171,13 @@ def test_a_negative_seed_flag_is_refused(flags, workdir, capsys):
     assert_config_refused("fit seed must be >= 0, not -1", workdir, capsys, flags)
 
 
-@pytest.mark.parametrize("value", ["2.5e-6", "2.5e-6, 1e-5, 1e-5", "cheap, 1e-5", ""])
+@pytest.mark.parametrize("value", ["2.5e-6", "2.5e-6, 1e-5, 1e-5", "cheap, 1e-5", "",
+                                   "nan, -1", "2.5e-6, -1e-5", "inf, 1e-5", "2.5e-6, nan"])
 def test_a_price_is_two_numbers(value, workdir, capsys):
     write_config(workdir, "prices", f"gpt-4o = {value}")
-    assert_config_refused(f"[prices] gpt-4o must be two numbers, the prompt and the "
-                          f"completion price per token, not {value!r}", workdir, capsys)
+    assert_config_refused(f"[prices] gpt-4o must be two finite numbers of at least 0, the "
+                          f"prompt and the completion price per token, not {value!r}",
+                          workdir, capsys)
 
 class TestDatasets:
     def test_listing(self, capsys):

@@ -13,7 +13,6 @@ from srloop.engine import (
     RunConfig,
     RunLog,
     config_from_dict,
-    config_to_dict,
     diff_replay,
     load_runlog_data,
     replay,
@@ -21,6 +20,7 @@ from srloop.engine import (
     run,
     save_runlog,
     score_runs,
+    to_json,
 )
 from srloop.expressions import Dialect, OperatorSet, Unary, canonicalize, sr_equivalent
 from srloop.llm import HttpBackend, ScriptedBackend
@@ -299,7 +299,7 @@ class TestConfigRoundTrip:
             seed=12,
             subsample=5,
         )
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert config_from_dict(to_json(cfg)) == cfg
 
     def test_header_line_is_pinned(self, tmp_path):
         cfg = RunConfig(
@@ -321,7 +321,7 @@ class TestConfigRoundTrip:
             score_mode="front",
         )
         path = tmp_path / "log.jsonl"
-        save_runlog(RunLog("bode", config_to_dict(cfg)), path)
+        save_runlog(RunLog("bode", to_json(cfg)), path)
         assert path.read_text().splitlines()[0] == (
             '{"type": "header", "dataset": "bode", "config": {"dataset": "bode", '
             '"operators": {"binary": ["*", "+", "-", "/", "^"], "unary": ["exp", "log"], '
@@ -340,13 +340,13 @@ class TestConfigRoundTrip:
         assert config_from_dict(load_runlog_data(path)["header"]["config"]) == cfg
 
     def test_missing_keys_take_defaults(self):
-        d = config_to_dict(RunConfig("kepler", fit=FitConfig(hops=3)))
+        d = to_json(RunConfig("kepler", fit=FitConfig(hops=3)))
         del d["score_mode"]
         del d["fit"]["refits"]
         assert config_from_dict(d) == RunConfig("kepler", fit=FitConfig(hops=3))
 
     def test_unknown_key_is_value_error(self):
-        d = config_to_dict(RunConfig("kepler"))
+        d = to_json(RunConfig("kepler"))
         d["fit"]["no_such_key"] = 5
         with pytest.raises(ValueError, match="no_such_key"):
             config_from_dict(d)

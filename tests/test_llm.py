@@ -216,6 +216,22 @@ class TestHttp:
         assert len(_Handler.received) == 3
         assert sleeps == [0.001, 0.002]
 
+    @pytest.mark.parametrize("max_retries", [12, 40])
+    def test_backoff_is_capped_at_the_timeout(self, stub_server, monkeypatch, sleeps,
+                                              max_retries):
+        # 0.5 * 2**12 s is past the timeout and 0.5 * 2**40 past what time.sleep takes
+        monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
+        _Handler.canned_status = 503  # no Retry-After
+        for endpoint, error in ((stub_server, ApiError), ("http://127.0.0.1:9", TransportError)):
+            sleeps.clear()
+            backend = HttpBackend(stub_config(endpoint, max_retries=max_retries))
+            with pytest.raises(error):
+                backend.complete(REQ)
+            backend.close()
+            assert len(sleeps) == max_retries
+            assert sleeps[:3] == [0.5, 1.0, 2.0] and max(sleeps) == sleeps[-1] == 120.0
+        assert backend._backoff(1030) == 120.0  # 0.5 * 2**1030 is past what a float holds
+
     @pytest.mark.parametrize("body", [
         b"<html>not json</html>",
         b'{"choices": [{"message": {"role": "assistant", "content": null}}]}',
