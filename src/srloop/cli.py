@@ -24,7 +24,7 @@ from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_args
 
 from . import data, engine
 from .engine import BackendFailure, ConfigError, RunConfig
@@ -80,7 +80,7 @@ def _section(ini: configparser.ConfigParser, name: str, cls) -> dict:
     """The keys of INI section ``name``, each value read as the type of the
     field of ``cls`` it names. Any other key passes through unchanged, for
     config_from_dict to reject."""
-    hints = get_type_hints(cls)
+    hints = engine.field_types(cls)
     sec = ini[name] if ini.has_section(name) else {}
     values = {}
     for key, text in sec.items():

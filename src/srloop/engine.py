@@ -9,6 +9,7 @@ backend built from its own responses.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import traceback
@@ -354,13 +355,20 @@ def config_from_dict(d: dict) -> RunConfig:
     return _decode(RunConfig, d)
 
 
+@functools.cache
+def field_types(cls) -> dict:
+    """``typing.get_type_hints(cls)``, resolved once per class. The dict is
+    shared between callers, so it must not be changed."""
+    return get_type_hints(cls)
+
+
 def _decode(tp, v):
     if get_origin(tp) in (Union, UnionType):  # a dict selects the dataclass member
         tp = next((t for t in get_args(tp) if is_dataclass(t)), None) if isinstance(v, dict) else None
     if is_dataclass(tp):
         if not isinstance(v, dict):
             raise ValueError(f"bad {tp.__name__} config: {v!r} is not a mapping")
-        hints = get_type_hints(tp)
+        hints = field_types(tp)
         unknown = set(v) - {f.name for f in fields(tp)}
         if unknown:
             raise ValueError(f"unknown {tp.__name__} config key(s): {', '.join(sorted(unknown))}")
@@ -386,7 +394,7 @@ _SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 def _takes(tp, v) -> bool:
     """Whether a field of type ``tp`` takes the value ``v``: a scalar of its
     kind, None where ``tp`` allows it, a tuple or frozenset as a list of its
-    elements, and a dataclass as a mapping. An enum checks its own values."""
+    elements, a dataclass as a mapping, and an enum one of its values."""
     if get_origin(tp) in (Union, UnionType):
         return any(_takes(t, v) for t in get_args(tp))
     if get_origin(tp) in (frozenset, tuple):
@@ -395,6 +403,8 @@ def _takes(tp, v) -> bool:
         return isinstance(v, dict)
     if tp is type(None):
         return v is None
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return any(type(v) is type(m.value) and v == m.value for m in tp)
     return tp not in _SCALARS or type(v) in _SCALARS[tp]
 
 
@@ -511,8 +521,9 @@ def store_from_log(log_data: dict, variables) -> CandidateStore:
 
 #: The value of each fit key that a log written before the key existed was
 #: fitted with, unlike the key's default: before ``solve_linear`` every
-#: candidate was fitted with the simplex, and before ``patience`` every hop ran.
-_LEGACY_FIT = {"solve_linear": False, "patience": 0}
+#: candidate was fitted with the simplex, before ``patience`` every hop ran,
+#: and before ``accept_idle`` an idle hop that was lower at all was accepted.
+_LEGACY_FIT = {"solve_linear": False, "patience": 0, "accept_idle": True}
 
 
 def replay(log_data: dict, dataset: Dataset | None = None) -> RunLog:

@@ -19,10 +19,10 @@ source holds only names and indices made from that number. ``nelder_mead``
 drives one of them with a scalar objective; ``minimize`` drives
 ``HOP_WINDOW`` basin hops in lockstep, one batched objective call per
 round, and commits them in hop order, so a fit's hops, result and
-evaluation count are those of running the hops one by one. It starts no
-more hops once ``FitConfig.patience`` committed hops in a row have been
-idle (see ``IDLE_GAIN``), so such a fit is the one with fewer hops and no
-patience.
+evaluation count are those of running the hops one by one. A hop is
+accepted only when it is lower and not idle (see ``IDLE_GAIN``), and no
+more hops start once ``FitConfig.patience`` committed hops in a row have
+been idle, so such a fit is the one with fewer hops and no patience.
 """
 
 from __future__ import annotations
@@ -60,10 +60,13 @@ class FitConfig:
     """Knobs for one fit: hop count, perturbation scale, simplex coefficients,
     evaluation budget per local solve, convergence tolerance, seeding,
     whether a candidate linear in every constant is solved by least squares
-    (``solve_linear``; the simplex knobs then go unused), and after how many
-    idle hops in a row basin hopping stops (``patience``; 0 runs every hop).
-    A log written before ``solve_linear`` or ``patience`` existed replays
-    with that switch off."""
+    (``solve_linear``; the simplex knobs then go unused), after how many
+    idle hops in a row basin hopping stops (``patience``; 0 runs every hop),
+    and whether an idle hop that is lower at all is accepted
+    (``accept_idle``, the rule before idle hops were skipped). A log
+    written before one of these keys existed replays with the value fits
+    had before it: ``solve_linear`` and ``patience`` off, ``accept_idle``
+    on."""
 
     hops: int = 25
     step_scale: float = 1.0
@@ -77,6 +80,7 @@ class FitConfig:
     refits: int = 1
     solve_linear: bool = True
     patience: int = 10
+    accept_idle: bool = False
 
     def __post_init__(self):
         if self.hops < 1:
@@ -125,8 +129,9 @@ HOP_WINDOW = 6
 
 #: A committed hop is idle when the best value is finite and the hop does not
 #: lower it by more than this fraction of its magnitude: gains of rounding
-#: alone do not keep basin hopping going. A hop at an infinite best is never
-#: idle, so a fit that has found no finite point yet runs every hop.
+#: alone neither keep basin hopping going nor, unless ``accept_idle``, replace
+#: the incumbent. A hop at an infinite best is never idle, so a fit that has
+#: found no finite point yet runs every hop.
 IDLE_GAIN = 1e-12
 
 
@@ -333,27 +338,30 @@ def _source(n: int) -> str:
 def minimize(func, x0, cfg: FitConfig):
     """Nelder-Mead plus up to ``cfg.hops`` basin hops: perturb the incumbent
     with a per-coordinate Gaussian of scale ``step_scale``, re-minimize
-    locally, and accept only strict improvements. Deterministic given
-    ``cfg.seed``.
+    locally, and accept only strict improvements that are not idle: a hop
+    is idle when the best is finite and the hop lowers it by no more than
+    ``IDLE_GAIN`` times its magnitude. With ``cfg.accept_idle`` an idle hop
+    that is lower at all is accepted too. Hops at an infinite best are never
+    idle. Deterministic given ``cfg.seed``.
 
     With ``cfg.patience`` > 0, no hop is started once that many committed
-    hops in a row have been idle: each found a finite best and lowered it
-    by no more than ``IDLE_GAIN`` times its magnitude (such a hop is still
-    accepted when it is lower at all). Hops at an infinite best are never
-    idle. The perturbations are drawn for all ``cfg.hops`` up front, so a
-    fit that stops after h hops is bit for bit the fit with ``hops=h,
-    patience=0``.
+    hops in a row have been idle. The perturbations are drawn for all
+    ``cfg.hops`` up front, so a fit that stops after h hops is bit for bit
+    the fit with ``hops=h, patience=0``.
 
     The first solve calls ``func`` on one point at a time. The hops run
     ``HOP_WINDOW`` at a time in lockstep: each round evaluates the next point
     of every unfinished hop in one call of ``func.batch`` (a list of points
     in, their values out) when ``func`` has one, else ``func`` point by
-    point. Hops are committed in hop order; at the first that improves, the
-    later ones in flight are dropped and restarted from the new incumbent,
-    with the same perturbations. So the committed hops, the result and
-    ``evals`` are those of running the hops one after another, and the
-    dropped work is not counted, nor are the hops in flight when patience
-    runs out.
+    point. Hops are committed in hop order; at the first that is accepted,
+    the later ones in flight are dropped and restarted from the new
+    incumbent, with the same perturbations. So the committed hops, the
+    result and ``evals`` are those of running the hops one after another,
+    and the dropped work is not counted, nor are the hops in flight when
+    patience runs out. At a finite best, with i idle hops in a row, a hop
+    past the first ``patience - i`` in flight is always dropped (the hops
+    before it are all idle, so patience runs out, or one is accepted), so
+    at most that many are in flight.
     """
     rng = np.random.default_rng(cfg.seed)
     best_x, best_f, evals, converged = nelder_mead(func, x0, cfg)
@@ -369,7 +377,11 @@ def minimize(func, x0, cfg: FitConfig):
     idle = 0  # idle hops committed in a row
     with np.errstate(all="ignore"):
         while flight or hop < cfg.hops:
-            while len(flight) < HOP_WINDOW and hop < cfg.hops:
+            # a hop past the patience left would always be dropped (see above)
+            window = HOP_WINDOW
+            if cfg.patience and math.isfinite(best_f):
+                window = min(window, cfg.patience - idle)
+            while len(flight) < window and hop < cfg.hops:
                 solve = simplex((best_x + cfg.step_scale * steps[hop]).tolist(), cfg)
                 flight.append([solve, next(solve), None])  # a new memo: x0 is a new point
                 hop += 1
@@ -384,7 +396,7 @@ def minimize(func, x0, cfg: FitConfig):
                 evals += ev
                 gained = not math.isfinite(best_f) or best_f - fv > IDLE_GAIN * abs(best_f)
                 idle = 0 if gained else idle + 1
-                if fv < best_f:
+                if fv < best_f and (gained or cfg.accept_idle):
                     best_x, best_f, converged = x, fv, conv
                     hop -= len(flight)
                     flight.clear()

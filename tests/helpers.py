@@ -325,11 +325,9 @@ def oracle_minimize(func, x0, cfg, improved: list | None = None,
             evals += ev
             if committed is not None:
                 committed.append(hop)
-            if math.isfinite(best_f) and best_f - fv <= IDLE_GAIN * abs(best_f):
-                idle += 1
-            else:
-                idle = 0
-            if fv < best_f:
+            gained = not math.isfinite(best_f) or best_f - fv > IDLE_GAIN * abs(best_f)
+            idle = 0 if gained else idle + 1
+            if fv < best_f and (gained or cfg.accept_idle):
                 best_x, best_f, converged = x, fv, conv
                 if improved is not None:
                     improved.append(hop)

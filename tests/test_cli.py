@@ -573,6 +573,12 @@ class TestReplay:
         (OPERATORS, '"operators": 5', "RunConfig config: operators cannot be 5"),
         ('"temperature": 0.7', '"temperature": "0.7"',
          "RunConfig config: temperature cannot be '0.7'"),
+        # an enum field takes only its values, and says so like the others
+        ('"dialect": "infix"', '"dialect": 5', "PromptConfig config: dialect cannot be 5"),
+        ('"dialect": "infix"', '"dialect": "Infix"',
+         "PromptConfig config: dialect cannot be 'Infix'"),
+        ('"dialect": "infix"', '"dialect": ["infix"]',
+         "PromptConfig config: dialect cannot be ['infix']"),
     ])
     def test_a_config_value_of_another_kind_fails_replay(self, old, new, error, workdir, capsys):
         path = edited_golden(workdir, old, new)
@@ -817,8 +823,9 @@ def test_log_with_a_key_of_another_type(kind, finished_runs, workdir, capsys):
 # What an INI key means: every key of the README block with a non-default
 # value, and each flag's precedence over the file. The literals were produced
 # by the per-section INI reader that build_run_config replaced, so they pin
-# that the reader kept the meaning of every key and flag; [fit] solve_linear
-# and patience, added after that reader, were written into them by hand.
+# that the reader kept the meaning of every key and flag; [fit] solve_linear,
+# patience and accept_idle, added after that reader, were written into them
+# by hand.
 
 FULL_INI = """[run]
 dataset = kepler
@@ -855,6 +862,7 @@ seed = 11
 refits = 2
 solve_linear = false
 patience = 3
+accept_idle = true
 
 [llm]
 kind = http
@@ -914,7 +922,7 @@ INI_MEANING = {  # json.dumps(to_json(cfg)) of each case, read by the old reader
         '"include_params": true}, "fit": {"hops": 3, "step_scale": 0.5, "reflection": 1.5, '
         '"expansion": 2.5, "contraction": 0.25, "shrink": 0.75, "max_evals": 500, '
         '"tol": 1e-06, "seed": 11, "refits": 2, '
-        '"solve_linear": false, "patience": 3}, "iterations": 7, "runs": 2, '
+        '"solve_linear": false, "patience": 3, "accept_idle": true}, "iterations": 7, "runs": 2, '
         '"backend": {"kind": "http", "endpoint": "http://localhost:9/v1/chat/completions", '
         '"model": "test-model", "key_env_var": "TEST_KEY", "timeout": 30.0, '
         '"max_retries": 1, "max_tokens": 256, "transcript": "t.txt"}, "temperature": 0.3, '
@@ -932,7 +940,7 @@ INI_MEANING = {  # json.dumps(to_json(cfg)) of each case, read by the old reader
         '"include_params": true}, "fit": {"hops": 3, "step_scale": 0.5, "reflection": 1.5, '
         '"expansion": 2.5, "contraction": 0.25, "shrink": 0.75, "max_evals": 500, '
         '"tol": 1e-06, "seed": 11, "refits": 2, '
-        '"solve_linear": false, "patience": 3}, "iterations": 7, "runs": 2, '
+        '"solve_linear": false, "patience": 3, "accept_idle": true}, "iterations": 7, "runs": 2, '
         '"backend": {"kind": "http", "endpoint": "http://localhost:9/v1/chat/completions", '
         '"model": "test-model", "key_env_var": "TEST_KEY", "timeout": 30.0, '
         '"max_retries": 1, "max_tokens": 256, "transcript": "t.txt"}, "temperature": 0.3, '
@@ -950,7 +958,7 @@ INI_MEANING = {  # json.dumps(to_json(cfg)) of each case, read by the old reader
         '"include_params": false}, "fit": {"hops": 3, "step_scale": 0.5, "reflection": 1.5, '
         '"expansion": 2.5, "contraction": 0.25, "shrink": 0.75, "max_evals": 500, '
         '"tol": 1e-06, "seed": 11, "refits": 2, '
-        '"solve_linear": false, "patience": 3}, "iterations": 2, "runs": 3, '
+        '"solve_linear": false, "patience": 3, "accept_idle": true}, "iterations": 2, "runs": 3, '
         '"backend": {"kind": "scripted", '
         '"endpoint": "http://localhost:9/v1/chat/completions", "model": "test-model", '
         '"key_env_var": "TEST_KEY", "timeout": 30.0, "max_retries": 1, "max_tokens": 256, '
@@ -965,7 +973,7 @@ INI_MEANING = {  # json.dumps(to_json(cfg)) of each case, read by the old reader
         '"fit": {"hops": 25, "step_scale": 1.0, "reflection": 1.0, "expansion": 2.0, '
         '"contraction": 0.5, "shrink": 0.5, "max_evals": 10000, "tol": 1e-08, "seed": 0, '
         '"refits": 1, '
-        '"solve_linear": true, "patience": 10}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
+        '"solve_linear": true, "patience": 10, "accept_idle": false}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
         '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
         '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
         '"max_tokens": null, "transcript": "t.txt"}, "temperature": 0.7, "seed": 4, '
@@ -979,7 +987,7 @@ INI_MEANING = {  # json.dumps(to_json(cfg)) of each case, read by the old reader
         '"include_params": false}, "fit": {"hops": 25, "step_scale": 1.0, "reflection": 1.0, '
         '"expansion": 2.0, "contraction": 0.5, "shrink": 0.5, "max_evals": 10000, '
         '"tol": 1e-08, "seed": 0, "refits": 1, '
-        '"solve_linear": true, "patience": 10}, "iterations": 15, "runs": 5, '
+        '"solve_linear": true, "patience": 10, "accept_idle": false}, "iterations": 15, "runs": 5, '
         '"backend": {"kind": "scripted", '
         '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
         '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
@@ -994,7 +1002,7 @@ INI_MEANING = {  # json.dumps(to_json(cfg)) of each case, read by the old reader
         '"fit": {"hops": 25, "step_scale": 1.0, "reflection": 1.0, "expansion": 2.0, '
         '"contraction": 0.5, "shrink": 0.5, "max_evals": 10000, "tol": 1e-08, "seed": 9, '
         '"refits": 1, '
-        '"solve_linear": true, "patience": 10}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
+        '"solve_linear": true, "patience": 10, "accept_idle": false}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
         '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
         '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
         '"max_tokens": null, "transcript": "t.txt"}, "temperature": 0.7, "seed": 9, '
@@ -1008,7 +1016,7 @@ INI_MEANING = {  # json.dumps(to_json(cfg)) of each case, read by the old reader
         '"fit": {"hops": 25, "step_scale": 1.0, "reflection": 1.0, "expansion": 2.0, '
         '"contraction": 0.5, "shrink": 0.5, "max_evals": 10000, "tol": 1e-08, "seed": 0, '
         '"refits": 1, '
-        '"solve_linear": true, "patience": 10}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
+        '"solve_linear": true, "patience": 10, "accept_idle": false}, "iterations": 15, "runs": 5, "backend": {"kind": "scripted", '
         '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
         '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
         '"max_tokens": null, "transcript": "t.txt"}, "temperature": 0.0, "seed": 0, '
@@ -1022,7 +1030,7 @@ INI_MEANING = {  # json.dumps(to_json(cfg)) of each case, read by the old reader
         '"fit": {"hops": 25, "step_scale": 1.0, "reflection": 1.0, "expansion": 2.0, '
         '"contraction": 0.5, "shrink": 0.5, "max_evals": 10000, "tol": 1e-08, "seed": 0, '
         '"refits": 1, '
-        '"solve_linear": true, "patience": 10}, "iterations": 15, "runs": 5, "backend": {"kind": "http", '
+        '"solve_linear": true, "patience": 10, "accept_idle": false}, "iterations": 15, "runs": 5, "backend": {"kind": "http", '
         '"endpoint": "https://api.openai.com/v1/chat/completions", "model": "gpt-4o", '
         '"key_env_var": "OPENAI_API_KEY", "timeout": 120.0, "max_retries": 3, '
         '"max_tokens": null, "transcript": null}, "temperature": 0.7, "seed": 0, '

@@ -331,7 +331,8 @@ class TestConfigRoundTrip:
             '"policy": {"kind": "top_k", "min_count": 6, "k": 4, "include_params": true}, '
             '"fit": {"hops": 2, "step_scale": 0.5, "reflection": 1.0, "expansion": 2.0, '
             '"contraction": 0.5, "shrink": 0.5, "max_evals": 700, "tol": 1e-06, "seed": 9, '
-            '"refits": 2, "solve_linear": true, "patience": 10}, "iterations": 4, "runs": 2, '
+            '"refits": 2, "solve_linear": true, "patience": 10, "accept_idle": false}, '
+            '"iterations": 4, "runs": 2, '
             '"backend": {"kind": "http", '
             '"endpoint": "http://127.0.0.1:1/v1", "model": "m", "key_env_var": "K", '
             '"timeout": 5.0, "max_retries": 1, "max_tokens": 256, "transcript": null}, '

@@ -3,10 +3,11 @@
 case's INI file must write again byte for byte. ``tools/make_golden.py``
 regenerates a log; only a change that alters results on purpose may.
 ``tests/legacy_logs/`` keeps logs written before fits had their
-least-squares path (no ``solve_linear`` in their configuration) or stopped
+least-squares path (no ``solve_linear`` in their configuration), stopped
 basin hopping after idle hops (no ``patience``: ``kepler_default_fit``, one
-kepler proposal fitted at the default settings), which must still replay
-``ok``."""
+kepler proposal fitted at the default settings) or skipped idle hops that
+were lower (no ``accept_idle``: ``kepler_idle_hop``, the same proposal at
+the default settings of that time), which must still replay ``ok``."""
 
 import json
 from pathlib import Path
@@ -69,6 +70,23 @@ def test_legacy_log_needs_every_hop(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         f"{log}: DIVERGED",
         "  c1*x1**c2: mae diverged 2.0909971495264705 vs 2.0909970562731153"]
+
+
+def test_legacy_log_needs_the_idle_hops(tmp_path, capsys):
+    # the legacy rule matters: without accept_idle, kepler's c1*x1**c2 keeps
+    # the incumbent where a later hop gained only rounding, and its MAE moves
+    # by about 7.6e-8 relative
+    lines = (LEGACY / "kepler_idle_hop" / "run01.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    assert "accept_idle" not in header["config"]["fit"]
+    assert header["config"]["fit"]["patience"] == 10
+    header["config"]["fit"]["accept_idle"] = False
+    log = tmp_path / "run01.jsonl"
+    log.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    assert main(["replay", str(log)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"{log}: DIVERGED",
+        "  c1*x1**c2: mae diverged 2.0909970562731153 vs 2.090997215760242"]
 
 
 @pytest.mark.parametrize("log", LOGS, ids=log_id)

@@ -300,20 +300,23 @@ class TestFitConfig:
 # one errstate per solve and incremental simplex ordering (the first four) and
 # before the simplex moved to Python floats with a per-solve memo (the 6-, 7-
 # and 10-constant fits, which sum the centroid over many rows); every bit must
-# stay with patience off. The last four are the fits that stop early at the
-# default patience, pinned when it was introduced.
+# stay with patience off. The next four are the fits that stop early at the
+# default patience, pinned when it was introduced. Where a hop that gained no
+# more than IDLE_GAIN was accepted, a fit is pinned under that rule
+# (accept_idle) and, in the last four, at the default settings, which skip
+# such a hop; the 6-, 7- and 10-constant fits accept none.
 PINNED_FITS = [
-    ("bode", "c1*exp(c2*x1)+c3", FitConfig(max_evals=1000, patience=0),
+    ("bode", "c1*exp(c2*x1)+c3", FitConfig(max_evals=1000, patience=0, accept_idle=True),
      "FitResult(params=(0.0576718316683838, 0.7237630662931395, 0.48529646205678434), "
      "mse=0.019845891649821985, mae=0.1069760634656383, evals=15701, converged=True)"),
-    ("nikuradse", "c1*x2**c2+c3*x1", FitConfig(hops=5, patience=0),
+    ("nikuradse", "c1*x2**c2+c3*x1", FitConfig(hops=5, patience=0, accept_idle=True),
      "FitResult(params=(0.10363854261158464, -0.24692638793487606, -7.404640850556469e-05), "
      "mse=3.779827362436026e-05, mae=0.0046511727844505, evals=3064, converged=True)"),
-    ("dual_site_langmuir", None, FitConfig(patience=0),
+    ("dual_site_langmuir", None, FitConfig(patience=0, accept_idle=True),
      "FitResult(params=(1.9822831766520888, 0.04881452909081546, 4.005921062439193, "
      "9.689319881626226), mse=0.000336705687524199, mae=0.0157620069230859, evals=15751, "
      "converged=True)"),
-    ("kepler", "c1*x1**c2", FitConfig(patience=0),
+    ("kepler", "c1*x1**c2", FitConfig(patience=0, accept_idle=True),
      "FitResult(params=(362.38258812955064, 1.5054253302193765), mse=5.807880298646893, "
      "mae=2.0909971495264705, evals=4726, converged=True)"),
     ("nikuradse", "c1+c2*x1+c3/x2+c4*x1*x2+c5*x2**c6",
@@ -332,19 +335,32 @@ PINNED_FITS = [
      "-0.5089262729394984, 0.09470550715770008, -0.009833221520744532, "
      "0.00048222470892442595, -7.273282460219326, -6.043567762547729, -0.9106098443922606), "
      "mse=0.01467475451579041, mae=0.09997500420590599, evals=15997, converged=False)"),
-    ("bode", "c1*exp(c2*x1)+c3", FitConfig(max_evals=1000),
+    ("bode", "c1*exp(c2*x1)+c3", FitConfig(max_evals=1000, accept_idle=True),
      "FitResult(params=(0.0576718316683838, 0.7237630662931395, 0.48529646205678434), "
      "mse=0.019845891649821985, mae=0.1069760634656383, evals=6220, converged=True)"),
-    ("nikuradse", "c1*x2**c2+c3*x1", FitConfig(),
+    ("nikuradse", "c1*x2**c2+c3*x1", FitConfig(accept_idle=True),
      "FitResult(params=(0.10363854261158464, -0.24692638793487606, -7.404640850556469e-05), "
      "mse=3.779827362436026e-05, mae=0.0046511727844505, evals=5762, converged=True)"),
-    ("dual_site_langmuir", None, FitConfig(),
+    ("dual_site_langmuir", None, FitConfig(accept_idle=True),
      "FitResult(params=(1.9822831766520888, 0.04881452909081546, 4.005921062439193, "
      "9.689319881626226), mse=0.000336705687524199, mae=0.0157620069230859, evals=5912, "
      "converged=True)"),
-    ("kepler", "c1*x1**c2", FitConfig(),
+    ("kepler", "c1*x1**c2", FitConfig(accept_idle=True),
      "FitResult(params=(362.382587959784, 1.5054253304635359), mse=5.807880298646903, "
      "mae=2.0909970562731153, evals=2125, converged=True)"),
+    ("bode", "c1*exp(c2*x1)+c3", FitConfig(max_evals=1000),
+     "FitResult(params=(0.05767183136430781, 0.7237630670079649, 0.4852964618410711), "
+     "mse=0.019845891649822287, mae=0.10697605970804917, evals=6207, converged=True)"),
+    ("nikuradse", "c1*x2**c2+c3*x1", FitConfig(),
+     "FitResult(params=(0.10363854103923348, -0.24692638106639186, -7.404652624555251e-05), "
+     "mse=3.779827362436027e-05, mae=0.004651172811525173, evals=5771, converged=True)"),
+    ("dual_site_langmuir", None, FitConfig(),
+     "FitResult(params=(1.9822831752246002, 0.048814528997677444, 4.005921061285401, "
+     "9.68931986356031), mse=0.00033670568752419987, mae=0.015762006949352952, evals=5934, "
+     "converged=True)"),
+    ("kepler", "c1*x1**c2", FitConfig(),
+     "FitResult(params=(362.3825879511895, 1.5054253304186704), mse=5.807880298647088, "
+     "mae=2.090997215760242, evals=2143, converged=True)"),
 ]
 
 
@@ -546,12 +562,14 @@ def _same_result(got, want):
     return (got[0].tobytes(), *got[1:]) == (want[0].tobytes(), *want[1:])
 
 
-def test_lockstep_hops_commit_the_sequential_ones():
-    # every committed hop, and so the result, is the one-by-one hop's: the
-    # corpus has improvements at each slot of a window (counted from the
-    # first hop after the last improvement, where the window refills) and
-    # fits where no hop improves. Each fit is also made with patience, each
-    # patience at each hop count, and some of those stop early.
+@pytest.mark.parametrize("accept_idle", [False, True])
+def test_lockstep_hops_commit_the_sequential_ones(accept_idle):
+    # every committed hop, and so the result, is the one-by-one hop's, under
+    # either acceptance rule: the corpus has improvements at each slot of a
+    # window (counted from the first hop after the last improvement, where
+    # the window refills) and fits where no hop improves. Each fit is also
+    # made with patience, each patience at each hop count, and some of those
+    # stop early.
     slots, idle, stopped = set(), 0, set()
     for seed, name in enumerate(("bode", "dual_site_langmuir", "hubble", "kepler", "langmuir")):
         d = load_builtin(name)
@@ -559,7 +577,7 @@ def test_lockstep_hops_commit_the_sequential_ones():
         for i in range(4 * len(LOCKSTEP_HOPS)):
             e = random_expression(rng, n_vars=1)
             cfg = FitConfig(hops=LOCKSTEP_HOPS[i % len(LOCKSTEP_HOPS)], seed=i, max_evals=600,
-                            patience=0)
+                            patience=0, accept_idle=accept_idle)
             objective = mse_objective(e, d.X, d.y)
             x0 = np.asarray(e.initial_guess(), dtype=float)
             improved = []
@@ -592,10 +610,12 @@ def test_lockstep_hops_on_stalling_objectives(name):
             for hops in LOCKSTEP_HOPS:
                 for max_evals in (7, 97):
                     for patience in PATIENCES:
-                        cfg = FitConfig(hops=hops, seed=n, max_evals=max_evals, patience=patience)
-                        want = oracle_minimize(func, x0, cfg)
-                        assert _same_result(minimize(func, x0, cfg), want), (
-                            n, x0.tolist(), hops, max_evals, patience)
+                        for accept_idle in (False, True):
+                            cfg = FitConfig(hops=hops, seed=n, max_evals=max_evals,
+                                            patience=patience, accept_idle=accept_idle)
+                            want = oracle_minimize(func, x0, cfg)
+                            assert _same_result(minimize(func, x0, cfg), want), (
+                                n, x0.tolist(), hops, max_evals, patience, accept_idle)
 
 
 def test_patience_runs_every_hop_at_an_infinite_best():
@@ -620,6 +640,53 @@ def test_patience_stops_after_that_many_idle_hops(patience):
     got = minimize(func, x0, FitConfig(max_evals=40, patience=patience))
     assert _same_result(got, minimize(func, x0, FitConfig(hops=patience, max_evals=40,
                                                            patience=0)))
+
+
+def test_a_rounding_gain_is_idle_and_not_accepted():
+    # the second hop's solve ends lower than the best by 1e-15 of it, at its
+    # own start: that hop counts toward patience, so two hops run, and only
+    # under accept_idle does the incumbent move to it
+    cfg = FitConfig(max_evals=40, patience=2)
+    x0 = np.array([0.5, -1.5])
+    best_x = nelder_mead(STALLING["flat"], x0, cfg)[0]
+    steps = np.random.default_rng(cfg.seed).standard_normal((cfg.hops, x0.size))
+    start = (best_x + cfg.step_scale * steps[1]).tolist()
+
+    def func(x):
+        return 1.0 - 1e-15 if x.tolist() == start else 1.0
+
+    x, fv, evals, _ = minimize(func, x0, cfg)
+    assert (x.tolist(), fv) == (best_x.tolist(), 1.0)
+    assert evals == minimize(func, x0, replace(cfg, hops=2, patience=0))[2]
+    assert evals < minimize(func, x0, replace(cfg, hops=3, patience=0))[2]
+    x, fv, _, _ = minimize(func, x0, replace(cfg, accept_idle=True))
+    assert (x.tolist(), fv) == (start, 1.0 - 1e-15)
+
+
+def test_hops_patience_would_drop_are_not_evaluated():
+    # with patience p and i idle hops in a row, a hop past the p - i hops in
+    # flight is always dropped, so none is started: every point the default
+    # nikuradse fit evaluates, batched or not, is one that evals counts
+    d = load_builtin("nikuradse")
+    e = infix("c1*x2**c2+c3*x1", d.variables)
+    objective = mse_objective(e, d.X, d.y)
+    points = 0
+
+    def counted(x):
+        nonlocal points
+        points += 1
+        return objective(x)
+
+    def batch(xs):
+        nonlocal points
+        points += len(xs)
+        return objective.batch(xs)
+
+    counted.batch = batch
+    x0 = np.asarray(e.initial_guess(), dtype=float)
+    _, _, evals, _ = minimize(counted, x0, FitConfig())
+    assert evals == fit(e, d, FitConfig()).evals
+    assert points <= evals
 
 
 def test_default_fits_are_prefixes_of_the_full_hop_run():
