@@ -118,21 +118,28 @@ class ParseOutcome:
 
 @dataclass
 class IterationRecord:
-    """One iteration of a run, logged by ``to_json``: field order is the log's key order."""
+    """One iteration of a run, logged by ``to_json`` in field order. ``run``
+    fills it in as the iteration runs, and logs it from its first response on:
+    one cut short by a failed re-prompt keeps that response and its tokens."""
     index: int
     prompt: str
-    responses: list[str]
-    extracted: list[str]
-    outcomes: list[ParseOutcome]
-    candidates: list[Candidate]
-    prompt_tokens: int
-    completion_tokens: int
-    target_on_front: bool
+    responses: list[str] = field(default_factory=list)
+    outcomes: list[ParseOutcome] = field(default_factory=list)
+    candidates: list[Candidate] = field(default_factory=list)
+    prompt_tokens: int = 0
+    completion_tokens: int = 0
+    target_on_front: bool = False
+
+    @property
+    def extracted(self) -> list[str]:
+        # not logged: kept only for perfbench/tracing.py (_run_info), until it counts outcomes
+        return [o.text for o in self.outcomes]
 
 
 @dataclass
 class RunLog:
-    """Append-only record of one run plus the final store snapshot."""
+    """Append-only record of one run, every paid response included, plus the
+    final store snapshot."""
 
     dataset_id: str
     config: dict
@@ -143,11 +150,8 @@ class RunLog:
 
     @property
     def usage(self) -> TokenUsage:
-        u = TokenUsage()
-        for rec in self.records:
-            u.prompt_tokens += rec.prompt_tokens
-            u.completion_tokens += rec.completion_tokens
-        return u
+        return TokenUsage(sum(rec.prompt_tokens for rec in self.records),
+                          sum(rec.completion_tokens for rec in self.records))
 
 
 def resolve_operator_set(spec: str | OperatorSet, dataset: Dataset) -> OperatorSet:
@@ -197,20 +201,24 @@ def run(cfg: RunConfig, dataset: Dataset | None = None, backend=None,
                 chosen = log.store.select_feedback(cfg.policy)
                 feedback = to_feedback_json(chosen, cfg.policy.include_params)
                 user = build_iteration(view, feedback, dataset.context, pcfg)
-            responses, prompt = [], user
+            # a record cut short keeps the last one's target_on_front: the store has not changed
+            rec = IterationRecord(iteration, user, target_on_front=bool(log.records)
+                                  and log.records[-1].target_on_front)
+            prompt = user
             while True:
-                resp = backend.complete(
-                    ChatRequest(system=system, user=prompt, temperature=cfg.temperature)
-                )
-                responses.append(resp)
+                resp = backend.complete(ChatRequest(system=system, user=prompt,
+                                                    temperature=cfg.temperature))
+                if not rec.responses:  # logged from the first response on: none paid for is lost
+                    log.records.append(rec)
+                rec.responses.append(resp.text)
+                rec.prompt_tokens += resp.prompt_tokens
+                rec.completion_tokens += resp.completion_tokens
                 extracted = extract_expressions(resp.text, pcfg.n_expressions)
-                if extracted or len(responses) == 2:
+                if extracted or len(rec.responses) == 2:
                     break
                 # one re-prompt with a format reminder; an empty retry is recorded as-is
                 prompt = user + "\n\n" + retry_reminder(pcfg)
 
-            outcomes: list[ParseOutcome] = []
-            fitted: list[Candidate] = []
             for text in extracted:
                 try:
                     outcome, cand = _evaluate_candidate(
@@ -219,31 +227,18 @@ def run(cfg: RunConfig, dataset: Dataset | None = None, backend=None,
                     )
                 except Exception as exc:  # a defect; logged so the run goes on
                     outcome, cand = ParseOutcome(text, "internal_error", _describe(exc)), None
-                outcomes.append(outcome)
+                rec.outcomes.append(outcome)
                 if cand is not None:
                     log.store.insert(cand)
-                    fitted.append(cand)
+                    rec.candidates.append(cand)
 
             # the store is the one equivalence check: for duplicates, rediscovery and the front
-            on_front = False
             incumbent = (log.store.find_equivalent(target_canonical)
                          if target_canonical is not None else None)
             if incumbent is not None:
                 log.rediscovery_iteration = log.rediscovery_iteration or iteration
-                on_front = any(c is incumbent for c in log.store.pareto_front())
-            log.records.append(
-                IterationRecord(
-                    index=iteration,
-                    prompt=user,
-                    responses=[r.text for r in responses],
-                    extracted=extracted,
-                    outcomes=outcomes,
-                    candidates=fitted,
-                    prompt_tokens=sum(r.prompt_tokens for r in responses),
-                    completion_tokens=sum(r.completion_tokens for r in responses),
-                    target_on_front=on_front,
-                )
-            )
+            rec.target_on_front = incumbent is not None and any(
+                c is incumbent for c in log.store.pareto_front())
     except BackendError as exc:
         log.error = str(exc)
         raise BackendFailure(str(exc), log) from exc
@@ -418,16 +413,14 @@ def _error(v) -> float:  # the inverse of _num
 
 def save_runlog(log: RunLog, path) -> None:
     """Persist as line-delimited JSON: header, one record per iteration, summary.
-    Records and stored candidates are written by to_json."""
+    Records and stored candidates are written by to_json; the summary holds
+    only what no iteration line does (rediscovery, the final store, an error)."""
     lines = [json.dumps({"type": "header", "dataset": log.dataset_id, "config": log.config})]
     lines += (json.dumps({"type": "iteration", **to_json(rec)}) for rec in log.records)
-    usage = log.usage
     lines.append(json.dumps({
         "type": "summary",
         "rediscovery_iteration": log.rediscovery_iteration,
         "store": to_json(list(log.store)),
-        "prompt_tokens": usage.prompt_tokens,
-        "completion_tokens": usage.completion_tokens,
         "error": log.error,
     }))
     Path(path).write_text("\n".join(lines) + "\n")
@@ -477,13 +470,15 @@ _LOG_KEYS = {
     "a store entry": {"equation": "a string", "params": "a list", "mse": "a number or null",
                       "mae": "a number or null", "complexity": "an integer",
                       "iteration": "an integer"},
-    "an iteration": {"responses": "a list of strings"},
+    "an iteration": {"responses": "a list of strings", "outcomes": "a list of outcomes"},
 }
 _JSON_KINDS = {  # type() rather than isinstance(), so that true is not an integer
     "a string": lambda v: type(v) is str,
     "an object": lambda v: type(v) is dict,
     "a list": lambda v: type(v) is list,
     "a list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
+    "a list of outcomes": lambda v: type(v) is list and all(
+        type(x) is dict and type(x.get("text")) is str and type(x.get("status")) is str for x in v),
     "an integer": lambda v: type(v) is int,
     "an integer or null": lambda v: v is None or type(v) is int,
     "a number or null": lambda v: v is None or type(v) in (int, float),
@@ -529,7 +524,9 @@ _LEGACY_FIT = {"solve_linear": False, "patience": 0, "accept_idle": True}
 def replay(log_data: dict, dataset: Dataset | None = None) -> RunLog:
     """Re-run the engine against a scripted backend built from the logged
     responses, for as many iterations as the log holds, so the partial log
-    of an aborted run replays too; with an unchanged log this reproduces the
+    of an aborted run replays too: a logged error with a failure in the last
+    iteration, as when a re-prompt failed, returns the partial replay, and
+    any other failure raises. With an unchanged log this reproduces the
     store exactly. A fit key of ``_LEGACY_FIT`` missing from the logged
     configuration takes the value there, so a log written before the key
     existed replays as it was fitted."""
@@ -539,14 +536,27 @@ def replay(log_data: dict, dataset: Dataset | None = None) -> RunLog:
         config = {**config, "fit": {**_LEGACY_FIT, **fit}}
     cfg = config_from_dict(config)
     responses = [text for rec in log_data["iterations"] for text in rec["responses"]]
-    return run(cfg, dataset=dataset, backend=ScriptedBackend(responses, name="replay"),
-               iterations=len(log_data["iterations"]))
+    try:
+        return run(cfg, dataset=dataset, backend=ScriptedBackend(responses, name="replay"),
+                   iterations=len(log_data["iterations"]))
+    except BackendFailure as exc:
+        if log_data["summary"].get("error") and len(exc.log.records) == len(log_data["iterations"]):
+            return exc.log
+        raise
 
 
 def diff_replay(log_data: dict, fresh: RunLog, rtol: float = 1e-9) -> list[str]:
-    """Compare a stored summary against a freshly replayed run. Returns
-    human-readable divergences (empty when everything matches within rtol)."""
+    """Compare a logged run against its fresh replay: each iteration's
+    proposals and their statuses (not the detail, which can name a source
+    line), each stored candidate's MSE and MAE within ``rtol`` relative, its
+    complexity and birth iteration, and the rediscovery iteration. Returns
+    human-readable divergences, none when everything matches."""
     problems = []
+    for k, (rec, new) in enumerate(zip(log_data["iterations"], fresh.records), start=1):
+        old_outcomes = [(o["text"], o["status"]) for o in rec["outcomes"]]
+        new_outcomes = [(o.text, o.status) for o in new.outcomes]
+        if old_outcomes != new_outcomes:
+            problems.append(f"iteration {k}: outcomes {old_outcomes} != {new_outcomes}")
     logged = {c["equation"]: c for c in log_data["summary"]["store"]}
     current = {c.equation: c for c in fresh.store}
     for eq in sorted(set(logged) - set(current)):
@@ -559,17 +569,16 @@ def diff_replay(log_data: dict, fresh: RunLog, rtol: float = 1e-9) -> list[str]:
             ("mse", _error(old["mse"]), new.mse),
             ("mae", _error(old["mae"]), new.mae),
             ("complexity", old["complexity"], new.complexity),
+            ("iteration", old["iteration"], new.iteration_born),
         ]
         for name, a, b in checks:
             if a == b:
                 continue
             if not (math.isfinite(a) and math.isfinite(b)):
                 problems.append(f"{eq}: {name} {a} != {b}")
-            elif abs(a - b) > rtol * max(1.0, abs(a), abs(b)):
+            elif abs(a - b) > rtol * max(abs(a), abs(b)):
                 problems.append(f"{eq}: {name} diverged {a} vs {b}")
     old_red = log_data["summary"]["rediscovery_iteration"]
     if old_red != fresh.rediscovery_iteration:
-        problems.append(
-            f"rediscovery iteration {old_red} != {fresh.rediscovery_iteration}"
-        )
+        problems.append(f"rediscovery iteration {old_red} != {fresh.rediscovery_iteration}")
     return problems

@@ -438,6 +438,7 @@ WRONG_TYPES = {
     "responses_not_a_list": ("iteration", "responses", 5),
     "rediscovery_not_an_integer": ("summary", "rediscovery_iteration", "2"),
     "config_not_an_object": ("header", "config", [1]),
+    "outcome_without_status": ("iteration", "outcomes", [{"text": "c1*x1"}]),
 }
 
 
@@ -541,6 +542,60 @@ class TestReplay:
         assert len(load_runlog_data(path)["iterations"]) == turns
         assert main(["replay", str(path)]) == 0
         assert capsys.readouterr().out == f"{path}: ok ({stored} candidates reproduced)\n"
+
+    def test_a_run_aborted_in_its_reprompt_keeps_the_paid_response(self, workdir, capsys):
+        # the one response has no marker block, and the transcript ends before the re-prompt
+        write_transcript(["I cannot propose a model yet."], workdir / "t.txt")
+        argv = ["run", "--dataset", "hubble", "--backend", "scripted", "--transcript", "t.txt",
+                "--iterations", "2", "--runs", "1", "--out", "out"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("error: run 1 aborted: transcript scripted:t.txt "
+                                           "exhausted after 1 turns (partial log kept)\n")
+        path = workdir / "out" / "run01.jsonl"
+        data = load_runlog_data(path)
+        [rec] = data["iterations"]
+        assert rec["responses"] == ["I cannot propose a model yet."]
+        assert (rec["prompt_tokens"], rec["completion_tokens"]) == (305, 6)
+        assert (rec["outcomes"], rec["candidates"], rec["target_on_front"]) == ([], [], False)
+        assert data["summary"]["error"] == "transcript scripted:t.txt exhausted after 1 turns"
+        assert main(["replay", str(path)]) == 0
+        assert capsys.readouterr().out == f"{path}: ok (0 candidates reproduced)\n"
+        assert main(["score", str(path), "--target", "hubble", "--out", "score.csv"]) == 0
+        assert (workdir / "score.csv").read_text().splitlines() == ["iteration,count", "1,0"]
+        assert main(["pareto", str(path), "--out", "fronts"]) == 0
+        assert (workdir / "fronts" / "pareto_total.csv").read_text().splitlines() == [
+            "complexity,mse,equation"]
+
+    def test_a_small_relative_drift_diverges(self, workdir, capsys):
+        # nikuradse's MSEs are about 1e-4, so 1e-6 relative is well below 1e-9 absolute
+        golden = Path(__file__).parent / "golden" / "nikuradse_latex" / "run01.jsonl"
+        lines = golden.read_text().splitlines()
+        summary = json.loads(lines[-1])
+        entry = next(c for c in summary["store"] if c["equation"] == "c1*x1+c2*x2")
+        mse, mae = entry["mse"], entry["mae"]
+        entry["mse"], entry["mae"] = mse * (1 + 1e-6), mae * (1 + 1e-6)
+        path = workdir / "run01.jsonl"
+        path.write_text("\n".join([*lines[:-1], json.dumps(summary)]) + "\n")
+        assert main(["replay", str(path)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"{path}: DIVERGED",
+            f"  c1*x1+c2*x2: mse diverged {entry['mse']} vs {mse}",
+            f"  c1*x1+c2*x2: mae diverged {entry['mae']} vs {mae}"]
+
+    def test_an_edited_outcome_or_birth_iteration_diverges(self, workdir, capsys):
+        path = edited_golden(workdir, '"status": "syntax_error"', '"status": "too_complex"')
+        lines = path.read_text().splitlines()
+        summary = json.loads(lines[-1])
+        born_late = summary["store"][-1]
+        born_late["iteration"] += 1
+        path.write_text("\n".join([*lines[:-1], json.dumps(summary)]) + "\n")
+        assert main(["replay", str(path)]) == 2
+        outcomes = [("c1*x1+c2", "fitted"), ("c1*+/x1", "too_complex"), ("c1*x1**2", "fitted")]
+        replayed = [outcomes[0], ("c1*+/x1", "syntax_error"), outcomes[2]]
+        assert capsys.readouterr().out.splitlines() == [
+            f"{path}: DIVERGED",
+            f"  iteration 1: outcomes {outcomes} != {replayed}",
+            f"  {born_late['equation']}: iteration diverged {born_late['iteration']} vs 3"]
 
     def test_unknown_config_key_fails_replay(self, finished_runs, capsys):
         path = Path(finished_runs[0])
@@ -786,7 +841,7 @@ def test_commands_in_one_process_are_independent(finished_runs, workdir, capsys)
     ("summary", "rediscovery_iteration"), ("summary", "store"),
     *(("store entry", key) for key in ("equation", "params", "mse", "mae", "complexity",
                                        "iteration")),
-    ("iteration", "responses"),
+    ("iteration", "responses"), ("iteration", "outcomes"),
 ])
 def test_log_without_a_required_key(part, key, finished_runs, workdir, capsys):
     lines = Path(finished_runs[0]).read_text().splitlines()

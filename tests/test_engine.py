@@ -89,6 +89,22 @@ class TestRun:
         assert log.records[0].candidates == []
         assert len(log.store) == 1
 
+    def test_extracted_is_the_outcomes_texts(self):
+        log = run(config(iterations=1), backend=ScriptedBackend([reply("c1*x1", "c1*+/x1")]))
+        assert log.records[0].extracted == [o.text for o in log.records[0].outcomes]
+        assert log.records[0].extracted == ["c1*x1", "c1*+/x1"]
+
+    def test_a_failed_reprompt_keeps_the_response_and_target_on_front(self):
+        entries = [reply("c1*x1/(c2+x1)"), "no markers in sight"]
+        with pytest.raises(BackendFailure) as err:
+            run(config(), backend=ScriptedBackend(entries))
+        first, cut = err.value.log.records
+        assert first.target_on_front
+        assert (cut.index, cut.responses, cut.outcomes, cut.candidates) == (
+            2, ["no markers in sight"], [], [])
+        assert cut.completion_tokens == 4 and cut.prompt_tokens > 0
+        assert cut.target_on_front  # the store did not change, so neither did the front
+
     def test_duplicates_within_and_across_iterations(self):
         entries = [
             reply("c1*x1", "x1*c2"),          # second is sr-equivalent to first
@@ -276,7 +292,7 @@ class TestScore:
 
     def test_front_mode_uses_per_iteration_flags(self):
         def rec(i, flag):
-            return IterationRecord(i, "", [], [], [], [], 0, 0, flag)
+            return IterationRecord(i, "", target_on_front=flag)
 
         log1 = RunLog("d", {}, records=[rec(1, False), rec(2, True)])
         log2 = RunLog("d", {}, records=[rec(1, True), rec(2, False)])
@@ -370,6 +386,22 @@ class TestReplay:
         fresh = replay(data)
         assert diff_replay(data, fresh) == []
         assert fresh.rediscovery_iteration == log.rediscovery_iteration
+
+    def test_replay_fails_unless_where_the_logged_run_failed(self, tmp_path):
+        entries = [reply("c1*x1"), "no markers in sight"]
+        with pytest.raises(BackendFailure) as err:
+            run(config(), backend=ScriptedBackend(entries))
+        path = tmp_path / "log.jsonl"
+        save_runlog(err.value.log, path)
+        data = load_runlog_data(path)
+        assert diff_replay(data, replay(data)) == []  # the re-prompt of iteration 2 fails again
+        no_error = {**data, "summary": {**data["summary"], "error": None}}
+        with pytest.raises(BackendFailure):
+            replay(no_error)
+        # iteration 1 now takes iteration 2's response and fails in its own re-prompt
+        data["iterations"][0]["responses"] = []
+        with pytest.raises(BackendFailure):
+            replay(data)
 
     def test_tampered_equation_detected(self, tmp_path):
         entries = [reply("c1*x1"), reply("c1+x1"), reply("c1/x1")]

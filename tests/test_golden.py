@@ -7,7 +7,10 @@ least-squares path (no ``solve_linear`` in their configuration), stopped
 basin hopping after idle hops (no ``patience``: ``kepler_default_fit``, one
 kepler proposal fitted at the default settings) or skipped idle hops that
 were lower (no ``accept_idle``: ``kepler_idle_hop``, the same proposal at
-the default settings of that time), which must still replay ``ok``."""
+the default settings of that time), or logged facts twice (``hubble_extracted``,
+the golden hubble log of that time: each iteration line repeats its outcomes'
+texts as ``extracted``, and the summary sums the lines' tokens), which must
+still replay ``ok``."""
 
 import json
 from pathlib import Path
@@ -87,6 +90,21 @@ def test_legacy_log_needs_the_idle_hops(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         f"{log}: DIVERGED",
         "  c1*x1**c2: mae diverged 2.0909970562731153 vs 2.090997215760242"]
+
+
+def test_legacy_log_with_extracted_scores_as_today(tmp_path, capsys):
+    # score and pareto read the extracted lists and summary token counts of
+    # hubble_extracted as if they were not there
+    old, new = LEGACY / "hubble_extracted" / "run01.jsonl", GOLDEN / "hubble" / "run01.jsonl"
+    assert '"extracted"' in old.read_text() and '"extracted"' not in new.read_text()
+    for name, log in (("old", old), ("new", new)):
+        assert main(["score", str(log), "--target", "hubble",
+                     "--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert main(["pareto", str(log), "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "old.csv").read_text() == (tmp_path / "new.csv").read_text()
+    for front in ("pareto_run01.csv", "pareto_total.csv"):
+        assert (tmp_path / "old" / front).read_text() == (tmp_path / "new" / front).read_text()
 
 
 @pytest.mark.parametrize("log", LOGS, ids=log_id)

@@ -325,9 +325,8 @@ class TestCost:
         log = RunLog(dataset_id="d", config={})
         for index, (prompt, completion) in enumerate([(5, 3), (2, 1)], start=1):
             log.records.append(IterationRecord(
-                index=index, prompt="p", responses=["t"], extracted=[], outcomes=[],
-                candidates=[], prompt_tokens=prompt, completion_tokens=completion,
-                target_on_front=False,
+                index=index, prompt="p", responses=["t"], prompt_tokens=prompt,
+                completion_tokens=completion,
             ))
         usage = log.usage
         assert (usage.prompt_tokens, usage.completion_tokens) == (7, 4)
