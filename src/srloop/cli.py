@@ -338,8 +338,8 @@ def cmd_replay(args) -> int:
 
 
 def _load_logs(paths, with_stores: bool = False) -> list[dict]:
-    """The raw data of each run log, plus with ``with_stores`` its summary
-    store rebuilt under ``"store"``; a log that cannot be read is a ConfigError."""
+    """The raw data of each run log, plus with ``with_stores`` its store
+    rebuilt under ``"store"``; a log that cannot be read is a ConfigError."""
     logs = []
     for path in paths:
         try:
@@ -365,28 +365,25 @@ def cmd_score(args) -> int:
     if not info["target"]:
         raise ConfigError(f"dataset {args.target!r} has no target model")
     target = parse(info["target"], Dialect.INFIX, list(info["variables"]))
-    logs = []
-    iterations = 0
+    runs = []  # each run's iteration lines
     for path, log_data in zip(args.logs, _load_logs(args.logs)):
-        header, summary = log_data["header"], log_data["summary"]
-        if header["dataset"] != args.target:
-            raise ConfigError(f"{path} is a run on {header['dataset']!r}, not on {args.target!r}")
-        logs.append(engine.RunLog(dataset_id=header["dataset"], config=header["config"],
-                                  rediscovery_iteration=summary["rediscovery_iteration"]))
-        iterations = max(iterations, len(log_data["iterations"]))
-    score = engine.score_runs(logs, iterations=iterations, mode="cumulative")
+        dataset = log_data["header"]["dataset"]
+        if dataset != args.target:
+            raise ConfigError(f"{path} is a run on {dataset!r}, not on {args.target!r}")
+        runs.append(log_data["iterations"])
+    found = [engine.rediscovery(rec["target_found"] for rec in lines) for lines in runs]
+    score = engine.found_by(found, max(map(len, runs)))
     out = Path(args.out)
     with _open_csv(out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "count"])
         for i, n in enumerate(score, start=1):
             writer.writerow([i, n])
-    found = sum(1 for log in logs if log.rediscovery_iteration is not None)
     print(f"target: {target}")
-    print(f"runs: {len(logs)}, rediscovered in {found}")
+    print(f"runs: {len(found)}, rediscovered in {len(found) - found.count(None)}")
     print("iteration  found-by")
     for i, n in enumerate(score, start=1):
-        print(f"{i:9d}  {n}/{len(logs)}")
+        print(f"{i:9d}  {n}/{len(found)}")
     print(f"score CSV written to {out}")
     return EXIT_OK
 

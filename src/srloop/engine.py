@@ -128,6 +128,7 @@ class IterationRecord:
     candidates: list[Candidate] = field(default_factory=list)
     prompt_tokens: int = 0
     completion_tokens: int = 0
+    target_found: bool = False  # the store holds a form equivalent to the target
     target_on_front: bool = False
 
     @property
@@ -145,8 +146,11 @@ class RunLog:
     config: dict
     records: list[IterationRecord] = field(default_factory=list)
     store: CandidateStore = field(default_factory=CandidateStore)
-    rediscovery_iteration: int | None = None
     error: str | None = None
+
+    @property
+    def rediscovery_iteration(self) -> int | None:
+        return rediscovery(rec.target_found for rec in self.records)
 
     @property
     def usage(self) -> TokenUsage:
@@ -201,9 +205,10 @@ def run(cfg: RunConfig, dataset: Dataset | None = None, backend=None,
                 chosen = log.store.select_feedback(cfg.policy)
                 feedback = to_feedback_json(chosen, cfg.policy.include_params)
                 user = build_iteration(view, feedback, dataset.context, pcfg)
-            # a record cut short keeps the last one's target_on_front: the store has not changed
-            rec = IterationRecord(iteration, user, target_on_front=bool(log.records)
-                                  and log.records[-1].target_on_front)
+            # a record cut short keeps the last one's flags: the store has not changed
+            last = log.records[-1] if log.records else IterationRecord(0, "")
+            rec = IterationRecord(iteration, user, target_found=last.target_found,
+                                  target_on_front=last.target_on_front)
             prompt = user
             while True:
                 resp = backend.complete(ChatRequest(system=system, user=prompt,
@@ -235,9 +240,8 @@ def run(cfg: RunConfig, dataset: Dataset | None = None, backend=None,
             # the store is the one equivalence check: for duplicates, rediscovery and the front
             incumbent = (log.store.find_equivalent(target_canonical)
                          if target_canonical is not None else None)
-            if incumbent is not None:
-                log.rediscovery_iteration = log.rediscovery_iteration or iteration
-            rec.target_on_front = incumbent is not None and any(
+            rec.target_found = incumbent is not None
+            rec.target_on_front = rec.target_found and any(
                 c is incumbent for c in log.store.pareto_front())
     except BackendError as exc:
         log.error = str(exc)
@@ -293,32 +297,29 @@ def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc} (at {Path(where.filename).name}:{where.lineno})"
 
 
+def rediscovery(found) -> int | None:
+    """The first iteration, counted from 1, whose ``target_found`` in ``found`` is set, or None."""
+    return next((i for i, flag in enumerate(found, start=1) if flag), None)
+
+
+def found_by(rediscoveries: list[int | None], iterations: int) -> list[int]:
+    """Per iteration i, the count of runs whose rediscovery iteration is <= i."""
+    return [sum(r is not None and r <= i for r in rediscoveries) for i in range(1, iterations + 1)]
+
+
 def score_runs(logs: list[RunLog], iterations: int | None = None,
                mode: str = "cumulative") -> list[int]:
-    """Per-iteration count of runs that found the target.
-
-    ``cumulative`` counts runs whose rediscovery iteration is <= i (the
-    default, non-decreasing); ``front`` counts runs whose target sits on the
-    complexity/error front at iteration i.
-    """
+    """Per-iteration count of runs that found the target: ``cumulative`` counts
+    runs whose rediscovery iteration is <= i (the default, non-decreasing),
+    ``front`` runs whose target sits on the complexity/error front at iteration i."""
     if iterations is None:
         iterations = max((len(log.records) for log in logs), default=0)
-    score = []
-    for i in range(1, iterations + 1):
-        if mode == "cumulative":
-            n = sum(
-                1 for log in logs
-                if log.rediscovery_iteration is not None and log.rediscovery_iteration <= i
-            )
-        elif mode == "front":
-            n = sum(
-                1 for log in logs
-                if len(log.records) >= i and log.records[i - 1].target_on_front
-            )
-        else:
-            raise ValueError(f"unknown score mode {mode!r}")
-        score.append(n)
-    return score
+    if mode == "cumulative":
+        return found_by([log.rediscovery_iteration for log in logs], iterations)
+    if mode == "front":
+        return [sum(rec.target_on_front for log in logs for rec in log.records[i - 1:i])
+                for i in range(1, iterations + 1)]
+    raise ValueError(f"unknown score mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -412,29 +413,24 @@ def _error(v) -> float:  # the inverse of _num
 
 
 def save_runlog(log: RunLog, path) -> None:
-    """Persist as line-delimited JSON: header, one record per iteration, summary.
-    Records and stored candidates are written by to_json; the summary holds
-    only what no iteration line does (rediscovery, the final store, an error)."""
+    """Persist as line-delimited JSON: header, one to_json record per iteration,
+    summary. srloop reads the summary's ``error`` alone; its ``store`` repeats the
+    lines' ``candidates`` for the benchmark, whose ``perfbench/checks.py`` reads it."""
     lines = [json.dumps({"type": "header", "dataset": log.dataset_id, "config": log.config})]
     lines += (json.dumps({"type": "iteration", **to_json(rec)}) for rec in log.records)
-    lines.append(json.dumps({
-        "type": "summary",
-        "rediscovery_iteration": log.rediscovery_iteration,
-        "store": to_json(list(log.store)),
-        "error": log.error,
-    }))
-    Path(path).write_text("\n".join(lines) + "\n")
+    summary = {"type": "summary", "store": to_json(list(log.store)), "error": log.error}
+    Path(path).write_text("\n".join([*lines, json.dumps(summary)]) + "\n")
 
 
 def load_runlog_data(path) -> dict:
-    """Load the raw JSONL structure: {header, iterations, summary}. A line
-    that is not a JSON object, is nested too deeply to decode or has no
-    type, a log without its header or summary, or one without a key that
-    replay, score or pareto reads, or with such a key of another JSON type,
-    is a ValueError; its message leaves naming the file to the caller."""
-    header = None
-    iterations = []
-    summary = None
+    """Load the raw JSONL structure: {header, iterations, summary}, the summary None
+    when a log has none. A line that is not a JSON object, is nested too deeply
+    to decode or has no type, a log without its header, a line out of place (a
+    second header, an iteration before the header, any line after the summary),
+    or a key that replay, score or pareto reads missing or of another JSON type,
+    is a ValueError naming no file. Lines without ``target_found``, written before
+    it was logged, take it from the summary's ``rediscovery_iteration``."""
+    header, iterations, summary = None, [], None
     for line in Path(path).read_text().splitlines():
         if not line.strip():
             continue
@@ -446,33 +442,47 @@ def load_runlog_data(path) -> dict:
             raise ValueError("a line is not a JSON object")
         if "type" not in obj:
             raise ValueError("a line has no type")
+        # one file is one log: a second run's lines would merge two runs' stores
+        if summary is not None:
+            raise ValueError("a line follows the summary")
         if obj["type"] == "header":
+            if header is not None:
+                raise ValueError("a second header")
             header = obj
         elif obj["type"] == "iteration":
+            if header is None:
+                raise ValueError("an iteration line comes before the header")
             iterations.append(obj)
         elif obj["type"] == "summary":
             summary = obj
-    if header is None or summary is None:
-        raise ValueError("not a complete run log")
+    if header is None:
+        raise ValueError("the log has no header")
     _check_keys("the header", header)
-    _check_keys("the summary", summary)
-    for entry in summary["store"]:
-        _check_keys("a store entry", entry)
+    if summary is not None and "rediscovery_iteration" in summary:  # written before target_found
+        _check_keys("the summary", summary)
+        found = summary["rediscovery_iteration"]
+        for i, rec in enumerate(iterations, start=1):
+            rec.setdefault("target_found", found is not None and found <= i)
     for rec in iterations:
         _check_keys("an iteration", rec)
+        for entry in rec["candidates"]:
+            _check_keys("a candidate", entry)
     return {"header": header, "iterations": iterations, "summary": summary}
 
 
 # the JSON kind of each key that replay, score or pareto reads, by the part of a log holding it
 _LOG_KEYS = {
     "the header": {"dataset": "a string", "config": "an object"},
-    "the summary": {"rediscovery_iteration": "an integer or null", "store": "a list"},
-    "a store entry": {"equation": "a string", "params": "a list", "mse": "a number or null",
-                      "mae": "a number or null", "complexity": "an integer",
-                      "iteration": "an integer"},
-    "an iteration": {"responses": "a list of strings", "outcomes": "a list of outcomes"},
+    "the summary": {"rediscovery_iteration": "an integer or null"},
+    "an iteration": {"responses": "a list of strings", "outcomes": "a list of outcomes",
+                     "candidates": "a list", "target_found": "a boolean",
+                     "target_on_front": "a boolean"},
+    "a candidate": {"equation": "a string", "params": "a list", "mse": "a number or null",
+                    "mae": "a number or null", "complexity": "an integer",
+                    "iteration": "an integer"},
 }
 _JSON_KINDS = {  # type() rather than isinstance(), so that true is not an integer
+    "a boolean": lambda v: type(v) is bool,
     "a string": lambda v: type(v) is str,
     "an object": lambda v: type(v) is dict,
     "a list": lambda v: type(v) is list,
@@ -497,10 +507,11 @@ def _check_keys(part: str, obj) -> None:
 
 
 def store_from_log(log_data: dict, variables) -> CandidateStore:
-    """The summary store of a run log, rebuilt over the dataset's ``variables``.
-    An entry that does not decode is a ValueError."""
+    """The store of a run log, rebuilt over the dataset's ``variables`` from
+    its iteration lines' ``candidates`` in order. An entry that does not
+    decode is a ValueError."""
     store = CandidateStore()
-    for entry in log_data["summary"]["store"]:
+    for entry in (entry for rec in log_data["iterations"] for entry in rec["candidates"]):
         try:
             expr = parse(entry["equation"], Dialect.INFIX, variables)
             store.insert(Candidate(
@@ -540,7 +551,8 @@ def replay(log_data: dict, dataset: Dataset | None = None) -> RunLog:
         return run(cfg, dataset=dataset, backend=ScriptedBackend(responses, name="replay"),
                    iterations=len(log_data["iterations"]))
     except BackendFailure as exc:
-        if log_data["summary"].get("error") and len(exc.log.records) == len(log_data["iterations"]):
+        error = log_data["summary"] and log_data["summary"].get("error")
+        if error and len(exc.log.records) == len(log_data["iterations"]):
             return exc.log
         raise
 
@@ -548,16 +560,19 @@ def replay(log_data: dict, dataset: Dataset | None = None) -> RunLog:
 def diff_replay(log_data: dict, fresh: RunLog, rtol: float = 1e-9) -> list[str]:
     """Compare a logged run against its fresh replay: each iteration's
     proposals and their statuses (not the detail, which can name a source
-    line), each stored candidate's MSE and MAE within ``rtol`` relative, its
-    complexity and birth iteration, and the rediscovery iteration. Returns
-    human-readable divergences, none when everything matches."""
+    line), ``target_found`` and ``target_on_front``, and each stored candidate's
+    MSE and MAE within ``rtol`` relative, its complexity and birth iteration.
+    Returns human-readable divergences, none when everything matches."""
     problems = []
     for k, (rec, new) in enumerate(zip(log_data["iterations"], fresh.records), start=1):
         old_outcomes = [(o["text"], o["status"]) for o in rec["outcomes"]]
         new_outcomes = [(o.text, o.status) for o in new.outcomes]
         if old_outcomes != new_outcomes:
             problems.append(f"iteration {k}: outcomes {old_outcomes} != {new_outcomes}")
-    logged = {c["equation"]: c for c in log_data["summary"]["store"]}
+        for flag in ("target_found", "target_on_front"):
+            if rec[flag] != getattr(new, flag):
+                problems.append(f"iteration {k}: {flag} {rec[flag]} != {getattr(new, flag)}")
+    logged = {c["equation"]: c for rec in log_data["iterations"] for c in rec["candidates"]}
     current = {c.equation: c for c in fresh.store}
     for eq in sorted(set(logged) - set(current)):
         problems.append(f"missing from replay: {eq}")
@@ -578,7 +593,4 @@ def diff_replay(log_data: dict, fresh: RunLog, rtol: float = 1e-9) -> list[str]:
                 problems.append(f"{eq}: {name} {a} != {b}")
             elif abs(a - b) > rtol * max(abs(a), abs(b)):
                 problems.append(f"{eq}: {name} diverged {a} vs {b}")
-    old_red = log_data["summary"]["rediscovery_iteration"]
-    if old_red != fresh.rediscovery_iteration:
-        problems.append(f"rediscovery iteration {old_red} != {fresh.rediscovery_iteration}")
     return problems

@@ -432,28 +432,32 @@ def finished_runs(workdir):
 
 # a required key of another JSON type: where it sits, and the value it takes
 WRONG_TYPES = {
-    "equation_not_a_string": ("store", "equation", 3),
+    "equation_not_a_string": ("candidate", "equation", 3),
     "dataset_not_a_string": ("header", "dataset", ["hubble"]),
-    "mse_not_a_number": ("store", "mse", [1]),
+    "mse_not_a_number": ("candidate", "mse", [1]),
     "responses_not_a_list": ("iteration", "responses", 5),
-    "rediscovery_not_an_integer": ("summary", "rediscovery_iteration", "2"),
+    "found_not_a_boolean": ("iteration", "target_found", 1),
+    "rediscovery_not_an_integer": ("legacy summary", "rediscovery_iteration", "2"),
     "config_not_an_object": ("header", "config", [1]),
     "outcome_without_status": ("iteration", "outcomes", [{"text": "c1*x1"}]),
 }
 
+GOLDEN = Path(__file__).parent / "golden"
+# a langmuir log written before the lines held target_found
+LEGACY_LOG = Path(__file__).parent / "legacy_logs" / "langmuir" / "run01.jsonl"
+
 
 def unreadable_log(kind, workdir, finished_runs) -> str:
-    """A run log that cannot be loaded: no file at all, a header alone, a
-    complete log with a line that is JSON but not an object, one nested too
-    deeply to decode or an object without a type, or one whose dataset is not
-    bundled, whose first store equation does not parse, whose first store
-    params are not numbers, or with a key of WRONG_TYPES."""
+    """A run log that cannot be loaded: no file at all, a complete log with a
+    line that is JSON but not an object, one nested too deeply to decode or an
+    object without a type, or one whose dataset is not bundled, whose first
+    logged candidate's equation does not parse or params are not numbers, or
+    with a key of WRONG_TYPES (the summary's in a log of LEGACY_LOG's format)."""
     path = workdir / f"{kind}.jsonl"
-    lines = Path(finished_runs[0]).read_text().splitlines()
-    header, summary = json.loads(lines[0]), json.loads(lines[-1])
-    if kind == "header_only":
-        lines = lines[:1]
-    elif kind == "not_an_object":
+    legacy = kind in WRONG_TYPES and WRONG_TYPES[kind][0] == "legacy summary"
+    lines = Path(LEGACY_LOG if legacy else finished_runs[0]).read_text().splitlines()
+    header, iteration, summary = (json.loads(lines[i]) for i in (0, 1, -1))
+    if kind == "not_an_object":
         lines.append("[1, 2]")
     elif kind == "too_deep":
         lines.append("[" * 100_000 + "]" * 100_000)
@@ -462,18 +466,16 @@ def unreadable_log(kind, workdir, finished_runs) -> str:
     elif kind == "unknown_dataset":
         header["dataset"] = "phlogiston"
     elif kind == "bad_equation":
-        summary["store"][0]["equation"] = "c1*/x1"
+        iteration["candidates"][0]["equation"] = "c1*/x1"
     elif kind == "bad_params":
-        summary["store"][0]["params"] = ["many"]
+        iteration["candidates"][0]["params"] = ["many"]
     elif kind in WRONG_TYPES:
         part, key, value = WRONG_TYPES[kind]
-        iteration = json.loads(lines[1])
-        obj = {"header": header, "summary": summary, "store": summary["store"][0],
-               "iteration": iteration}[part]
+        obj = {"header": header, "legacy summary": summary, "iteration": iteration,
+               "candidate": iteration["candidates"][0]}[part]
         obj[key] = value
-        lines[1] = json.dumps(iteration)
     if kind in ("unknown_dataset", "bad_equation", "bad_params", *WRONG_TYPES):
-        lines = [json.dumps(header), *lines[1:-1], json.dumps(summary)]
+        lines = [json.dumps(header), json.dumps(iteration), *lines[2:-1], json.dumps(summary)]
     if kind != "missing":
         path.write_text("\n".join(lines) + "\n")
     return str(path)
@@ -566,16 +568,27 @@ class TestReplay:
         assert (workdir / "fronts" / "pareto_total.csv").read_text().splitlines() == [
             "complexity,mse,equation"]
 
+    @pytest.mark.parametrize("flag", ["target_found", "target_on_front"])
+    def test_a_flipped_flag_diverges(self, flag, workdir, capsys):
+        lines = (GOLDEN / "hubble" / "run01.jsonl").read_text().splitlines()
+        rec = json.loads(lines[2])
+        logged = rec[flag] = not rec[flag]
+        path = workdir / "run01.jsonl"
+        path.write_text("\n".join([*lines[:2], json.dumps(rec), *lines[3:]]) + "\n")
+        assert main(["replay", str(path)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"{path}: DIVERGED", f"  iteration 2: {flag} {logged} != {not logged}"]
+
     def test_a_small_relative_drift_diverges(self, workdir, capsys):
         # nikuradse's MSEs are about 1e-4, so 1e-6 relative is well below 1e-9 absolute
         golden = Path(__file__).parent / "golden" / "nikuradse_latex" / "run01.jsonl"
         lines = golden.read_text().splitlines()
-        summary = json.loads(lines[-1])
-        entry = next(c for c in summary["store"] if c["equation"] == "c1*x1+c2*x2")
+        recs = [json.loads(line) for line in lines[1:-1]]
+        entry = next(c for rec in recs for c in rec["candidates"] if c["equation"] == "c1*x1+c2*x2")
         mse, mae = entry["mse"], entry["mae"]
         entry["mse"], entry["mae"] = mse * (1 + 1e-6), mae * (1 + 1e-6)
         path = workdir / "run01.jsonl"
-        path.write_text("\n".join([*lines[:-1], json.dumps(summary)]) + "\n")
+        path.write_text("\n".join([lines[0], *map(json.dumps, recs), lines[-1]]) + "\n")
         assert main(["replay", str(path)]) == 2
         assert capsys.readouterr().out.splitlines() == [
             f"{path}: DIVERGED",
@@ -585,10 +598,10 @@ class TestReplay:
     def test_an_edited_outcome_or_birth_iteration_diverges(self, workdir, capsys):
         path = edited_golden(workdir, '"status": "syntax_error"', '"status": "too_complex"')
         lines = path.read_text().splitlines()
-        summary = json.loads(lines[-1])
-        born_late = summary["store"][-1]
+        recs = [json.loads(line) for line in lines[1:-1]]
+        born_late = [c for rec in recs for c in rec["candidates"]][-1]
         born_late["iteration"] += 1
-        path.write_text("\n".join([*lines[:-1], json.dumps(summary)]) + "\n")
+        path.write_text("\n".join([lines[0], *map(json.dumps, recs), lines[-1]]) + "\n")
         assert main(["replay", str(path)]) == 2
         outcomes = [("c1*x1+c2", "fitted"), ("c1*+/x1", "too_complex"), ("c1*x1**2", "fitted")]
         replayed = [outcomes[0], ("c1*+/x1", "syntax_error"), outcomes[2]]
@@ -717,8 +730,7 @@ class TestScore:
         assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {out}: ")
         assert not (workdir / "nonexistent").exists()
 
-    @pytest.mark.parametrize("kind", ["missing", "header_only", "not_an_object", "too_deep",
-                                      "no_type"])
+    @pytest.mark.parametrize("kind", ["missing", "not_an_object", "too_deep", "no_type"])
     def test_unreadable_log(self, kind, finished_runs, workdir, capsys):
         bad = unreadable_log(kind, workdir, finished_runs)
         argv = ["score", *finished_runs, bad, "--target", "langmuir", "--out", "score.csv"]
@@ -799,9 +811,8 @@ class TestPareto:
                                                              "directory taken: ")
         assert (workdir / "taken").read_text() == "keep\n"
 
-    @pytest.mark.parametrize("kind", ["missing", "header_only", "not_an_object", "too_deep",
-                                      "no_type", "unknown_dataset", "bad_equation",
-                                      "bad_params"])
+    @pytest.mark.parametrize("kind", ["missing", "not_an_object", "too_deep", "no_type",
+                                      "unknown_dataset", "bad_equation", "bad_params"])
     def test_unreadable_log(self, kind, finished_runs, workdir, capsys):
         bad = unreadable_log(kind, workdir, finished_runs)
         assert_refused(["pareto", *finished_runs, bad, "--out", "fronts"], bad, workdir, capsys)
@@ -838,16 +849,16 @@ def test_commands_in_one_process_are_independent(finished_runs, workdir, capsys)
 
 @pytest.mark.parametrize("part,key", [
     ("header", "dataset"), ("header", "config"),
-    ("summary", "rediscovery_iteration"), ("summary", "store"),
-    *(("store entry", key) for key in ("equation", "params", "mse", "mae", "complexity",
-                                       "iteration")),
-    ("iteration", "responses"), ("iteration", "outcomes"),
+    *(("candidate", key) for key in ("equation", "params", "mse", "mae", "complexity",
+                                     "iteration")),
+    *(("iteration", key) for key in ("responses", "outcomes", "candidates", "target_found",
+                                     "target_on_front")),
 ])
 def test_log_without_a_required_key(part, key, finished_runs, workdir, capsys):
     lines = Path(finished_runs[0]).read_text().splitlines()
-    index = {"header": 0, "iteration": 1}.get(part, -1)
+    index = 0 if part == "header" else 1
     obj = json.loads(lines[index])
-    del (obj["store"][0] if part == "store entry" else obj)[key]
+    del (obj["candidates"][0] if part == "candidate" else obj)[key]
     lines[index] = json.dumps(obj)
     bad = workdir / "incomplete.jsonl"
     bad.write_text("\n".join(lines) + "\n")
@@ -856,7 +867,7 @@ def test_log_without_a_required_key(part, key, finished_runs, workdir, capsys):
     assert_refused(["pareto", *finished_runs, str(bad), "--out", "fronts"], bad, workdir, capsys)
     assert main(["replay", str(bad)]) == 2
     err = capsys.readouterr().err
-    where = {"store entry": "a store entry", "iteration": "an iteration"}.get(part, f"the {part}")
+    where = {"candidate": "a candidate", "iteration": "an iteration"}.get(part, f"the {part}")
     assert err.splitlines() == [f"{bad}: replay failed: {where} has no {key}"]
 
 
@@ -868,10 +879,50 @@ def test_log_with_a_key_of_another_type(kind, finished_runs, workdir, capsys):
     assert_refused(["pareto", *finished_runs, bad, "--out", "fronts"], bad, workdir, capsys)
     assert main(["replay", bad]) == 2
     part, key, _ = WRONG_TYPES[kind]
-    where = {"header": "the header's", "summary": "the summary's",
-             "store": "a store entry's", "iteration": "an iteration's"}[part]
+    where = {"header": "the header's", "legacy summary": "the summary's",
+             "candidate": "a candidate's", "iteration": "an iteration's"}[part]
     assert capsys.readouterr().err.startswith(f"{bad}: replay failed: {where} {key} "
                                               f"is not ")
+
+
+@pytest.mark.parametrize("first,second", [("langmuir/run01", "langmuir/run02"),
+                                          ("hubble/run01", "langmuir/run01")])
+def test_two_logs_in_one_file_are_refused(first, second, workdir, capsys):
+    # read as one log, two runs' stores, maybe of two datasets, would merge
+    bad = workdir / "two.jsonl"
+    bad.write_text("".join((GOLDEN / f"{name}.jsonl").read_text() for name in (first, second)))
+    argv = ["score", str(bad), "--target", "langmuir", "--out", "score.csv"]
+    assert_refused(argv, bad, workdir, capsys)
+    assert_refused(["pareto", str(bad), "--out", "fronts"], bad, workdir, capsys)
+    assert main(["replay", str(bad)]) == 2
+    assert capsys.readouterr().err == f"{bad}: replay failed: a line follows the summary\n"
+
+
+@pytest.mark.parametrize("order,error", [
+    ("H1H2", "a second header"),
+    ("H1SS", "a line follows the summary"),
+    ("H1S2", "a line follows the summary"),
+    ("SH1", "a line follows the summary"),
+    ("1H2", "an iteration line comes before the header"),
+    ("S", "the log has no header"),
+])
+def test_a_line_out_of_place_is_refused(order, error, workdir, capsys):
+    # H the header, 1 and 2 the first two iteration lines, S the summary of golden hubble
+    lines = (GOLDEN / "hubble" / "run01.jsonl").read_text().splitlines()
+    line = {"H": lines[0], "1": lines[1], "2": lines[2], "S": lines[-1]}
+    bad = workdir / "bad.jsonl"
+    bad.write_text("".join(line[c] + "\n" for c in order))
+    assert main(["replay", str(bad)]) == 2
+    assert capsys.readouterr().err == f"{bad}: replay failed: {error}\n"
+    assert_refused(["pareto", str(bad), "--out", "fronts"], bad, workdir, capsys)
+
+
+def test_the_summary_store_repeats_the_lines(finished_runs):
+    # srloop reads the store from the lines, the benchmark's checks from the summary
+    for path in finished_runs:
+        lines = [json.loads(line) for line in Path(path).read_text().splitlines()]
+        assert lines[-1]["store"] == [c for rec in lines[1:-1] for c in rec["candidates"]]
+        assert lines[-1]["store"]
 
 
 # ---------------------------------------------------------------------------

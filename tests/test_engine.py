@@ -50,6 +50,7 @@ class TestRun:
         log = run(config(), backend=ScriptedBackend(entries))
         assert log.rediscovery_iteration == 2
         assert len(log.records) == 3
+        assert [rec.target_found for rec in log.records] == [False, True, True]
 
     def test_target_in_first_response(self):
         entries = [reply("c1*x1/(c2+x1)")]
@@ -99,11 +100,13 @@ class TestRun:
         with pytest.raises(BackendFailure) as err:
             run(config(), backend=ScriptedBackend(entries))
         first, cut = err.value.log.records
-        assert first.target_on_front
+        assert first.target_found and first.target_on_front
         assert (cut.index, cut.responses, cut.outcomes, cut.candidates) == (
             2, ["no markers in sight"], [], [])
         assert cut.completion_tokens == 4 and cut.prompt_tokens > 0
-        assert cut.target_on_front  # the store did not change, so neither did the front
+        # the store did not change, so neither did the flags
+        assert cut.target_found and cut.target_on_front
+        assert err.value.log.rediscovery_iteration == 1
 
     def test_duplicates_within_and_across_iterations(self):
         entries = [
@@ -271,7 +274,10 @@ class TestRediscovery:
 
 
 def _log_with_rediscovery(iteration):
-    return RunLog(dataset_id="langmuir", config={}, records=[], rediscovery_iteration=iteration)
+    # six iterations, whose store holds the target from ``iteration`` on (never for None)
+    records = [IterationRecord(i, "", target_found=iteration is not None and i >= iteration)
+               for i in range(1, 7)]
+    return RunLog(dataset_id="langmuir", config={}, records=records)
 
 
 class TestScore:

@@ -1,16 +1,20 @@
 """The golden replay corpus: scripted runs whose logs are committed in
 ``tests/golden/`` and must replay exactly, and which ``srloop run`` on each
 case's INI file must write again byte for byte. ``tools/make_golden.py``
-regenerates a log; only a change that alters results on purpose may.
-``tests/legacy_logs/`` keeps logs written before fits had their
-least-squares path (no ``solve_linear`` in their configuration), stopped
-basin hopping after idle hops (no ``patience``: ``kepler_default_fit``, one
-kepler proposal fitted at the default settings) or skipped idle hops that
-were lower (no ``accept_idle``: ``kepler_idle_hop``, the same proposal at
-the default settings of that time), or logged facts twice (``hubble_extracted``,
-the golden hubble log of that time: each iteration line repeats its outcomes'
-texts as ``extracted``, and the summary sums the lines' tokens), which must
-still replay ``ok``."""
+regenerates a log; only a change that alters results on purpose, or a
+declared log-format change, may. ``tests/legacy_logs/`` keeps logs written
+before fits had their least-squares path (no ``solve_linear`` in their
+configuration), stopped basin hopping after idle hops (no ``patience``:
+``kepler_default_fit``, one kepler proposal fitted at the default settings)
+or skipped idle hops that were lower (no ``accept_idle``: ``kepler_idle_hop``,
+the same proposal at the default settings of that time), or logged facts
+twice (``hubble_extracted``, the golden hubble log of that time: each
+iteration line repeats its outcomes' texts as ``extracted``, and the summary
+sums the lines' tokens), which must still replay ``ok``. Every legacy log
+also stands for the format whose lines have no ``target_found``, which each
+line takes from the summary's ``rediscovery_iteration``; a log of the
+current format is read from its header and lines alone, so it reads cut
+after any line."""
 
 import json
 from pathlib import Path
@@ -18,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from srloop.cli import main
+from srloop.data import dataset_info
 from srloop.engine import load_runlog_data, replay, save_runlog
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -105,6 +110,53 @@ def test_legacy_log_with_extracted_scores_as_today(tmp_path, capsys):
     assert (tmp_path / "old.csv").read_text() == (tmp_path / "new.csv").read_text()
     for front in ("pareto_run01.csv", "pareto_total.csv"):
         assert (tmp_path / "old" / front).read_text() == (tmp_path / "new" / front).read_text()
+
+
+@pytest.mark.parametrize("log", LOGS, ids=log_id)
+def test_a_log_cut_after_any_line_reads(log, tmp_path, capsys):
+    # the header and the first k iteration lines, without the summary, as a crash leaves them
+    lines = log.read_text().splitlines()
+    dataset = json.loads(lines[0])["dataset"]
+    scored = dataset_info(dataset)["target"] is not None  # nikuradse has no target to score
+    if scored:
+        assert main(["score", str(log), "--target", dataset, "--out", str(tmp_path / "a.csv")]) == 0
+        rows = (tmp_path / "a.csv").read_text().splitlines()
+    for k in range(len(lines) - 1):
+        cut = tmp_path / f"cut{k}.jsonl"
+        cut.write_text("".join(line + "\n" for line in lines[:k + 1]))
+        capsys.readouterr()
+        assert main(["replay", str(cut)]) == 0
+        assert capsys.readouterr().out.startswith(f"{cut}: ok (")
+        if scored:
+            out = tmp_path / f"cut{k}.csv"
+            assert main(["score", str(cut), "--target", dataset, "--out", str(out)]) == 0
+            assert out.read_text().splitlines() == rows[:k + 1]
+        assert main(["pareto", str(cut), "--out", str(tmp_path / f"fronts{k}")]) == 0
+
+
+@pytest.mark.parametrize("log", LOGS, ids=log_id)
+def test_a_log_without_its_summary_reads_as_the_whole_log(log, tmp_path):
+    dataset = json.loads(log.read_text().splitlines()[0])["dataset"]
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("".join(line + "\n" for line in log.read_text().splitlines()[:-1]))
+    for name, path in (("whole", log), ("cut", cut)):
+        assert main(["pareto", str(path), "--out", str(tmp_path / name)]) == 0
+        if dataset_info(dataset)["target"] is not None:  # nikuradse has no target to score
+            out = tmp_path / name / "score.csv"
+            assert main(["score", str(path), "--target", dataset, "--out", str(out)]) == 0
+    for name in ("score.csv", "pareto_run01.csv", "pareto_total.csv"):
+        whole = tmp_path / "whole" / name
+        assert whole.exists() == (tmp_path / "cut" / name).exists()
+        if whole.exists():
+            assert whole.read_bytes() == (tmp_path / "cut" / name).read_bytes()
+
+
+@pytest.mark.parametrize("log", LOGS + LEGACY_LOGS,
+                         ids=lambda path: f"{path.parent.parent.name}/{log_id(path)}")
+def test_the_summary_store_repeats_the_lines(log):
+    # srloop reads the store from the lines, the benchmark's checks from the summary
+    lines = [json.loads(line) for line in log.read_text().splitlines()]
+    assert lines[-1]["store"] == [c for rec in lines[1:-1] for c in rec["candidates"]]
 
 
 @pytest.mark.parametrize("log", LOGS, ids=log_id)

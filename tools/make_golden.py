@@ -10,8 +10,10 @@ no checkout path:
     python tools/make_golden.py hubble bode          # only the named cases
     python tools/make_golden.py --src ../other/src   # srloop from elsewhere
 
-Regenerate a log only with a change that alters results on purpose, and say
-so in the change's description.
+Regenerate a log only with a change that alters results on purpose, or with
+a declared log-format change, and say so in the change's description.
+``tests/legacy_logs/`` keeps logs of earlier formats, which are never
+regenerated.
 """
 
 from __future__ import annotations
