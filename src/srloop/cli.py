@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import get_args
 
 from . import data, engine
-from .engine import BackendFailure, ConfigError, RunConfig
+from .engine import ConfigError, RunConfig
 from .expressions import Dialect
 from .llm import BackendConfig, ScriptedBackend, TokenUsage, UnknownModelError, estimate_cost
 from .optimize import FitConfig
@@ -200,10 +200,11 @@ def _preflight(cfg: RunConfig) -> data.Dataset:
 def _concurrent_runs(cfgs: list[RunConfig], dataset: data.Dataset, outdir: Path):
     """Start ``_run_and_save`` on each config, in order, on at most
     MAX_CONCURRENT_RUNS daemon threads, and yield one future per run holding
-    its log or whatever it raised. Once a run raises, runs not yet started
-    never start. On leaving the block every future not yet started is
-    cancelled; the workers are joined after a clean exit only, so an
-    exception (Ctrl-C included) does not wait for the runs in flight."""
+    its log or whatever it raised. Once a run fails (its log's ``error`` set)
+    or raises, runs not yet started never start. On leaving the block every
+    future not yet started is cancelled; the workers are joined after a clean
+    exit only, so an exception (Ctrl-C included) does not wait for the runs in
+    flight."""
     futures = [Future() for _ in cfgs]
     jobs = deque(enumerate(zip(cfgs, futures), start=1))
 
@@ -219,6 +220,7 @@ def _concurrent_runs(cfgs: list[RunConfig], dataset: data.Dataset, outdir: Path)
                 future.set_result(_run_and_save(outdir, k, cfg, dataset))
             except BaseException as exc:  # handed to the main thread in run order
                 future.set_exception(exc)
+            if future.exception() is not None or future.result().error is not None:
                 for pending in futures:
                     pending.cancel()
 
@@ -261,18 +263,14 @@ def _reason(exc: Exception) -> str:
 
 
 def _run_and_save(outdir: Path, k: int, cfg: RunConfig, dataset: data.Dataset) -> engine.RunLog:
-    """Run ``k`` of a batch and save its files, on the run's own thread. A failed run
-    saves its partial log and raises again; a failed write is a ConfigError."""
-    try:
-        log, failure = engine.run(cfg, dataset=dataset), None
-    except BackendFailure as exc:
-        log, failure = exc.log, exc
+    """Run ``k`` of a batch and save its files, on the run's own thread; a failed run
+    saves its partial log alone. A failed write is a ConfigError."""
+    log = engine.run(cfg, dataset=dataset)
     try:
         engine.save_runlog(log, outdir / f"run{k:02d}.jsonl")
-        if failure is not None:
-            raise failure
-        (outdir / f"run{k:02d}.config.json").write_text(json.dumps(log.config, indent=2) + "\n")
-        log.store.to_csv(outdir / f"run{k:02d}.store.csv")
+        if log.error is None:
+            (outdir / f"run{k:02d}.config.json").write_text(json.dumps(log.config, indent=2) + "\n")
+            log.store.to_csv(outdir / f"run{k:02d}.store.csv")
     except OSError as exc:
         raise ConfigError(f"cannot write run {k}: {exc}") from exc
     return log
@@ -291,12 +289,12 @@ def cmd_run(args) -> int:
         for k, future in enumerate(futures, start=1):
             try:
                 log = future.result()
-            except BackendFailure as exc:
-                print(f"error: run {k} aborted: {exc} (partial log kept)", file=sys.stderr)
-                return EXIT_RUNTIME
             except ConfigError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
+            if log.error is not None:
+                print(f"error: run {k} aborted: {log.error} (partial log kept)", file=sys.stderr)
+                return EXIT_RUNTIME
             logs.append(log)
             found = log.rediscovery_iteration
             print(f"run {k}: {len(log.store)} candidates, "
@@ -320,10 +318,10 @@ def cmd_replay(args) -> int:
     failures = 0
     for path in args.logs:
         try:
-            log_data = engine.load_runlog_data(path)
-            fresh = engine.replay(log_data)
-            problems = engine.diff_replay(log_data, fresh)
-        except (OSError, ValueError, KeyError, BackendFailure) as exc:
+            log = engine.load_runlog_data(path)
+            fresh = engine.replay(log)
+            problems = engine.diff_replay(log, fresh)
+        except (OSError, ValueError, KeyError) as exc:
             print(f"{path}: replay failed: {_reason(exc)}", file=sys.stderr)
             failures += 1
             continue
@@ -337,21 +335,21 @@ def cmd_replay(args) -> int:
     return EXIT_RUNTIME if failures else EXIT_OK
 
 
-def _load_logs(paths, with_stores: bool = False) -> list[dict]:
-    """The raw data of each run log, plus with ``with_stores`` its store
-    rebuilt under ``"store"``; a log that cannot be read is a ConfigError."""
+def _load_logs(paths, with_stores: bool = False) -> list[engine.RunLog]:
+    """Each run log, with ``with_stores`` its store rebuilt; a log that
+    cannot be read is a ConfigError."""
     logs = []
     for path in paths:
         try:
-            log_data = engine.load_runlog_data(path)
+            log = engine.load_runlog_data(path)
             if with_stores:
-                info = data.dataset_info(log_data["header"]["dataset"])
-                log_data["store"] = engine.store_from_log(log_data, list(info["variables"]))
+                info = data.dataset_info(log.dataset_id)
+                log.store = engine.store_from_log(log, list(info["variables"]))
         except data.UnknownDatasetError as exc:
             raise ConfigError(f"{path}: cannot load run log: unknown dataset {exc}") from exc
         except (OSError, ValueError, KeyError) as exc:
             raise ConfigError(f"{path}: cannot load run log: {_reason(exc)}") from exc
-        logs.append(log_data)
+        logs.append(log)
     return logs
 
 
@@ -365,14 +363,12 @@ def cmd_score(args) -> int:
     if not info["target"]:
         raise ConfigError(f"dataset {args.target!r} has no target model")
     target = parse(info["target"], Dialect.INFIX, list(info["variables"]))
-    runs = []  # each run's iteration lines
-    for path, log_data in zip(args.logs, _load_logs(args.logs)):
-        dataset = log_data["header"]["dataset"]
-        if dataset != args.target:
-            raise ConfigError(f"{path} is a run on {dataset!r}, not on {args.target!r}")
-        runs.append(log_data["iterations"])
-    found = [engine.rediscovery(rec["target_found"] for rec in lines) for lines in runs]
-    score = engine.found_by(found, max(map(len, runs)))
+    logs = _load_logs(args.logs)
+    for path, log in zip(args.logs, logs):
+        if log.dataset_id != args.target:
+            raise ConfigError(f"{path} is a run on {log.dataset_id!r}, not on {args.target!r}")
+    score = engine.score_runs(logs)
+    found = sum(log.rediscovery_iteration is not None for log in logs)
     out = Path(args.out)
     with _open_csv(out) as fh:
         writer = csv.writer(fh)
@@ -380,10 +376,10 @@ def cmd_score(args) -> int:
         for i, n in enumerate(score, start=1):
             writer.writerow([i, n])
     print(f"target: {target}")
-    print(f"runs: {len(found)}, rediscovered in {len(found) - found.count(None)}")
+    print(f"runs: {len(logs)}, rediscovered in {found}")
     print("iteration  found-by")
     for i, n in enumerate(score, start=1):
-        print(f"{i:9d}  {n}/{len(found)}")
+        print(f"{i:9d}  {n}/{len(logs)}")
     print(f"score CSV written to {out}")
     return EXIT_OK
 
@@ -400,17 +396,16 @@ def cmd_pareto(args) -> int:
     if not args.logs:
         raise ConfigError("no run logs given")
     logs = _load_logs(args.logs, with_stores=True)
-    datasets = sorted({log_data["header"]["dataset"] for log_data in logs})
+    datasets = sorted({log.dataset_id for log in logs})
     if len(datasets) > 1:
         raise ConfigError(f"the logs are runs on different datasets ({', '.join(datasets)}); "
                           f"a merged front needs runs on one")
     outdir = _out_dir(args.out)
     merged = CandidateStore()
-    for i, log_data in enumerate(logs, start=1):
-        store = log_data["store"]
-        front = store.pareto_front()
+    for i, log in enumerate(logs, start=1):
+        front = log.store.pareto_front()
         _write_front_csv(front, outdir / f"pareto_run{i:02d}.csv")
-        for cand in store:
+        for cand in log.store:
             merged.insert(cand)
     total = merged.pareto_front()
     _write_front_csv(total, outdir / "pareto_total.csv")

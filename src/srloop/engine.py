@@ -63,14 +63,6 @@ class ConfigError(Exception):
     """The run configuration cannot be executed as given."""
 
 
-class BackendFailure(Exception):
-    """The backend gave up mid-run; carries the partial log."""
-
-    def __init__(self, message: str, log: "RunLog"):
-        super().__init__(message)
-        self.log = log
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one run needs; serialized next to its log for replay."""
@@ -125,7 +117,7 @@ class IterationRecord:
     prompt: str
     responses: list[str] = field(default_factory=list)
     outcomes: list[ParseOutcome] = field(default_factory=list)
-    candidates: list[Candidate] = field(default_factory=list)
+    candidates: list[dict] = field(default_factory=list)  # each stored candidate's log entry
     prompt_tokens: int = 0
     completion_tokens: int = 0
     target_found: bool = False  # the store holds a form equivalent to the target
@@ -139,8 +131,9 @@ class IterationRecord:
 
 @dataclass
 class RunLog:
-    """Append-only record of one run, every paid response included, plus the
-    final store snapshot."""
+    """One run, as ``run`` makes it and ``load_runlog_data`` reads it back:
+    every paid response included, and the ``error`` that ended it, if one did.
+    A loaded log's ``store`` is empty until ``store_from_log`` fills it."""
 
     dataset_id: str
     config: dict
@@ -150,7 +143,9 @@ class RunLog:
 
     @property
     def rediscovery_iteration(self) -> int | None:
-        return rediscovery(rec.target_found for rec in self.records)
+        """The first iteration, counted from 1 by position, whose store held the
+        target, or None."""
+        return next((i for i, rec in enumerate(self.records, start=1) if rec.target_found), None)
 
     @property
     def usage(self) -> TokenUsage:
@@ -180,7 +175,8 @@ def run(cfg: RunConfig, dataset: Dataset | None = None, backend=None,
     iterations. A malformed candidate never aborts the loop: it is
     logged and skipped, and so is one whose evaluation fails unexpectedly
     (outcome ``internal_error``, the exception and where it was raised in its
-    detail). Backend failure raises BackendFailure carrying the partial log."""
+    detail). A backend failure ends the run: the partial log is returned with
+    its ``error`` set."""
     dataset = dataset if dataset is not None else load_builtin(cfg.dataset)
     opset = resolve_operator_set(cfg.operators, dataset)
     pcfg = cfg.prompt
@@ -235,7 +231,7 @@ def run(cfg: RunConfig, dataset: Dataset | None = None, backend=None,
                 rec.outcomes.append(outcome)
                 if cand is not None:
                     log.store.insert(cand)
-                    rec.candidates.append(cand)
+                    rec.candidates.append(to_json(cand))
 
             # the store is the one equivalence check: for duplicates, rediscovery and the front
             incumbent = (log.store.find_equivalent(target_canonical)
@@ -245,7 +241,6 @@ def run(cfg: RunConfig, dataset: Dataset | None = None, backend=None,
                 c is incumbent for c in log.store.pareto_front())
     except BackendError as exc:
         log.error = str(exc)
-        raise BackendFailure(str(exc), log) from exc
     finally:
         if owned and isinstance(backend, HttpBackend):
             backend.close()
@@ -297,16 +292,6 @@ def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc} (at {Path(where.filename).name}:{where.lineno})"
 
 
-def rediscovery(found) -> int | None:
-    """The first iteration, counted from 1, whose ``target_found`` in ``found`` is set, or None."""
-    return next((i for i, flag in enumerate(found, start=1) if flag), None)
-
-
-def found_by(rediscoveries: list[int | None], iterations: int) -> list[int]:
-    """Per iteration i, the count of runs whose rediscovery iteration is <= i."""
-    return [sum(r is not None and r <= i for r in rediscoveries) for i in range(1, iterations + 1)]
-
-
 def score_runs(logs: list[RunLog], iterations: int | None = None,
                mode: str = "cumulative") -> list[int]:
     """Per-iteration count of runs that found the target: ``cumulative`` counts
@@ -315,7 +300,8 @@ def score_runs(logs: list[RunLog], iterations: int | None = None,
     if iterations is None:
         iterations = max((len(log.records) for log in logs), default=0)
     if mode == "cumulative":
-        return found_by([log.rediscovery_iteration for log in logs], iterations)
+        found = [log.rediscovery_iteration for log in logs]
+        return [sum(r is not None and r <= i for r in found) for i in range(1, iterations + 1)]
     if mode == "front":
         return [sum(rec.target_on_front for log in logs for rec in log.records[i - 1:i])
                 for i in range(1, iterations + 1)]
@@ -422,13 +408,15 @@ def save_runlog(log: RunLog, path) -> None:
     Path(path).write_text("\n".join([*lines, json.dumps(summary)]) + "\n")
 
 
-def load_runlog_data(path) -> dict:
-    """Load the raw JSONL structure: {header, iterations, summary}, the summary None
-    when a log has none. A line that is not a JSON object, is nested too deeply
-    to decode or has no type, a log without its header, a line out of place (a
-    second header, an iteration before the header, any line after the summary),
-    or a key that replay, score or pareto reads missing or of another JSON type,
-    is a ValueError naming no file. Lines without ``target_found``, written before
+def load_runlog_data(path) -> RunLog:
+    """The RunLog of a JSONL run log: its header's dataset and configuration, a
+    record per iteration line (other keys dropped; a line without ``index``
+    takes its position) and the summary's ``error``, None without a summary.
+    A line that is not a JSON object, is nested too deeply to decode or has no
+    type, a log without its header, a line out of place (a second header, an
+    iteration before the header, any line after the summary), or a key that
+    replay, score or pareto reads missing or of another JSON type, is a
+    ValueError naming no file. Lines without ``target_found``, written before
     it was logged, take it from the summary's ``rediscovery_iteration``."""
     header, iterations, summary = None, [], None
     for line in Path(path).read_text().splitlines():
@@ -467,7 +455,13 @@ def load_runlog_data(path) -> dict:
         _check_keys("an iteration", rec)
         for entry in rec["candidates"]:
             _check_keys("a candidate", entry)
-    return {"header": header, "iterations": iterations, "summary": summary}
+    records = [IterationRecord(  # in field order, the log's key order
+        rec.get("index", i), rec.get("prompt", ""), rec["responses"],
+        [ParseOutcome(o["text"], o["status"], o.get("detail", "")) for o in rec["outcomes"]],
+        rec["candidates"], rec.get("prompt_tokens", 0), rec.get("completion_tokens", 0),
+        rec["target_found"], rec["target_on_front"]) for i, rec in enumerate(iterations, start=1)]
+    return RunLog(header["dataset"], header["config"], records,
+                  error=summary.get("error") if summary else None)
 
 
 # the JSON kind of each key that replay, score or pareto reads, by the part of a log holding it
@@ -477,9 +471,9 @@ _LOG_KEYS = {
     "an iteration": {"responses": "a list of strings", "outcomes": "a list of outcomes",
                      "candidates": "a list", "target_found": "a boolean",
                      "target_on_front": "a boolean"},
-    "a candidate": {"equation": "a string", "params": "a list", "mse": "a number or null",
-                    "mae": "a number or null", "complexity": "an integer",
-                    "iteration": "an integer"},
+    "a candidate": {"equation": "a string", "params": "a list of numbers",
+                    "mse": "a number or null", "mae": "a number or null",
+                    "complexity": "an integer", "iteration": "an integer"},
 }
 _JSON_KINDS = {  # type() rather than isinstance(), so that true is not an integer
     "a boolean": lambda v: type(v) is bool,
@@ -491,8 +485,21 @@ _JSON_KINDS = {  # type() rather than isinstance(), so that true is not an integ
         type(x) is dict and type(x.get("text")) is str and type(x.get("status")) is str for x in v),
     "an integer": lambda v: type(v) is int,
     "an integer or null": lambda v: v is None or type(v) is int,
-    "a number or null": lambda v: v is None or type(v) in (int, float),
+    "a number or null": lambda v: v is None or _is_number(v),
+    "a list of numbers": lambda v: type(v) is list and all(_is_number(x) for x in v),
 }
+
+
+def _is_number(v) -> bool:
+    """Whether ``v`` is a JSON number that float() takes: true, false and an
+    integer too large for a float are not."""
+    if type(v) not in (int, float):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
 
 
 def _check_keys(part: str, obj) -> None:
@@ -506,12 +513,12 @@ def _check_keys(part: str, obj) -> None:
             raise ValueError(f"{part}'s {key} is not {kind}")
 
 
-def store_from_log(log_data: dict, variables) -> CandidateStore:
+def store_from_log(log: RunLog, variables) -> CandidateStore:
     """The store of a run log, rebuilt over the dataset's ``variables`` from
-    its iteration lines' ``candidates`` in order. An entry that does not
+    its records' ``candidates`` in order. An entry that does not
     decode is a ValueError."""
     store = CandidateStore()
-    for entry in (entry for rec in log_data["iterations"] for entry in rec["candidates"]):
+    for entry in (entry for rec in log.records for entry in rec.candidates):
         try:
             expr = parse(entry["equation"], Dialect.INFIX, variables)
             store.insert(Candidate(
@@ -532,60 +539,54 @@ def store_from_log(log_data: dict, variables) -> CandidateStore:
 _LEGACY_FIT = {"solve_linear": False, "patience": 0, "accept_idle": True}
 
 
-def replay(log_data: dict, dataset: Dataset | None = None) -> RunLog:
+def replay(log: RunLog, dataset: Dataset | None = None) -> RunLog:
     """Re-run the engine against a scripted backend built from the logged
     responses, for as many iterations as the log holds, so the partial log
     of an aborted run replays too: a logged error with a failure in the last
     iteration, as when a re-prompt failed, returns the partial replay, and
-    any other failure raises. With an unchanged log this reproduces the
-    store exactly. A fit key of ``_LEGACY_FIT`` missing from the logged
+    any other failure is a ValueError. With an unchanged log this reproduces
+    the store exactly. A fit key of ``_LEGACY_FIT`` missing from the logged
     configuration takes the value there, so a log written before the key
     existed replays as it was fitted."""
-    config = log_data["header"]["config"]
+    config = log.config
     fit = config.get("fit", {})
     if isinstance(fit, dict):
         config = {**config, "fit": {**_LEGACY_FIT, **fit}}
     cfg = config_from_dict(config)
-    responses = [text for rec in log_data["iterations"] for text in rec["responses"]]
-    try:
-        return run(cfg, dataset=dataset, backend=ScriptedBackend(responses, name="replay"),
-                   iterations=len(log_data["iterations"]))
-    except BackendFailure as exc:
-        error = log_data["summary"] and log_data["summary"].get("error")
-        if error and len(exc.log.records) == len(log_data["iterations"]):
-            return exc.log
-        raise
+    responses = [text for rec in log.records for text in rec.responses]
+    fresh = run(cfg, dataset=dataset, backend=ScriptedBackend(responses, name="replay"),
+                iterations=len(log.records))
+    if fresh.error is not None and not (log.error and len(fresh.records) == len(log.records)):
+        raise ValueError(fresh.error)
+    return fresh
 
 
-def diff_replay(log_data: dict, fresh: RunLog, rtol: float = 1e-9) -> list[str]:
+def diff_replay(logged: RunLog, fresh: RunLog, rtol: float = 1e-9) -> list[str]:
     """Compare a logged run against its fresh replay: each iteration's
     proposals and their statuses (not the detail, which can name a source
     line), ``target_found`` and ``target_on_front``, and each stored candidate's
     MSE and MAE within ``rtol`` relative, its complexity and birth iteration.
     Returns human-readable divergences, none when everything matches."""
     problems = []
-    for k, (rec, new) in enumerate(zip(log_data["iterations"], fresh.records), start=1):
-        old_outcomes = [(o["text"], o["status"]) for o in rec["outcomes"]]
+    for k, (rec, new) in enumerate(zip(logged.records, fresh.records), start=1):
+        old_outcomes = [(o.text, o.status) for o in rec.outcomes]
         new_outcomes = [(o.text, o.status) for o in new.outcomes]
         if old_outcomes != new_outcomes:
             problems.append(f"iteration {k}: outcomes {old_outcomes} != {new_outcomes}")
         for flag in ("target_found", "target_on_front"):
-            if rec[flag] != getattr(new, flag):
-                problems.append(f"iteration {k}: {flag} {rec[flag]} != {getattr(new, flag)}")
-    logged = {c["equation"]: c for rec in log_data["iterations"] for c in rec["candidates"]}
-    current = {c.equation: c for c in fresh.store}
-    for eq in sorted(set(logged) - set(current)):
+            was, now = getattr(rec, flag), getattr(new, flag)
+            if was != now:
+                problems.append(f"iteration {k}: {flag} {was} != {now}")
+    old_store, new_store = ({c["equation"]: c for rec in log.records for c in rec.candidates}
+                            for log in (logged, fresh))
+    for eq in sorted(set(old_store) - set(new_store)):
         problems.append(f"missing from replay: {eq}")
-    for eq in sorted(set(current) - set(logged)):
+    for eq in sorted(set(new_store) - set(old_store)):
         problems.append(f"absent from log: {eq}")
-    for eq in sorted(set(logged) & set(current)):
-        old, new = logged[eq], current[eq]
-        checks = [
-            ("mse", _error(old["mse"]), new.mse),
-            ("mae", _error(old["mae"]), new.mae),
-            ("complexity", old["complexity"], new.complexity),
-            ("iteration", old["iteration"], new.iteration_born),
-        ]
+    for eq in sorted(set(old_store) & set(new_store)):
+        old, new = old_store[eq], new_store[eq]
+        checks = [(name, _error(old[name]), _error(new[name])) for name in ("mse", "mae")]
+        checks += [(name, old[name], new[name]) for name in ("complexity", "iteration")]
         for name, a, b in checks:
             if a == b:
                 continue

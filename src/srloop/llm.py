@@ -107,7 +107,6 @@ class ScriptedBackend:
         self.entries = list(entries)
         self.cursor = 0
         self.name = name
-        self.requests: list[ChatRequest] = []
 
     @classmethod
     def from_file(cls, path) -> "ScriptedBackend":
@@ -116,7 +115,6 @@ class ScriptedBackend:
         return cls(entries, name=f"scripted:{Path(path).name}")
 
     def complete(self, req: ChatRequest) -> ChatResponse:
-        self.requests.append(req)
         if self.cursor >= len(self.entries):
             raise TranscriptExhaustedError(
                 f"transcript {self.name} exhausted after {len(self.entries)} turns"
@@ -218,8 +216,10 @@ class HttpBackend:
                 raise MalformedResponseError(f"malformed response body: {resp.text[:500]}") from exc
             if not isinstance(text, str):
                 raise MalformedResponseError(f"response has no text content: {resp.text[:500]}")
-            # a count is a JSON integer: not 2.5, 1e20, true or "7"
-            if not all(type(v) is int and v >= 0 for v in (prompt_tokens, completion_tokens)):
+            # a count is a JSON integer: not 2.5, 1e20, true or "7", nor one past
+            # 2**63 - 1, which no model returns and a cost estimate cannot multiply
+            counts = (prompt_tokens, completion_tokens)
+            if not all(type(v) is int and 0 <= v < 2**63 for v in counts):
                 raise MalformedResponseError(f"bad token count: {resp.text[:500]}")
             return ChatResponse(text, prompt_tokens, completion_tokens)
         raise TransportError(f"request failed after {cfg.max_retries + 1} attempts: {last_exc}")

@@ -176,8 +176,8 @@ class TestRun:
             "run 1", "run 2"]
         assert seen == [("stub-model", "Bearer sk-batch")] * 4
         for k in (1, 2):
-            iterations = load_runlog_data(workdir / "out" / f"run0{k}.jsonl")["iterations"]
-            assert [rec["responses"] for rec in iterations] == [[answer], [answer]]
+            records = load_runlog_data(workdir / "out" / f"run0{k}.jsonl").records
+            assert [rec.responses for rec in records] == [[answer], [answer]]
 
     def test_short_transcript_keeps_partial_log(self, workdir, capsys):
         path = workdir / "short.txt"
@@ -185,8 +185,7 @@ class TestRun:
         ini = scripted_ini(workdir, path, runs=1)
         code = main(["run", "--config", str(ini), "--out", "out"])
         assert code == 2
-        data = load_runlog_data(workdir / "out" / "run01.jsonl")
-        assert len(data["iterations"]) == 1
+        assert len(load_runlog_data(workdir / "out" / "run01.jsonl").records) == 1
 
     def test_output_directory_created(self, workdir):
         transcript = standard_transcript(workdir)
@@ -351,17 +350,17 @@ class TestConcurrentBatch:
             "error: run 2 aborted: connection reset (partial log kept)"]
         assert [ln.split(":")[0] for ln in out.splitlines()] == ["run 1"]
         outdir = workdir / "out"
-        assert len(load_runlog_data(outdir / "run01.jsonl")["iterations"]) == 3
+        assert len(load_runlog_data(outdir / "run01.jsonl").records) == 3
         assert (outdir / "run01.config.json").exists()
         assert (outdir / "run01.store.csv").exists()
         partial = load_runlog_data(outdir / "run02.jsonl")
-        assert len(partial["iterations"]) == 1
-        assert partial["summary"]["error"] == "connection reset"
+        assert len(partial.records) == 1
+        assert partial.error == "connection reset"
         assert not (outdir / "run02.config.json").exists()
         if pool == 1:  # run 3 had not started, so it never does
             assert not (outdir / "run03.jsonl").exists()
         elif (outdir / "run03.jsonl").exists():  # in flight: kept whole
-            assert len(load_runlog_data(outdir / "run03.jsonl")["iterations"]) == 3
+            assert len(load_runlog_data(outdir / "run03.jsonl").records) == 3
             assert (outdir / "run03.store.csv").exists()
 
     def test_run_that_cannot_be_written_keeps_runs_in_flight(self, workdir, monkeypatch,
@@ -382,7 +381,7 @@ class TestConcurrentBatch:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: cannot write run 1: ")
         for k in (2, 3):
-            assert len(load_runlog_data(workdir / "out" / f"run0{k}.jsonl")["iterations"]) == 3
+            assert len(load_runlog_data(workdir / "out" / f"run0{k}.jsonl").records) == 3
             assert (workdir / "out" / f"run0{k}.config.json").exists()
             assert (workdir / "out" / f"run0{k}.store.csv").exists()
         assert not (workdir / "out" / "run01.config.json").exists()
@@ -435,6 +434,12 @@ WRONG_TYPES = {
     "equation_not_a_string": ("candidate", "equation", 3),
     "dataset_not_a_string": ("header", "dataset", ["hubble"]),
     "mse_not_a_number": ("candidate", "mse", [1]),
+    # numbers that float() refuses or that are not numbers at all
+    "mse_too_large": ("candidate", "mse", 10**400),
+    "mae_too_large": ("candidate", "mae", -10**400),
+    "param_too_large": ("candidate", "params", [1.0, 10**400]),
+    "param_a_string": ("candidate", "params", ["nan"]),
+    "param_a_boolean": ("candidate", "params", [True]),
     "responses_not_a_list": ("iteration", "responses", 5),
     "found_not_a_boolean": ("iteration", "target_found", 1),
     "rediscovery_not_an_integer": ("legacy summary", "rediscovery_iteration", "2"),
@@ -541,7 +546,7 @@ class TestReplay:
         assert capsys.readouterr().err == (f"error: run 1 aborted: transcript scripted:t.txt "
                                            f"exhausted after {turns} turns (partial log kept)\n")
         path = workdir / "out" / "run01.jsonl"
-        assert len(load_runlog_data(path)["iterations"]) == turns
+        assert len(load_runlog_data(path).records) == turns
         assert main(["replay", str(path)]) == 0
         assert capsys.readouterr().out == f"{path}: ok ({stored} candidates reproduced)\n"
 
@@ -554,12 +559,12 @@ class TestReplay:
         assert capsys.readouterr().err == ("error: run 1 aborted: transcript scripted:t.txt "
                                            "exhausted after 1 turns (partial log kept)\n")
         path = workdir / "out" / "run01.jsonl"
-        data = load_runlog_data(path)
-        [rec] = data["iterations"]
-        assert rec["responses"] == ["I cannot propose a model yet."]
-        assert (rec["prompt_tokens"], rec["completion_tokens"]) == (305, 6)
-        assert (rec["outcomes"], rec["candidates"], rec["target_on_front"]) == ([], [], False)
-        assert data["summary"]["error"] == "transcript scripted:t.txt exhausted after 1 turns"
+        log = load_runlog_data(path)
+        [rec] = log.records
+        assert rec.responses == ["I cannot propose a model yet."]
+        assert (rec.prompt_tokens, rec.completion_tokens) == (305, 6)
+        assert (rec.outcomes, rec.candidates, rec.target_on_front) == ([], [], False)
+        assert log.error == "transcript scripted:t.txt exhausted after 1 turns"
         assert main(["replay", str(path)]) == 0
         assert capsys.readouterr().out == f"{path}: ok (0 candidates reproduced)\n"
         assert main(["score", str(path), "--target", "hubble", "--out", "score.csv"]) == 0
@@ -745,9 +750,8 @@ class TestPareto:
         assert len(per_run) == len(finished_runs)
 
         union = CandidateStore()
-        for log_path in finished_runs:
-            data = load_runlog_data(log_path)
-            for cand in data["summary"]["store"]:
+        for log_path in finished_runs:  # a run's store is its lines' candidates in order
+            for cand in (c for rec in load_runlog_data(log_path).records for c in rec.candidates):
                 expr = parse(cand["equation"], Dialect.INFIX, ["x1"])
                 mse = cand["mse"] if cand["mse"] is not None else math.inf
                 union.insert(candidate(expr, mse, born=cand["iteration"], params=cand["params"]))
@@ -784,8 +788,8 @@ class TestPareto:
         ini = scripted_ini(workdir, path, runs=1, iterations=1)
         assert main(["run", "--config", str(ini), "--out", "hout"]) == 0
         log = str(workdir / "hout" / "run01.jsonl")
-        outcomes = load_runlog_data(log)["iterations"][0]["outcomes"]
-        assert [o["status"] for o in outcomes] == ["syntax_error", "syntax_error", "fitted"]
+        outcomes = load_runlog_data(log).records[0].outcomes
+        assert [o.status for o in outcomes] == ["syntax_error", "syntax_error", "fitted"]
         assert main(["pareto", log, "--out", "hfronts"]) == 0
 
     def test_logs_must_share_a_dataset(self, finished_runs, workdir, capsys):

@@ -10,12 +10,14 @@ or skipped idle hops that were lower (no ``accept_idle``: ``kepler_idle_hop``,
 the same proposal at the default settings of that time), or logged facts
 twice (``hubble_extracted``, the golden hubble log of that time: each
 iteration line repeats its outcomes' texts as ``extracted``, and the summary
-sums the lines' tokens), which must still replay ``ok``. Every legacy log
+sums the lines' tokens), which must still replay ``ok``; they are never
+regenerated, and one digest pins every byte of them. Every legacy log
 also stands for the format whose lines have no ``target_found``, which each
 line takes from the summary's ``rediscovery_iteration``; a log of the
 current format is read from its header and lines alone, so it reads cut
 after any line."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -30,6 +32,8 @@ LOGS = sorted(GOLDEN.glob("*/run*.jsonl"))
 LEGACY = Path(__file__).parent / "legacy_logs"
 LEGACY_LOGS = sorted(LEGACY.glob("*/run*.jsonl"))
 CASES = sorted(path.parent.name for path in GOLDEN.glob("*/config.ini"))
+# the SHA-256 of every file under tests/legacy_logs/: its relative path, its size and its bytes
+LEGACY_DIGEST = "c9e0d59e50a52367af46d397e16f397a2b648198ac69e06cb412e3cdbe7f32cc"
 
 
 def log_id(path: Path) -> str:
@@ -48,6 +52,15 @@ def test_replays_ok(log, capsys):
 def test_legacy_log_replays_ok(log, capsys):
     assert main(["replay", str(log)]) == 0
     assert capsys.readouterr().out.startswith(f"{log}: ok (")
+
+
+def test_legacy_logs_are_never_regenerated():
+    # they stand for formats and fits srloop no longer writes, so no tool may rewrite them
+    digest, files = hashlib.sha256(), sorted(p for p in LEGACY.rglob("*") if p.is_file())
+    for path in files:
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(LEGACY).as_posix()}\n{len(data)}\n".encode() + data)
+    assert (digest.hexdigest(), len(files)) == (LEGACY_DIGEST, 11)
 
 
 def test_legacy_log_needs_the_simplex(tmp_path, capsys):

@@ -245,6 +245,9 @@ class TestHttp:
         *(b'{"choices":[{"message":{"content":"x"}}],"usage":{"%s":%s}}' % (key, count)
           for key in (b"prompt_tokens", b"completion_tokens")
           for count in (b"2.5", b"true", b'"7"', b"-0.0", b"1e20")),
+        # a count past 2**63 - 1: one of 10**400 made a cost estimate overflow
+        *(b'{"choices":[{"message":{"content":"x"}}],"usage":{"%s":9223372036854775808}}' % key
+          for key in (b"prompt_tokens", b"completion_tokens")),
     ])
     def test_malformed_body_is_backend_error(self, stub_server, monkeypatch, body):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
@@ -262,6 +265,12 @@ class TestHttp:
         _Handler.canned_body = body
         reply = HttpBackend(stub_config(stub_server)).complete(REQ)
         assert (reply.text, reply.prompt_tokens, reply.completion_tokens) == ("x", 0, 0)
+
+    def test_the_largest_count_is_taken(self, stub_server, monkeypatch):
+        monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
+        _Handler.canned_body = (b'{"choices":[{"message":{"content":"x"}}],'
+                                b'"usage":{"prompt_tokens":9223372036854775807}}')
+        assert HttpBackend(stub_config(stub_server)).complete(REQ).prompt_tokens == 2**63 - 1
 
     def test_calls_share_one_connection(self, monkeypatch):
         class KeepAlive(_Handler):
