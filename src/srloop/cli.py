@@ -19,9 +19,7 @@ import math
 import os
 import sys
 import threading
-from collections import deque
 from concurrent.futures import Future
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import get_args
@@ -153,8 +151,8 @@ def build_run_config(args, ini: configparser.ConfigParser) -> RunConfig:
 
 
 def _price_table(ini: configparser.ConfigParser) -> dict[str, tuple[float, float]]:
-    """``[prices]``: per model, its prompt and its completion price per token,
-    each finite and at least 0."""
+    """``[prices]``: per model, lower-cased as every INI key, its prompt and its
+    completion price per token, each finite and at least 0."""
     table = {}
     for model, value in (ini["prices"].items() if ini.has_section("prices") else ()):
         try:
@@ -196,45 +194,21 @@ def _preflight(cfg: RunConfig) -> data.Dataset:
     return dataset
 
 
-@contextmanager
-def _concurrent_runs(cfgs: list[RunConfig], dataset: data.Dataset, outdir: Path):
-    """Start ``_run_and_save`` on each config, in order, on at most
-    MAX_CONCURRENT_RUNS daemon threads, and yield one future per run holding
-    its log or whatever it raised. Once a run fails (its log's ``error`` set)
-    or raises, runs not yet started never start. On leaving the block every
-    future not yet started is cancelled; the workers are joined after a clean
-    exit only, so an exception (Ctrl-C included) does not wait for the runs in
-    flight."""
-    futures = [Future() for _ in cfgs]
-    jobs = deque(enumerate(zip(cfgs, futures), start=1))
+def _start_run(outdir: Path, k: int, cfg: RunConfig,
+               dataset: data.Dataset) -> tuple[threading.Thread, Future]:
+    """Start ``_run_and_save`` for run ``k`` on a daemon thread of its own; return
+    the thread and a future that holds the run's log or whatever it raised."""
+    future = Future()
 
     def work():
-        while True:
-            try:
-                k, (cfg, future) = jobs.popleft()
-            except IndexError:
-                return
-            if not future.set_running_or_notify_cancel():
-                continue
-            try:
-                future.set_result(_run_and_save(outdir, k, cfg, dataset))
-            except BaseException as exc:  # handed to the main thread in run order
-                future.set_exception(exc)
-            if future.exception() is not None or future.result().error is not None:
-                for pending in futures:
-                    pending.cancel()
+        try:
+            future.set_result(_run_and_save(outdir, k, cfg, dataset))
+        except BaseException as exc:  # handed to the main thread in run order
+            future.set_exception(exc)
 
-    workers = [threading.Thread(target=work, name=f"srloop-run-worker-{k + 1}", daemon=True)
-               for k in range(min(len(cfgs), MAX_CONCURRENT_RUNS))]
-    for worker in workers:
-        worker.start()
-    try:
-        yield futures
-    finally:
-        for future in futures:
-            future.cancel()
-    for worker in workers:
-        worker.join()
+    thread = threading.Thread(target=work, name=f"srloop-run-{k}", daemon=True)
+    thread.start()
+    return thread, future
 
 
 def _out_dir(path: str) -> Path:
@@ -282,30 +256,41 @@ def cmd_run(args) -> int:
     dataset = _preflight(cfg)
     prices = _price_table(ini)
     outdir = _out_dir(args.out)
-    logs = []
+    logs, code = [], EXIT_OK
     cfgs = [replace(cfg, fit=replace(cfg.fit, seed=cfg.fit.seed + r)) for r in range(cfg.runs)]
-    with _concurrent_runs(cfgs, dataset, outdir) as futures:
-        # taken in run order, as in a sequential batch; a return waits for runs in flight
-        for k, future in enumerate(futures, start=1):
-            try:
-                log = future.result()
-            except ConfigError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
-            if log.error is not None:
-                print(f"error: run {k} aborted: {log.error} (partial log kept)", file=sys.stderr)
-                return EXIT_RUNTIME
-            logs.append(log)
-            found = log.rediscovery_iteration
-            print(f"run {k}: {len(log.store)} candidates, "
-                  f"rediscovery {'at iteration ' + str(found) if found else 'not reached'}")
+    started = [_start_run(outdir, k, c, dataset)
+               for k, c in enumerate(cfgs[:MAX_CONCURRENT_RUNS], start=1)]
+    # taken in run order, as in a sequential batch, and the loop takes the runs it
+    # appends: run k + MAX_CONCURRENT_RUNS starts once run k has ended well, so a
+    # batch whose first failed run is k has started runs 1 to k + MAX_CONCURRENT_RUNS - 1
+    for k, (_, future) in enumerate(started, start=1):
+        try:
+            log = future.result()
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_CONFIG
+            break
+        if log.error is not None:
+            print(f"error: run {k} aborted: {log.error} (partial log kept)", file=sys.stderr)
+            code = EXIT_RUNTIME
+            break
+        if len(started) < len(cfgs):
+            started.append(_start_run(outdir, len(started) + 1, cfgs[len(started)], dataset))
+        logs.append(log)
+        found = log.rediscovery_iteration
+        print(f"run {k}: {len(log.store)} candidates, "
+              f"rediscovery {'at iteration ' + str(found) if found else 'not reached'}")
+    for thread, _ in started:  # an exception, Ctrl-C included, leaves before this wait
+        thread.join()
+    if code != EXIT_OK:
+        return code
     score = engine.score_runs(logs, iterations=cfg.iterations, mode=cfg.score_mode)
     print(f"score by iteration ({cfg.score_mode}): {score}")
     usage = TokenUsage(sum(log.usage.prompt_tokens for log in logs),
                        sum(log.usage.completion_tokens for log in logs))
     print(f"tokens: {usage.prompt_tokens} prompt + {usage.completion_tokens} completion")
-    try:
-        cost = estimate_cost(usage, cfg.backend.model, prices)
+    try:  # configparser lower-cases every INI key, so a model is matched in any case
+        cost = estimate_cost(usage, cfg.backend.model.lower(), prices)
         print(f"estimated cost: ${cost:.4f}")
     except UnknownModelError:
         print(f"estimated cost: n/a (no price entry for {cfg.backend.model})")

@@ -369,8 +369,8 @@ def _decode(tp, v):
 
 
 #: the JSON values a scalar field takes, by the field's type: an int is not
-#: true or false, and a float may be written as an integer
-_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+#: true or false (a float field takes what ``_is_number`` does)
+_SCALARS = {bool: (bool,), int: (int,), str: (str,)}
 
 
 def _takes(tp, v) -> bool:
@@ -387,6 +387,8 @@ def _takes(tp, v) -> bool:
         return v is None
     if isinstance(tp, type) and issubclass(tp, Enum):
         return any(type(v) is type(m.value) and v == m.value for m in tp)
+    if tp is float:  # an integer too, if float() takes it
+        return _is_number(v)
     return tp not in _SCALARS or type(v) in _SCALARS[tp]
 
 

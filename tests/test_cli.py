@@ -359,9 +359,36 @@ class TestConcurrentBatch:
         assert not (outdir / "run02.config.json").exists()
         if pool == 1:  # run 3 had not started, so it never does
             assert not (outdir / "run03.jsonl").exists()
-        elif (outdir / "run03.jsonl").exists():  # in flight: kept whole
+        else:  # in flight: kept whole
             assert len(load_runlog_data(outdir / "run03.jsonl").records) == 3
             assert (outdir / "run03.store.csv").exists()
+
+    @pytest.mark.parametrize("pool", [1, cli.MAX_CONCURRENT_RUNS])
+    def test_a_failed_batch_always_leaves_the_same_runs(self, pool, workdir, monkeypatch,
+                                                        capsys, batch_threads):
+        # every run's transcript runs out, so run 1 is the first to fail: runs 1 to
+        # pool are in flight by then, and no later run starts, however threads switch
+        monkeypatch.setattr(cli, "MAX_CONCURRENT_RUNS", pool)
+        write_transcript([reply("c1*x1")], workdir / "t.txt")
+        argv = ["run", "--dataset", "hubble", "--backend", "scripted", "--transcript", "t.txt",
+                "--iterations", "2", "--runs", str(cli.MAX_CONCURRENT_RUNS + 3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for attempt in range(10):
+                outdir = workdir / f"out{attempt}"
+                assert main([*argv, "--out", str(outdir)]) == 2
+                assert not batch_threads()
+                assert sorted(p.name for p in outdir.iterdir()) == [
+                    f"run{k:02d}.jsonl" for k in range(1, pool + 1)]
+                for path in outdir.iterdir():
+                    assert load_runlog_data(path).error == (
+                        "transcript scripted:t.txt exhausted after 1 turns")
+        finally:
+            sys.setswitchinterval(interval)
+        assert capsys.readouterr().err == 10 * (
+            "error: run 1 aborted: transcript scripted:t.txt exhausted after 1 turns "
+            "(partial log kept)\n")
 
     def test_run_that_cannot_be_written_keeps_runs_in_flight(self, workdir, monkeypatch,
                                                              capsys, batch_threads):
@@ -652,6 +679,9 @@ class TestReplay:
          "PromptConfig config: dialect cannot be 'Infix'"),
         ('"dialect": "infix"', '"dialect": ["infix"]',
          "PromptConfig config: dialect cannot be ['infix']"),
+        # a float field takes an integer only if float() can hold it
+        pytest.param('"step_scale": 1.0', f'"step_scale": {10**400}',
+                     f"FitConfig config: step_scale cannot be {10**400}", id="huge_step_scale"),
     ])
     def test_a_config_value_of_another_kind_fails_replay(self, old, new, error, workdir, capsys):
         path = edited_golden(workdir, old, new)
@@ -675,6 +705,35 @@ class TestReplay:
         assert main(["replay", str(path)]) == 2
         assert capsys.readouterr().err == (f"{path}: replay failed: timeout must be at most "
                                            f"86400.0, not {float(value)}\n")
+
+    def test_a_logged_config_without_its_dataset_fails_replay(self, workdir, capsys):
+        lines = (GOLDEN / "hubble" / "run01.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        del header["config"]["dataset"]
+        path = workdir / "run01.jsonl"
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err  # the TypeError's wording varies across Pythons
+        assert err.startswith(f"{path}: replay failed: bad RunConfig config: ")
+        assert "dataset" in err and len(err.splitlines()) == 1
+
+    def test_a_blank_line_in_a_log_replays(self, workdir, capsys):
+        lines = (GOLDEN / "hubble" / "run01.jsonl").read_text().splitlines()
+        path = workdir / "run01.jsonl"
+        path.write_text("\n".join([*lines[:2], "", *lines[2:]]) + "\n")
+        assert main(["replay", str(path)]) == 0
+        assert capsys.readouterr().out.startswith(f"{path}: ok (")
+
+    def test_a_finite_mse_where_the_replay_has_none_diverges(self, workdir, capsys):
+        write_transcript([reply("c1/(x1-x1)")], workdir / "t.txt")
+        assert main(["run", "--dataset", "hubble", "--backend", "scripted", "--transcript",
+                     "t.txt", "--iterations", "1", "--runs", "1", "--out", "out"]) == 0
+        path = workdir / "out" / "run01.jsonl"
+        path.write_text(path.read_text().replace('"mse": null', '"mse": 0.5', 1))
+        capsys.readouterr()
+        assert main(["replay", str(path)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"{path}: DIVERGED", "  c1/(x1-x1): mse 0.5 != inf"]
 
     @pytest.mark.parametrize("kind,error", [("too_deep", "a line is nested too deeply to decode"),
                                             ("no_type", "a line has no type")])
@@ -1224,6 +1283,10 @@ def assert_config_refused(error, workdir, capsys, flags=()):
 @pytest.mark.parametrize("section,line,error", [
     ("fit", "max_eval = 5", "unknown FitConfig config key(s): max_eval"),
     ("run", "iteration = 2", "unknown RunConfig config key(s): iteration"),
+    ("run", "policy = nope", "unknown feedback policy 'nope'"),
+    ("run", "iterations = 0", "iterations must be >= 1"),
+    ("run", "runs = 0", "runs must be >= 1"),
+    ("run", "score_mode = best", "unknown score mode 'best'"),
     ("llm", "time_out = 5", "unknown BackendConfig config key(s): time_out"),
     ("prompt", "operator_note = x", "[prompt] operator_note: filled in by srloop"),
     ("prompt", "extra_instructions = x", "[prompt] extra_instructions: filled in by srloop"),
@@ -1270,6 +1333,20 @@ def test_a_key_the_reader_cannot_take_is_refused(section, line, error, workdir, 
     assert_config_refused(error, workdir, capsys)
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["run", "--config", "nothere.ini", "--out", "out"], "config file not found: nothere.ini"),
+    (["run", "--iterations", "1", "--out", "out"],
+     "no dataset given (use --dataset or [run] dataset=...)"),
+    (["run", "--dataset", "hubble", "--backend", "scripted", "--out", "out"],
+     "scripted backend needs --transcript"),
+    (["score", "run01.jsonl", "--target", "phlogiston"], "unknown dataset 'phlogiston'"),
+])
+def test_a_command_without_what_it_needs_is_refused(argv, error, workdir, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not any(workdir.iterdir())
+
+
 def test_a_config_that_is_not_a_file_is_refused(workdir, capsys):
     (workdir / "config.ini").mkdir()
     assert_config_refused("cannot read config file config.ini", workdir, capsys)
@@ -1296,6 +1373,24 @@ def test_a_price_is_two_numbers(value, workdir, capsys):
     assert_config_refused(f"[prices] gpt-4o must be two finite numbers of at least 0, the "
                           f"prompt and the completion price per token, not {value!r}",
                           workdir, capsys)
+
+
+@pytest.mark.parametrize("model", ["gpt-4o", "GPT-4o", "Qwen/Qwen2-72B"])
+def test_a_price_is_found_in_any_case(model, workdir, capsys):
+    # configparser lower-cases the [prices] key; the message keeps the model as configured
+    write_config(workdir, "llm", f"model = {model}")
+    with open(workdir / "config.ini", "a") as fh:
+        fh.write(f"[prices]\n{model} = 1e-6, 2e-6\n")
+    argv = ["run", "--config", "config.ini", "--iterations", "1", "--runs", "1", "--out", "out"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "tokens: 305 prompt + 7 completion", "estimated cost: $0.0003"]
+    (workdir / "config.ini").write_text((workdir / "config.ini").read_text().replace(
+        f"{model} = ", "other-model = "))
+    assert main([*argv[:-1], "out2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"estimated cost: n/a (no price entry for {model})")
+
 
 class TestDatasets:
     def test_listing(self, capsys):

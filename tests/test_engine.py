@@ -402,6 +402,13 @@ class TestReplay:
         with pytest.raises(ValueError, match="^transcript replay exhausted after"):
             replay(data)
 
+    def test_a_saved_run_aborted_in_a_reprompt_loads_back_equal(self, tmp_path):
+        log = run(config(), backend=ScriptedBackend([reply("c1*x1"), "no markers in sight"]))
+        assert log.error
+        save_runlog(log, tmp_path / "log.jsonl")
+        loaded = load_runlog_data(tmp_path / "log.jsonl")
+        assert replace(loaded, store=None) == replace(log, store=None)
+
     def test_tampered_equation_detected(self, tmp_path):
         entries = [reply("c1*x1"), reply("c1+x1"), reply("c1/x1")]
         log = run(config(), backend=ScriptedBackend(entries))

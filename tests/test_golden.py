@@ -19,6 +19,7 @@ after any line."""
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,17 @@ def test_replay_rewrites_the_same_bytes(log, tmp_path):
     fresh = replay(load_runlog_data(log))
     save_runlog(fresh, tmp_path / "replayed.jsonl")
     assert (tmp_path / "replayed.jsonl").read_text() == log.read_text()
+
+
+@pytest.mark.parametrize("log", LOGS + LEGACY_LOGS,
+                         ids=lambda path: f"{path.parent.parent.name}/{log_id(path)}")
+def test_a_saved_replay_loads_back_equal(log, tmp_path):
+    # every field the lines hold, prompts, details, indexes and tokens included;
+    # the store is rebuilt from the lines, not read
+    fresh = replay(load_runlog_data(log))
+    save_runlog(fresh, tmp_path / "replayed.jsonl")
+    loaded = load_runlog_data(tmp_path / "replayed.jsonl")
+    assert replace(loaded, store=None) == replace(fresh, store=None)
 
 
 @pytest.mark.parametrize("case", CASES)
