@@ -5,7 +5,11 @@ Configuration is an INI file (sections [run], [prompt], [fit], [llm],
 resolved configuration next to its log so each subcommand is reproducible
 from persisted artifacts alone.
 
-Exit codes: 0 success, 1 config/user error, 2 backend/runtime failure.
+INI keys match in any case, and a refusal names a key as it was written.
+
+Exit codes: 0 success, 1 config/user error, 2 backend/runtime failure,
+130 interrupted (Ctrl-C): the files of runs that had ended are kept, and a
+run still in flight writes nothing.
 """
 
 from __future__ import annotations
@@ -36,16 +40,21 @@ from .prompts import PromptConfig, extra_instruction
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
+EXIT_INTERRUPTED = 130
 
 MAX_CONCURRENT_RUNS = 5  # runs of a batch in flight at once; the paper's batch size
 EXTRAS = ("long_a", "long_b", "mae_challenge")  # the names [prompt] extra takes
+PROMPT_KEYS = ("extra", "mae_target", "mae_complexity")  # the [prompt] keys that are no field
 SECTIONS = ("run", "prompt", "fit", "llm", "prices")  # the INI sections srloop reads
 
 
-def _load_ini(path: str | None) -> configparser.ConfigParser:
-    """The INI file ``path``, values read as written (a ``%`` is literal); a
-    file configparser cannot read is a ConfigError."""
+def _load_ini(path: str | None) -> dict[str, dict[str, str]]:
+    """The INI file ``path`` as {section: {key as written: value}}, values
+    read as written (a ``%`` is literal), each section with the [DEFAULT]
+    keys it does not set. Keys match in any case, so two spellings of one key
+    in a section are a ConfigError, as is a file configparser cannot read."""
     ini = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+    ini.optionxform = str  # keep each key as written
     if path:
         if not Path(path).exists():
             raise ConfigError(f"config file not found: {path}")
@@ -56,7 +65,17 @@ def _load_ini(path: str | None) -> configparser.ConfigParser:
                               f"{' '.join(str(exc).splitlines())}") from exc
         if not read:
             raise ConfigError(f"cannot read config file {path}")
-    return ini
+    sections = {}
+    for name in [ini.default_section, *ini.sections()]:
+        keys = {}  # by lower-cased key: the key as written and its value
+        for key, value in ini[name].items():  # the section's own keys, then [DEFAULT]'s
+            first = keys.setdefault(key.lower(), (key, value))[0]
+            if first != key and (name == ini.default_section or key not in ini.defaults()):
+                raise ConfigError(f"cannot read config file {path}: option {key!r} in section "
+                                  f"{name!r} already exists as {first!r}")
+        sections[name] = dict(keys.values())
+    del sections[ini.default_section]
+    return sections
 
 
 def _ini_value(tp, text: str):
@@ -74,16 +93,17 @@ def _ini_value(tp, text: str):
     return text
 
 
-def _section(ini: configparser.ConfigParser, name: str, cls) -> dict:
+def _section(ini: dict[str, dict[str, str]], name: str, cls, extra=()) -> dict:
     """The keys of INI section ``name``, each value read as the type of the
-    field of ``cls`` it names. Any other key passes through unchanged, for
-    config_from_dict to reject."""
+    field of ``cls`` it names. A key that names a field or one of ``extra``,
+    in any case, is lower-cased; any other key passes through as written,
+    for config_from_dict to reject."""
     hints = engine.field_types(cls)
-    sec = ini[name] if ini.has_section(name) else {}
     values = {}
-    for key, text in sec.items():
+    for key, text in ini.get(name, {}).items():
+        field = key.lower() if key.lower() in hints or key.lower() in extra else key
         try:
-            values[key] = _ini_value(hints.get(key), text)
+            values[field] = _ini_value(hints.get(field), text)
         except ValueError as exc:
             raise ConfigError(f"[{name}] {key}: {exc}") from exc
     return values
@@ -111,20 +131,21 @@ def _policy(name: str) -> FeedbackPolicy:
     raise ConfigError(f"unknown feedback policy {name!r}")
 
 
-def build_run_config(args, ini: configparser.ConfigParser) -> RunConfig:
+def build_run_config(args, ini: dict[str, dict[str, str]]) -> RunConfig:
     """The sections of ``ini`` and the flags as one nested dict, decoded by
     engine.config_from_dict: a missing key takes its default and an unknown
     key is an error. A flag overrides the file, except that ``--iterations 0``
     and ``--runs 0`` keep the file's value; ``[fit] seed`` defaults to
     ``--seed`` (or 0), not to ``[run] seed``."""
-    unknown = [f"[{name}]" for name in ini.sections() if name not in SECTIONS]
+    unknown = [f"[{name}]" for name in ini if name not in SECTIONS]
     if unknown:
         raise ConfigError(f"unknown config section(s): {', '.join(unknown)}")
     run = _section(ini, "run", RunConfig)
-    prompt = _section(ini, "prompt", PromptConfig)
+    prompt = _section(ini, "prompt", PromptConfig, PROMPT_KEYS)
     fit = _section(ini, "fit", FitConfig)
     backend = _section(ini, "llm", BackendConfig)
-    filled = sorted(prompt.keys() & {"operator_note", "extra_instructions"})
+    filled = sorted(key for key in ini.get("prompt", {})
+                    if key.lower() in ("operator_note", "extra_instructions"))
     if filled:
         raise ConfigError(f"[prompt] {', '.join(filled)}: filled in by srloop, not a config key")
     prompt["extra_instructions"] = _extra_instructions(prompt)
@@ -150,11 +171,11 @@ def build_run_config(args, ini: configparser.ConfigParser) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _price_table(ini: configparser.ConfigParser) -> dict[str, tuple[float, float]]:
-    """``[prices]``: per model, lower-cased as every INI key, its prompt and its
-    completion price per token, each finite and at least 0."""
+def _price_table(ini: dict[str, dict[str, str]]) -> dict[str, tuple[float, float]]:
+    """``[prices]``: per model, lower-cased, its prompt and its completion
+    price per token, each finite and at least 0."""
     table = {}
-    for model, value in (ini["prices"].items() if ini.has_section("prices") else ()):
+    for model, value in ini.get("prices", {}).items():
         try:
             prompt, completion = (float(v) for v in value.split(","))
             if not (0 <= prompt < math.inf and 0 <= completion < math.inf):  # NaN fails too
@@ -163,7 +184,7 @@ def _price_table(ini: configparser.ConfigParser) -> dict[str, tuple[float, float
             raise ConfigError(f"[prices] {model} must be two finite numbers of at least 0, "
                               f"the prompt and the completion price per token, "
                               f"not {value!r}") from None
-        table[model] = (prompt, completion)
+        table[model.lower()] = (prompt, completion)
     return table
 
 
@@ -289,7 +310,7 @@ def cmd_run(args) -> int:
     usage = TokenUsage(sum(log.usage.prompt_tokens for log in logs),
                        sum(log.usage.completion_tokens for log in logs))
     print(f"tokens: {usage.prompt_tokens} prompt + {usage.completion_tokens} completion")
-    try:  # configparser lower-cases every INI key, so a model is matched in any case
+    try:  # a model is matched in any case
         cost = estimate_cost(usage, cfg.backend.model.lower(), prices)
         print(f"estimated cost: ${cost:.4f}")
     except UnknownModelError:
@@ -495,6 +516,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except KeyboardInterrupt:  # the run threads are daemons: none is waited for
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -133,12 +133,13 @@ class IterationRecord:
 class RunLog:
     """One run, as ``run`` makes it and ``load_runlog_data`` reads it back:
     every paid response included, and the ``error`` that ended it, if one did.
-    A loaded log's ``store`` is empty until ``store_from_log`` fills it."""
+    A loaded log's ``store`` is empty until ``store_from_log`` fills it, and
+    ``==`` leaves it out, so a saved log loads back equal to the run."""
 
     dataset_id: str
     config: dict
     records: list[IterationRecord] = field(default_factory=list)
-    store: CandidateStore = field(default_factory=CandidateStore)
+    store: CandidateStore = field(default_factory=CandidateStore, compare=False, repr=False)
     error: str | None = None
 
     @property

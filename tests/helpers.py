@@ -1,12 +1,16 @@
-"""Shared test utilities: random expression trees, an independent scalar
-evaluation oracle, the reference closure evaluator, simplex and basin
-hopping, small ad-hoc datasets, and scripted model replies and transcripts."""
+"""Shared test utilities: infix parsing, random expression trees, an
+independent scalar evaluation oracle, the reference closure evaluator,
+simplex and basin hopping, small ad-hoc datasets, scripted model replies and
+transcripts, and a local chat-completions endpoint."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import threading
 from bisect import bisect_right
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from operator import add
 from pathlib import Path
 
@@ -23,6 +27,10 @@ from srloop.parsing import parse
 # in table order, which fixes what a seeded tree draws (tools/fit_digest.py relies on it)
 UNARY_CHOICES = list(expressions.UNARY_OPERATORS)
 BINARY_CHOICES = list(expressions.BINARY_OPERATORS)
+
+
+def infix(text, variables=("x1",)) -> Expression:
+    return parse(text, Dialect.INFIX, list(variables))
 
 
 def random_node(rng: random.Random, n_vars: int = 2, max_depth: int = 4,
@@ -435,3 +443,82 @@ def make_dataset(X, y, dataset_id: str = "adhoc", **kwargs) -> Dataset:
         id=dataset_id, variables=variables, X=X,
         y=np.asarray(y, dtype=float), **kwargs,
     )
+
+
+def chat_completion(text: str) -> dict:
+    """A chat-completions body carrying ``text``, with 11 prompt and 7
+    completion tokens."""
+    return {"choices": [{"message": {"role": "assistant", "content": text}}],
+            "usage": {"prompt_tokens": 11, "completion_tokens": 7}}
+
+
+class ChatEndpoint:
+    """A chat-completions endpoint on 127.0.0.1 for the length of a ``with``
+    block; requests go to ``url``.
+
+    Each request is answered with the next of ``statuses``, then with
+    ``status``. A 200 carries ``body``, by default ``chat_completion(text)``;
+    any other status carries ``body`` or ``b"boom"``. ``retry_after``, when
+    set, is sent as a Retry-After header. Status 0 closes the connection
+    without an answer, and None holds the request open until the block ends.
+    ``received`` holds each request's JSON ``body``, its ``auth`` header and
+    its ``peer`` address, and ``arrived`` is set on each request. With
+    ``keep_alive`` the endpoint answers in HTTP/1.1; a client must then close
+    its connection before the block ends. ``thread`` serves the requests and
+    has ended once the block has."""
+
+    POLL_S = 0.05  # so leaving the block need not wait out serve_forever's default 0.5 s
+
+    def __init__(self, text: str = "canned text", status: int | None = 200,
+                 statuses=(), body: bytes | None = None, retry_after: str | None = None,
+                 keep_alive: bool = False):
+        self.text, self.status, self.statuses = text, status, list(statuses)
+        self.body, self.retry_after = body, retry_after
+        self.received: list[dict] = []
+        self.arrived = threading.Event()
+        self._closing = threading.Event()
+        endpoint = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+
+            def do_POST(self):
+                endpoint._answer(self)
+
+            def log_message(self, *args):
+                pass
+
+        self._server = HTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self._server.server_port}/v1/chat/completions"
+        self.thread = threading.Thread(target=self._server.serve_forever, args=(self.POLL_S,),
+                                       daemon=True)
+
+    def __enter__(self) -> ChatEndpoint:
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._closing.set()  # lets a held request go unanswered
+        self._server.shutdown()
+        self._server.server_close()
+        self.thread.join(timeout=5)
+
+    def _answer(self, handler: BaseHTTPRequestHandler) -> None:
+        body = json.loads(handler.rfile.read(int(handler.headers["Content-Length"])))
+        self.received.append({"body": body, "auth": handler.headers.get("Authorization"),
+                              "peer": handler.client_address})
+        self.arrived.set()
+        status = self.statuses.pop(0) if self.statuses else self.status
+        if status is None:
+            self._closing.wait()
+        if not status:
+            return
+        data = self.body
+        if data is None:
+            data = json.dumps(chat_completion(self.text)).encode() if status == 200 else b"boom"
+        handler.send_response(status)
+        if self.retry_after is not None:
+            handler.send_header("Retry-After", self.retry_after)
+        handler.send_header("Content-Length", str(len(data)))
+        handler.end_headers()
+        handler.wfile.write(data)

@@ -10,14 +10,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import (candidate, make_dataset, mse_objective, random_expression, reply,
+from helpers import (candidate, infix, make_dataset, mse_objective, random_expression, reply,
                      write_transcript)
 
 from srloop.cli import main as cli_main, reference_table
 from srloop.data import load_builtin
 from srloop.engine import RunConfig, run
 from srloop.expressions import (
-    Dialect,
     OperatorSet,
     canonicalize,
     complexity,
@@ -27,7 +26,6 @@ from srloop.expressions import (
 from srloop.llm import ScriptedBackend
 from srloop.optimize import FitConfig, fit, repeat_fit
 from srloop.pareto import CandidateStore
-from srloop.parsing import parse
 from srloop.prompts import PromptConfig, build_initial, make_data_view, operator_note
 
 pytestmark = pytest.mark.acceptance
@@ -47,10 +45,6 @@ def criterion(number: int, description: str, budget_s: float):
     print(f"\n[criterion {number:02d}] {verdict}  {description} "
           f"({elapsed:.2f}s of {budget_s:.0f}s budget)")
     assert within, f"criterion {number} exceeded its {budget_s}s budget ({elapsed:.2f}s)"
-
-
-def infix(text, variables=("x1",)):
-    return parse(text, Dialect.INFIX, list(variables))
 
 
 # --- 1. rediscovery detection --------------------------------------------------

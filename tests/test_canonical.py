@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import make_dataset, random_expression
+from helpers import infix, make_dataset, random_expression
 
 from srloop.expressions import (
     Const,
@@ -16,10 +16,6 @@ from srloop.expressions import (
 )
 from srloop.optimize import FitConfig, fit
 from srloop.parsing import parse
-
-
-def infix(text, variables=("x1",)):
-    return parse(text, Dialect.INFIX, list(variables))
 
 
 class TestRewrites:

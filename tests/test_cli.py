@@ -3,16 +3,17 @@ import csv
 import json
 import math
 import os
+import re
+import signal
 import subprocess
 import sys
 import threading
 from dataclasses import fields, replace
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
 
-from helpers import candidate, reply, write_transcript
+from helpers import ChatEndpoint, candidate, reply, write_transcript
 
 from srloop import cli, engine
 from srloop.cli import main, reference_table
@@ -134,47 +135,21 @@ class TestRun:
     def test_http_batch(self, workdir, capsys, monkeypatch):
         # every run builds its HttpBackend from the INI through engine.make_backend
         answer = reply("c1*x1", "c1*x1+c2")
-        seen = []
-
-        class Stub(BaseHTTPRequestHandler):
-            def do_POST(self):
-                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-                seen.append((body["model"], self.headers.get("Authorization")))
-                data = json.dumps({
-                    "choices": [{"message": {"role": "assistant", "content": answer}}],
-                    "usage": {"prompt_tokens": 11, "completion_tokens": 7},
-                }).encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-
-            def log_message(self, *args):
-                pass
-
-        server = HTTPServer(("127.0.0.1", 0), Stub)
-        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-        thread.start()
         monkeypatch.setenv("TEST_HTTP_BATCH_KEY", "sk-batch")
-        ini = workdir / "config.ini"
-        ini.write_text(
-            "[run]\ndataset = hubble\niterations = 2\nruns = 2\n\n[fit]\nhops = 1\n"
-            "max_evals = 200\n\n[llm]\nkind = http\nmodel = stub-model\n"
-            f"endpoint = http://127.0.0.1:{server.server_port}/v1/chat/completions\n"
-            "key_env_var = TEST_HTTP_BATCH_KEY\n"
-        )
-        try:
+        with ChatEndpoint(answer) as endpoint:
+            ini = workdir / "config.ini"
+            ini.write_text(
+                "[run]\ndataset = hubble\niterations = 2\nruns = 2\n\n[fit]\nhops = 1\n"
+                "max_evals = 200\n\n[llm]\nkind = http\nmodel = stub-model\n"
+                f"endpoint = {endpoint.url}\nkey_env_var = TEST_HTTP_BATCH_KEY\n"
+            )
             code = main(["run", "--config", str(ini), "--out", "out"])
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
         out = capsys.readouterr().out
         assert code == 0
         assert [ln.split(":")[0] for ln in out.splitlines() if ln.startswith("run ")] == [
             "run 1", "run 2"]
-        assert seen == [("stub-model", "Bearer sk-batch")] * 4
+        assert [(r["body"]["model"], r["auth"]) for r in endpoint.received] == [
+            ("stub-model", "Bearer sk-batch")] * 4
         for k in (1, 2):
             records = load_runlog_data(workdir / "out" / f"run0{k}.jsonl").records
             assert [rec.responses for rec in records] == [[answer], [answer]]
@@ -413,7 +388,7 @@ class TestConcurrentBatch:
             assert (workdir / "out" / f"run0{k}.store.csv").exists()
         assert not (workdir / "out" / "run01.config.json").exists()
 
-    def test_interrupt_does_not_wait_for_runs_in_flight(self, workdir, monkeypatch,
+    def test_interrupt_does_not_wait_for_runs_in_flight(self, workdir, monkeypatch, capsys,
                                                         batch_threads):
         run3_started, release = threading.Event(), threading.Event()
         run3_released = []
@@ -434,9 +409,9 @@ class TestConcurrentBatch:
         transcript = standard_transcript(workdir)
         ini = scripted_ini(workdir, transcript, runs=3)
         try:
-            with pytest.raises(KeyboardInterrupt):
-                main(["run", "--config", str(ini), "--out", "out"])
-            # main raised while run 3 still waited on its first completion
+            assert main(["run", "--config", str(ini), "--out", "out"]) == 130
+            assert capsys.readouterr().err == "error: interrupted\n"
+            # main returned while run 3 still waited on its first completion
             assert not run3_released
             assert batch_threads()
         finally:
@@ -446,6 +421,28 @@ class TestConcurrentBatch:
         assert not batch_threads()
         assert (workdir / "out" / "run01.jsonl").exists()
         assert not (workdir / "out" / "run02.jsonl").exists()
+
+    @pytest.mark.skipif(os.name != "posix", reason="sends a POSIX SIGINT")
+    def test_ctrl_c_exits_130_without_a_traceback(self, workdir):
+        # a real SIGINT to `srloop run` while the endpoint holds the first request
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        with ChatEndpoint(status=None) as endpoint:
+            (workdir / "config.ini").write_text(
+                "[run]\ndataset = hubble\nruns = 2\n\n[llm]\nkind = http\n"
+                f"endpoint = {endpoint.url}\nkey_env_var = TEST_SIGINT_KEY\n")
+            argv = [sys.executable, "-m", "srloop.cli", "run", "--config", "config.ini",
+                    "--out", "out"]
+            env = {**os.environ, "PYTHONPATH": src, "TEST_SIGINT_KEY": "sk-test"}
+            with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True) as proc:
+                try:
+                    assert endpoint.arrived.wait(timeout=60)
+                    proc.send_signal(signal.SIGINT)
+                    out, err = proc.communicate(timeout=30)
+                finally:
+                    proc.kill()  # a no-op once the process has ended
+        assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
+        assert not any((workdir / "out").iterdir())  # a run in flight writes nothing
 
 
 @pytest.fixture
@@ -1219,6 +1216,22 @@ def test_ini_meaning(name, text, flags, tmp_path):
     assert json.dumps(engine.to_json(cfg)) == INI_MEANING[name]
 
 
+def test_ini_keys_match_in_any_case(tmp_path):
+    text = re.sub(r"^(\w[^=]*?) =", lambda m: f"{m[1].upper()} =", FULL_INI, flags=re.M)
+    assert "\nDATASET = kepler\n" in text and "\nMAE_TARGET = " in text
+    (tmp_path / "config.ini").write_text(text)
+    ini = cli._load_ini(str(tmp_path / "config.ini"))
+    cfg = cli.build_run_config(cli._parser().parse_args(["run"]), ini)
+    assert json.dumps(engine.to_json(cfg)) == INI_MEANING["full"]
+    assert cli._price_table(ini) == {"test-model": (1e-6, 2e-6)}
+
+
+def test_a_section_key_overrides_default_in_any_case(tmp_path):
+    (tmp_path / "config.ini").write_text("[DEFAULT]\nSeed = 1\n[run]\nseed = 2\n[fit]\nhops = 3\n")
+    assert cli._load_ini(str(tmp_path / "config.ini")) == {
+        "run": {"seed": "2"}, "fit": {"hops": "3", "Seed": "1"}}
+
+
 # ---------------------------------------------------------------------------
 # The README's configuration block runs as written, and names every key
 
@@ -1327,6 +1340,14 @@ def assert_config_refused(error, workdir, capsys, flags=()):
     ("run", "dataset = kepler", "cannot read config file config.ini: While reading from "
                                 "'config.ini' [line  3]: option 'dataset' in section 'run' "
                                 "already exists"),
+    # keys match in any case, and a refusal names the key as written
+    ("run", "Iterations = x", "[run] Iterations: invalid literal"),
+    ("run", "Itrations = 3", "unknown RunConfig config key(s): Itrations"),
+    ("prices", "GPT-4o = cheap, 1", "[prices] GPT-4o must be two finite numbers"),
+    ("prompt", "Operator_Note = x", "[prompt] Operator_Note: filled in by srloop"),
+    ("run", "Iterations = 3\niterations = 3", "cannot read config file config.ini: option "
+                                              "'iterations' in section 'run' already exists "
+                                              "as 'Iterations'"),
 ])
 def test_a_key_the_reader_cannot_take_is_refused(section, line, error, workdir, capsys):
     write_config(workdir, section, line)
@@ -1377,7 +1398,7 @@ def test_a_price_is_two_numbers(value, workdir, capsys):
 
 @pytest.mark.parametrize("model", ["gpt-4o", "GPT-4o", "Qwen/Qwen2-72B"])
 def test_a_price_is_found_in_any_case(model, workdir, capsys):
-    # configparser lower-cases the [prices] key; the message keeps the model as configured
+    # the [prices] key matches in any case; the message keeps the model as configured
     write_config(workdir, "llm", f"model = {model}")
     with open(workdir / "config.ini", "a") as fh:
         fh.write(f"[prices]\n{model} = 1e-6, 2e-6\n")

@@ -1,19 +1,29 @@
-"""The parse digest of ``tools/parse_digest.py``, pinned, and the fit digest's
-comparison of two runs.
+"""The parse digest of ``tools/parse_digest.py``, pinned, the CLI's output
+over the committed run logs, pinned, and the fit digest's comparison of two
+runs.
 
 Every tree, constant initial value, exception class and message the parser
-gives over the digest's fixed corpus must stay as it is. A parser change made
-on purpose updates the pin in the same diff. The fit digest is not pinned
-here: it takes far longer and depends on NumPy's float kernels. Its
-``--against`` comparison is tested on hand-written lines.
+gives over the digest's fixed corpus must stay as it is. So must what
+``replay``, ``score`` and ``pareto`` print, return and write for each golden
+and legacy log. A change made on purpose updates the pin in the same diff.
+The fit digest is not pinned here: it takes far longer and depends on NumPy's
+float kernels. Its ``--against`` comparison is tested on hand-written lines.
 """
 
 import hashlib
 import importlib.util
+import json
+import shutil
 from pathlib import Path
+
+from srloop.cli import main
+from srloop.data import dataset_info
 
 PARSE_DIGEST = "84fe59dd768960b5d00e076f713beca33b68b5bf2ebe5e3c037365c525ab0639"
 PARSES = 36112
+CLI_DIGEST = "fbaa015e7a30a47af2a87b52e9072253b4e9e3e6a45d690698620044ac275986"
+CLI_CASES = 56
+TESTS = Path(__file__).resolve().parent
 
 
 def load_tool(name: str):
@@ -32,6 +42,39 @@ def test_parse_digest_is_pinned():
         digest.update(line.encode() + b"\n")
         count += 1
     assert (digest.hexdigest(), count) == (PARSE_DIGEST, PARSES)
+
+
+def cli_digest(workdir: Path, capsys) -> tuple[str, int]:
+    """The SHA-256 of each CLI case's argv, exit code, stdout and stderr and the
+    name and bytes of each CSV it wrote, run in ``workdir`` over copies of the
+    committed logs, and the number of cases: ``replay``, ``pareto`` and, where
+    the dataset has a target, ``score`` of each log, and ``pareto`` of both
+    golden langmuir logs together."""
+    logs = sorted([*TESTS.glob("golden/*/run*.jsonl"), *TESTS.glob("legacy_logs/*/run*.jsonl")])
+    cases = []
+    for path in logs:
+        name = "-".join(path.relative_to(TESTS).parts)  # golden-bode-run01.jsonl
+        shutil.copyfile(path, workdir / name)
+        dataset = json.loads(path.read_text().split("\n", 1)[0])["dataset"]
+        cases += [["replay", name], ["pareto", name, "--out", "fronts"]]
+        if dataset_info(dataset)["target"]:
+            cases.append(["score", name, "--target", dataset])
+    cases.append(["pareto", "golden-langmuir-run01.jsonl", "golden-langmuir-run02.jsonl",
+                  "--out", "fronts"])
+    digest = hashlib.sha256()
+    for argv in cases:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        digest.update(json.dumps([argv, code, out, err]).encode())
+        for csv in sorted(workdir.rglob("*.csv")):
+            digest.update(f"{csv.relative_to(workdir).as_posix()}\n".encode() + csv.read_bytes())
+            csv.unlink()
+    return digest.hexdigest(), len(cases)
+
+
+def test_cli_output_over_the_committed_logs_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli_digest(tmp_path, capsys) == (CLI_DIGEST, CLI_CASES)
 
 
 def result(mse: float, evals: int) -> str:

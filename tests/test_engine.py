@@ -384,6 +384,7 @@ class TestReplay:
         path = tmp_path / "log.jsonl"
         save_runlog(log, path)
         data = load_runlog_data(path)
+        assert log.error is None and data == log  # a completed run loads back equal
         fresh = replay(data)
         assert diff_replay(data, fresh) == []
         assert fresh.rediscovery_iteration == log.rediscovery_iteration
@@ -406,8 +407,7 @@ class TestReplay:
         log = run(config(), backend=ScriptedBackend([reply("c1*x1"), "no markers in sight"]))
         assert log.error
         save_runlog(log, tmp_path / "log.jsonl")
-        loaded = load_runlog_data(tmp_path / "log.jsonl")
-        assert replace(loaded, store=None) == replace(log, store=None)
+        assert load_runlog_data(tmp_path / "log.jsonl") == log
 
     def test_tampered_equation_detected(self, tmp_path):
         entries = [reply("c1*x1"), reply("c1+x1"), reply("c1/x1")]

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import (make_dataset, mse_objective, oracle_eval, oracle_evaluator,
+from helpers import (infix, make_dataset, mse_objective, oracle_eval, oracle_evaluator,
                      random_expression, random_node)
 
 from srloop.expressions import (
@@ -25,10 +25,6 @@ from srloop.expressions import (
 )
 from srloop.parsing import parse
 from srloop.prompts import operator_note
-
-
-def infix(text, variables=("x1",)):
-    return parse(text, Dialect.INFIX, list(variables))
 
 
 def at_row(e, params, row):

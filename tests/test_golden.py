@@ -19,7 +19,7 @@ after any line."""
 
 import hashlib
 import json
-from dataclasses import replace
+import re
 from pathlib import Path
 
 import pytest
@@ -64,51 +64,34 @@ def test_legacy_logs_are_never_regenerated():
     assert (digest.hexdigest(), len(files)) == (LEGACY_DIGEST, 11)
 
 
-def test_legacy_log_needs_the_simplex(tmp_path, capsys):
-    # the legacy rule matters: with solve_linear on, bode's quadratic is
-    # fitted by least squares and its MAE moves by about 6e-9 relative
-    lines = (LEGACY / "bode" / "run01.jsonl").read_text().splitlines()
+@pytest.mark.parametrize("case,rules,key,value,diverged", [
+    # with solve_linear on, bode's quadratic is fitted by least squares and its
+    # MAE moves by about 6e-9 relative
+    ("bode", {}, "solve_linear", True,
+     re.escape("  c1+c2*x1+c3*x1**2: mae diverged 2.775299680165561 vs 2.77529966") + r"\d*"),
+    # with patience on, kepler's c1*x1**c2 stops after 10 of its 25 hops and
+    # its MAE moves by about 4.5e-8 relative
+    ("kepler_default_fit", {"solve_linear": True}, "patience", 10,
+     re.escape("  c1*x1**c2: mae diverged 2.0909971495264705 vs 2.0909970562731153")),
+    # without accept_idle, kepler's c1*x1**c2 keeps the incumbent where a later
+    # hop gained only rounding, and its MAE moves by about 7.6e-8 relative
+    ("kepler_idle_hop", {"solve_linear": True, "patience": 10}, "accept_idle", False,
+     re.escape("  c1*x1**c2: mae diverged 2.0909970562731153 vs 2.090997215760242")),
+], ids=["the_simplex", "every_hop", "the_idle_hops"])
+def test_legacy_log_needs(case, rules, key, value, diverged, tmp_path, capsys):
+    # the legacy rule matters: the log keeps the fit rules before ``key``, and
+    # setting ``key`` makes its replay diverge
+    lines = (LEGACY / case / "run01.jsonl").read_text().splitlines()
     header = json.loads(lines[0])
-    assert "solve_linear" not in header["config"]["fit"]
-    header["config"]["fit"]["solve_linear"] = True
+    fit = header["config"]["fit"]
+    assert {k: fit[k] for k in ("solve_linear", "patience", "accept_idle") if k in fit} == rules
+    fit[key] = value
     log = tmp_path / "run01.jsonl"
     log.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
     assert main(["replay", str(log)]) == 2
     out = capsys.readouterr().out.splitlines()
     assert out[0] == f"{log}: DIVERGED" and len(out) == 2
-    assert out[1].startswith("  c1+c2*x1+c3*x1**2: mae diverged 2.775299680165561 vs 2.77529966")
-
-
-def test_legacy_log_needs_every_hop(tmp_path, capsys):
-    # the legacy rule matters: with patience on, kepler's c1*x1**c2 stops
-    # after 10 of its 25 hops and its MAE moves by about 4.5e-8 relative
-    lines = (LEGACY / "kepler_default_fit" / "run01.jsonl").read_text().splitlines()
-    header = json.loads(lines[0])
-    assert "patience" not in header["config"]["fit"]
-    header["config"]["fit"]["patience"] = 10
-    log = tmp_path / "run01.jsonl"
-    log.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
-    assert main(["replay", str(log)]) == 2
-    assert capsys.readouterr().out.splitlines() == [
-        f"{log}: DIVERGED",
-        "  c1*x1**c2: mae diverged 2.0909971495264705 vs 2.0909970562731153"]
-
-
-def test_legacy_log_needs_the_idle_hops(tmp_path, capsys):
-    # the legacy rule matters: without accept_idle, kepler's c1*x1**c2 keeps
-    # the incumbent where a later hop gained only rounding, and its MAE moves
-    # by about 7.6e-8 relative
-    lines = (LEGACY / "kepler_idle_hop" / "run01.jsonl").read_text().splitlines()
-    header = json.loads(lines[0])
-    assert "accept_idle" not in header["config"]["fit"]
-    assert header["config"]["fit"]["patience"] == 10
-    header["config"]["fit"]["accept_idle"] = False
-    log = tmp_path / "run01.jsonl"
-    log.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
-    assert main(["replay", str(log)]) == 2
-    assert capsys.readouterr().out.splitlines() == [
-        f"{log}: DIVERGED",
-        "  c1*x1**c2: mae diverged 2.0909970562731153 vs 2.090997215760242"]
+    assert re.fullmatch(diverged, out[1]), out[1]
 
 
 def test_legacy_log_with_extracted_scores_as_today(tmp_path, capsys):
@@ -189,7 +172,7 @@ def test_a_saved_replay_loads_back_equal(log, tmp_path):
     fresh = replay(load_runlog_data(log))
     save_runlog(fresh, tmp_path / "replayed.jsonl")
     loaded = load_runlog_data(tmp_path / "replayed.jsonl")
-    assert replace(loaded, store=None) == replace(fresh, store=None)
+    assert loaded == fresh
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -1,10 +1,8 @@
-import json
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from helpers import write_transcript
+from helpers import ChatEndpoint, write_transcript
 
 from srloop.engine import IterationRecord, RunLog
 from srloop.llm import (
@@ -68,43 +66,6 @@ class TestScripted:
         assert backend.entries == entries
 
 
-class _Handler(BaseHTTPRequestHandler):
-    canned_status = 200
-    canned_body: bytes | None = None  # replaces the completion body of a 200 response
-    statuses: list[int] = []  # answered one per request before canned_status
-    retry_after: str | None = None  # Retry-After header of a non-200 response
-    received: list[dict] = []
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        type(self).received.append({"body": body, "auth": self.headers.get("Authorization"),
-                                    "peer": self.client_address})
-        status = self.statuses.pop(0) if self.statuses else self.canned_status
-        if status != 200:
-            self.send_response(status)
-            if self.retry_after is not None:
-                self.send_header("Retry-After", self.retry_after)
-            self.end_headers()
-            self.wfile.write(b"boom")
-            return
-        reply = {
-            "choices": [{"message": {"role": "assistant", "content": "canned text"}}],
-            "usage": {"prompt_tokens": 11, "completion_tokens": 7},
-        }
-        data = self.canned_body if self.canned_body is not None else json.dumps(reply).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-POLL_S = 0.05
-
-
 def stub_config(endpoint: str, **settings) -> BackendConfig:
     """An http backend config for ``endpoint`` whose key is in TEST_LLM_KEY."""
     return BackendConfig(kind="http", endpoint=endpoint, key_env_var="TEST_LLM_KEY", **settings)
@@ -112,36 +73,26 @@ def stub_config(endpoint: str, **settings) -> BackendConfig:
 
 @pytest.fixture
 def stub_server():
-    _Handler.received = []
-    _Handler.canned_status = 200
-    _Handler.canned_body = None
-    _Handler.statuses = []
-    _Handler.retry_after = None
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
-    # a short poll, so shutdown() need not wait out serve_forever's default 0.5 s
-    thread = threading.Thread(target=server.serve_forever, args=(POLL_S,), daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-    server.shutdown()
-    server.server_close()
+    with ChatEndpoint() as endpoint:
+        yield endpoint
 
 
 class TestHttp:
     def test_round_trip(self, stub_server, monkeypatch):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
-        backend = HttpBackend(stub_config(stub_server, model="m1"))
+        backend = HttpBackend(stub_config(stub_server.url, model="m1"))
         resp = backend.complete(REQ)
         assert resp == ChatResponse("canned text", 11, 7)
-        assert _Handler.received[-1]["body"]["model"] == "m1"
+        assert stub_server.received[-1]["body"]["model"] == "m1"
 
     def test_single_system_and_user_message(self, stub_server, monkeypatch):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
-        backend = HttpBackend(stub_config(stub_server, model="m1"))
+        backend = HttpBackend(stub_config(stub_server.url, model="m1"))
         backend.complete(ChatRequest(system="s", user="u"))
-        body = _Handler.received[-1]["body"]
+        body = stub_server.received[-1]["body"]
         assert [m["role"] for m in body["messages"]] == ["system", "user"]
         assert body["temperature"] == 0.7
-        assert _Handler.received[-1]["auth"] == "Bearer sk-test"
+        assert stub_server.received[-1]["auth"] == "Bearer sk-test"
 
     @pytest.mark.parametrize("max_tokens,keys", [
         (None, ["model", "messages", "temperature"]),
@@ -149,21 +100,21 @@ class TestHttp:
     ])
     def test_body_keys_in_order(self, stub_server, monkeypatch, max_tokens, keys):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
-        backend = HttpBackend(stub_config(stub_server, model="m1", max_tokens=max_tokens))
+        backend = HttpBackend(stub_config(stub_server.url, model="m1", max_tokens=max_tokens))
         backend.complete(REQ)
-        body = _Handler.received[-1]["body"]
+        body = stub_server.received[-1]["body"]
         assert list(body) == keys
         assert body.get("max_tokens") == max_tokens
 
     def test_api_error_surfaces_body(self, stub_server, monkeypatch):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
-        _Handler.canned_status = 400  # not retried
-        backend = HttpBackend(stub_config(stub_server))
+        stub_server.status = 400  # not retried
+        backend = HttpBackend(stub_config(stub_server.url))
         with pytest.raises(ApiError) as err:
             backend.complete(REQ)
         assert err.value.status == 400
         assert "boom" in err.value.body
-        assert len(_Handler.received) == 1
+        assert len(stub_server.received) == 1
 
     @pytest.fixture
     def sleeps(self, monkeypatch):
@@ -174,10 +125,10 @@ class TestHttp:
     @pytest.mark.parametrize("status", [408, 429, 500, 503])
     def test_retryable_status_then_success(self, stub_server, monkeypatch, sleeps, status):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
-        _Handler.statuses = [status]
-        backend = HttpBackend(stub_config(stub_server), backoff=0.001)
+        stub_server.statuses = [status]
+        backend = HttpBackend(stub_config(stub_server.url), backoff=0.001)
         assert backend.complete(REQ).text == "canned text"
-        assert len(_Handler.received) == 2
+        assert len(stub_server.received) == 2
         assert sleeps == [0.001]
 
     @pytest.mark.parametrize("retry_after,delay", [("0", 0.0), ("2.5", 2.5), ("999", 30.0),
@@ -185,11 +136,11 @@ class TestHttp:
     def test_retry_after_is_honoured_and_capped(self, stub_server, monkeypatch, sleeps,
                                                 retry_after, delay):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
-        _Handler.statuses = [429]
-        _Handler.retry_after = retry_after
-        backend = HttpBackend(stub_config(stub_server, timeout=30.0), backoff=0.001)
+        stub_server.statuses = [429]
+        stub_server.retry_after = retry_after
+        backend = HttpBackend(stub_config(stub_server.url, timeout=30.0), backoff=0.001)
         assert backend.complete(REQ).text == "canned text"
-        assert len(_Handler.received) == 2
+        assert len(stub_server.received) == 2
         assert sleeps == [delay]
 
     @pytest.mark.parametrize("retry_after", ["86401", "9223372036", "1e300", "inf"])
@@ -198,22 +149,22 @@ class TestHttp:
         # time.sleep raises OSError at once for a value near threading.TIMEOUT_MAX
         # (9223372036 s on Linux), so every timeout stays far below it
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
-        _Handler.statuses = [503]
-        _Handler.retry_after = retry_after
-        backend = HttpBackend(stub_config(stub_server, timeout=MAX_TIMEOUT), backoff=0.001)
+        stub_server.statuses = [503]
+        stub_server.retry_after = retry_after
+        backend = HttpBackend(stub_config(stub_server.url, timeout=MAX_TIMEOUT), backoff=0.001)
         assert backend.complete(REQ).text == "canned text"
         assert sleeps == [86400.0]
         assert MAX_TIMEOUT < threading.TIMEOUT_MAX / 1000
 
     def test_exhausted_retries_raise_last_status(self, stub_server, monkeypatch, sleeps):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
-        _Handler.statuses = [500, 502]
-        _Handler.canned_status = 503
-        backend = HttpBackend(stub_config(stub_server, max_retries=2), backoff=0.001)
+        stub_server.statuses = [500, 502]
+        stub_server.status = 503
+        backend = HttpBackend(stub_config(stub_server.url, max_retries=2), backoff=0.001)
         with pytest.raises(ApiError) as err:
             backend.complete(REQ)
         assert err.value.status == 503
-        assert len(_Handler.received) == 3
+        assert len(stub_server.received) == 3
         assert sleeps == [0.001, 0.002]
 
     @pytest.mark.parametrize("max_retries", [12, 40])
@@ -221,10 +172,10 @@ class TestHttp:
                                               max_retries):
         # 0.5 * 2**12 s is past the timeout and 0.5 * 2**40 past what time.sleep takes
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
-        _Handler.canned_status = 503  # no Retry-After
-        for endpoint, error in ((stub_server, ApiError), ("http://127.0.0.1:9", TransportError)):
+        stub_server.status = 503  # no Retry-After
+        for url, error in ((stub_server.url, ApiError), ("http://127.0.0.1:9", TransportError)):
             sleeps.clear()
-            backend = HttpBackend(stub_config(endpoint, max_retries=max_retries))
+            backend = HttpBackend(stub_config(url, max_retries=max_retries))
             with pytest.raises(error):
                 backend.complete(REQ)
             backend.close()
@@ -251,8 +202,8 @@ class TestHttp:
     ])
     def test_malformed_body_is_backend_error(self, stub_server, monkeypatch, body):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
-        _Handler.canned_body = body
-        backend = HttpBackend(stub_config(stub_server))
+        stub_server.body = body
+        backend = HttpBackend(stub_config(stub_server.url))
         with pytest.raises(MalformedResponseError):
             backend.complete(REQ)
 
@@ -262,39 +213,28 @@ class TestHttp:
     ])
     def test_a_body_without_usage_counts_no_tokens(self, stub_server, monkeypatch, body):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
-        _Handler.canned_body = body
-        reply = HttpBackend(stub_config(stub_server)).complete(REQ)
+        stub_server.body = body
+        reply = HttpBackend(stub_config(stub_server.url)).complete(REQ)
         assert (reply.text, reply.prompt_tokens, reply.completion_tokens) == ("x", 0, 0)
 
     def test_the_largest_count_is_taken(self, stub_server, monkeypatch):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
-        _Handler.canned_body = (b'{"choices":[{"message":{"content":"x"}}],'
+        stub_server.body = (b'{"choices":[{"message":{"content":"x"}}],'
                                 b'"usage":{"prompt_tokens":9223372036854775807}}')
-        assert HttpBackend(stub_config(stub_server)).complete(REQ).prompt_tokens == 2**63 - 1
+        assert HttpBackend(stub_config(stub_server.url)).complete(REQ).prompt_tokens == 2**63 - 1
 
     def test_calls_share_one_connection(self, monkeypatch):
-        class KeepAlive(_Handler):
-            protocol_version = "HTTP/1.1"
-
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
-        monkeypatch.setattr(_Handler, "received", [])
-        monkeypatch.setattr(_Handler, "canned_status", 200)
-        monkeypatch.setattr(_Handler, "canned_body", None)
-        server = HTTPServer(("127.0.0.1", 0), KeepAlive)
-        thread = threading.Thread(target=server.serve_forever, args=(POLL_S,), daemon=True)
-        thread.start()
-        backend = HttpBackend(stub_config(f"http://127.0.0.1:{server.server_port}/v1"))
-        try:
-            for _ in range(3):
-                assert backend.complete(REQ).text == "canned text"
-        finally:
-            backend.close()  # ends the kept-alive connection, so shutdown can return
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-        assert not thread.is_alive()
-        assert len({r["peer"] for r in _Handler.received}) == 1
-        assert len(_Handler.received) == 3
+        with ChatEndpoint(keep_alive=True) as endpoint:
+            backend = HttpBackend(stub_config(endpoint.url))
+            try:
+                for _ in range(3):
+                    assert backend.complete(REQ).text == "canned text"
+            finally:
+                backend.close()  # ends the kept-alive connection, so the block can end
+        assert not endpoint.thread.is_alive()
+        assert len({r["peer"] for r in endpoint.received}) == 1
+        assert len(endpoint.received) == 3
 
     def test_transport_error_after_retries(self, monkeypatch):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test")

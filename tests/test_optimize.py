@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import (make_dataset, mse_objective, oracle_minimize, oracle_nelder_mead,
+from helpers import (infix, make_dataset, mse_objective, oracle_minimize, oracle_nelder_mead,
                      random_expression)
 
 from srloop import expressions, optimize
@@ -26,10 +26,6 @@ from srloop.optimize import (
     repeat_fit,
 )
 from srloop.parsing import parse
-
-
-def infix(text, variables=("x1",)):
-    return parse(text, Dialect.INFIX, list(variables))
 
 
 LINEAR = make_dataset([1.0, 2.0, 3.0], [2.0, 4.0, 6.0])

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from helpers import infix
+
 from srloop.expressions import (
     Binary,
     Const,
@@ -19,10 +21,6 @@ from srloop.expressions import (
     walk,
 )
 from srloop.parsing import parse
-
-
-def infix(text, variables=("x1",)):
-    return parse(text, Dialect.INFIX, list(variables))
 
 
 def latex(text, variables=("x1",)):

@@ -11,10 +11,9 @@ import copy
 import json
 import math
 import random
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
-from helpers import SOUP, mutate, random_expression, random_node, reply, token_soup
+from helpers import (SOUP, ChatEndpoint, chat_completion, mutate, random_expression,
+                     random_node, reply, token_soup)
 
 from srloop.cli import main
 from srloop.data import builtin_ids, load_builtin
@@ -97,10 +96,7 @@ def test_mutated_replies_never_break_a_run(tmp_path):
         assert main(["pareto", *paths, "--out", str(tmp_path / name)]) == 0, name
 
 
-GOOD_BODY = {
-    "choices": [{"message": {"role": "assistant", "content": "canned text"}}],
-    "usage": {"prompt_tokens": 11, "completion_tokens": 7},
-}
+GOOD_BODY = chat_completion("canned text")
 # where a wrong value can go: each key path of GOOD_BODY, the root included
 KEY_PATHS = [(), ("choices",), ("choices", 0), ("choices", 0, "message"),
              ("choices", 0, "message", "content"), ("usage",), ("usage", "prompt_tokens"),
@@ -156,40 +152,18 @@ def endpoint_answers(rng: random.Random, n: int):
         yield status, body if isinstance(body, bytes) else body.encode(), retry_after
 
 
-class _Endpoint(BaseHTTPRequestHandler):
-    answer: tuple[int, bytes, str | None] = (200, b"", None)  # status 0: hang up
-
-    def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
-        status, body, retry_after = self.answer
-        if status == 0:
-            return
-        self.send_response(status)
-        if retry_after is not None:
-            self.send_header("Retry-After", retry_after)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
 def test_endpoint_bodies_end_as_backend_errors(monkeypatch):
     monkeypatch.setenv("TEST_LLM_KEY", "sk-test")
     slept = []
     monkeypatch.setattr("srloop.llm.time.sleep", slept.append)
-    server = HTTPServer(("127.0.0.1", 0), _Endpoint)
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    config = BackendConfig(kind="http", endpoint=f"http://127.0.0.1:{server.server_port}/v1",
-                           key_env_var="TEST_LLM_KEY", timeout=5.0, max_retries=1)
-    backend = HttpBackend(config, backoff=0)
     request = ChatRequest(system="be terse", user="propose equations")
     outcomes = {}
-    try:
+    with ChatEndpoint() as endpoint:
+        config = BackendConfig(kind="http", endpoint=endpoint.url, key_env_var="TEST_LLM_KEY",
+                               timeout=5.0, max_retries=1)
+        backend = HttpBackend(config, backoff=0)
         for answer in endpoint_answers(random.Random(41), 300):
-            _Endpoint.answer = answer
+            endpoint.status, endpoint.body, endpoint.retry_after = answer
             try:
                 resp = backend.complete(request)
             except BackendError as exc:
@@ -200,11 +174,7 @@ def test_endpoint_bodies_end_as_backend_errors(monkeypatch):
                     assert type(count) is int and count >= 0, answer
                 outcome = "ok"
             outcomes[outcome] = outcomes.get(outcome, 0) + 1
-    finally:
         backend.close()
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
     # every way out is taken, so the bodies reach each check
     assert set(outcomes) == {"ok", "MalformedResponseError", "ApiError", "TransportError"}, outcomes
     assert slept and all(0 <= s <= config.timeout for s in slept), slept
