@@ -328,7 +328,8 @@ def cmd_replay(args) -> int:
             fresh = engine.replay(log)
             problems = engine.diff_replay(log, fresh)
         except (OSError, ValueError, KeyError) as exc:
-            print(f"{path}: replay failed: {_reason(exc)}", file=sys.stderr)
+            unknown = "unknown dataset " if isinstance(exc, data.UnknownDatasetError) else ""
+            print(f"{path}: replay failed: {unknown}{_reason(exc)}", file=sys.stderr)
             failures += 1
             continue
         if problems:

@@ -419,8 +419,9 @@ def load_runlog_data(path) -> RunLog:
     type, a log without its header, a line out of place (a second header, an
     iteration before the header, any line after the summary), or a key that
     replay, score or pareto reads missing or of another JSON type, is a
-    ValueError naming no file. Lines without ``target_found``, written before
-    it was logged, take it from the summary's ``rediscovery_iteration``."""
+    ValueError naming no file, and so is a header whose configuration names
+    another dataset. Lines without ``target_found``, written before it was
+    logged, take it from the summary's ``rediscovery_iteration``."""
     header, iterations, summary = None, [], None
     for line in Path(path).read_text().splitlines():
         if not line.strip():
@@ -449,6 +450,10 @@ def load_runlog_data(path) -> RunLog:
     if header is None:
         raise ValueError("the log has no header")
     _check_keys("the header", header)
+    # replay goes by the configuration's dataset, score and pareto by the header's
+    if header["config"].get("dataset", header["dataset"]) != header["dataset"]:
+        raise ValueError(f"the header's dataset {header['dataset']!r} is not its "
+                         f"configuration's {header['config']['dataset']!r}")
     if summary is not None and "rediscovery_iteration" in summary:  # written before target_found
         _check_keys("the summary", summary)
         found = summary["rediscovery_iteration"]

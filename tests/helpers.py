@@ -24,7 +24,7 @@ from srloop.optimize import _mse_of
 from srloop.pareto import Candidate
 from srloop.parsing import parse
 
-# in table order, which fixes what a seeded tree draws (tools/fit_digest.py relies on it)
+# in table order, which fixes what a seeded tree draws (tools/digest.py relies on it)
 UNARY_CHOICES = list(expressions.UNARY_OPERATORS)
 BINARY_CHOICES = list(expressions.BINARY_OPERATORS)
 
@@ -72,7 +72,7 @@ def random_expression(rng: random.Random, n_vars: int = 2, max_depth: int = 4,
 
 # what a mutation puts into model text: LaTeX commands, literals out of a
 # float's range, a Unicode minus, '=', braces and the infix vocabulary
-# (in this order, which fixes what a seeded mutation draws: tools/parse_digest.py relies on it)
+# (in this order, which fixes what a seeded mutation draws: tools/digest.py parse relies on it)
 SOUP = ["\\frac", "\\sqrt", "\\cdot", "\\times", "\\left(", "\\right)", "\\exp", "\\ln",
         "\\alpha", "$", "{", "}", "(", ")", "=", "y =", "1e400", "1e308", "1e-400", "nan",
         "inf", "\u2212", "**", "^", "-", "+", "*", "/", ",", "_", "x1", "x_{2}", "c1", "c_3",

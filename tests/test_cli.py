@@ -492,8 +492,8 @@ def unreadable_log(kind, workdir, finished_runs) -> str:
         lines.append("[" * 100_000 + "]" * 100_000)
     elif kind == "no_type":
         lines.append('{"index": 3}')
-    elif kind == "unknown_dataset":
-        header["dataset"] = "phlogiston"
+    elif kind == "unknown_dataset":  # in the header and its configuration, which must agree
+        header["dataset"] = header["config"]["dataset"] = "phlogiston"
     elif kind == "bad_equation":
         iteration["candidates"][0]["equation"] = "c1*/x1"
     elif kind == "bad_params":
@@ -639,6 +639,11 @@ class TestReplay:
             f"  iteration 1: outcomes {outcomes} != {replayed}",
             f"  {born_late['equation']}: iteration diverged {born_late['iteration']} vs 3"]
 
+    def test_an_unknown_dataset_fails_replay(self, finished_runs, workdir, capsys):
+        bad = unreadable_log("unknown_dataset", workdir, finished_runs)
+        assert main(["replay", bad]) == 2
+        assert capsys.readouterr().err == f"{bad}: replay failed: unknown dataset 'phlogiston'\n"
+
     def test_unknown_config_key_fails_replay(self, finished_runs, capsys):
         path = Path(finished_runs[0])
         path.write_text(path.read_text().replace('"refits": 1', '"refits": 1, "no_such_key": 5', 1))
@@ -763,7 +768,7 @@ class TestScore:
 
         monkeypatch.setattr(cli.data, "load_builtin", no_rows)
         for name, target in targets.items():
-            header["dataset"] = name
+            header["dataset"] = header["config"]["dataset"] = name  # which must agree
             log = workdir / f"{name}.jsonl"
             log.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
             assert main(["score", str(log), "--target", name, "--out", "s.csv"]) == 0
@@ -943,6 +948,21 @@ def test_log_with_a_key_of_another_type(kind, finished_runs, workdir, capsys):
              "candidate": "a candidate's", "iteration": "an iteration's"}[part]
     assert capsys.readouterr().err.startswith(f"{bad}: replay failed: {where} {key} "
                                               f"is not ")
+
+
+def test_a_header_naming_another_dataset_than_its_configuration_is_refused(workdir, capsys):
+    # replay would go by the configuration's dataset, score and pareto by the header's
+    lines = (GOLDEN / "hubble" / "run01.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    header["dataset"] = "kepler"
+    bad = workdir / "run01.jsonl"
+    bad.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    assert_refused(["score", str(bad), "--target", "kepler"], bad, workdir, capsys)
+    kepler = str(GOLDEN / "kepler_latex" / "run01.jsonl")
+    assert_refused(["pareto", kepler, str(bad), "--out", "fronts"], bad, workdir, capsys)
+    assert main(["replay", str(bad)]) == 2
+    assert capsys.readouterr().err == (f"{bad}: replay failed: the header's dataset 'kepler' "
+                                       f"is not its configuration's 'hubble'\n")
 
 
 @pytest.mark.parametrize("first,second", [("langmuir/run01", "langmuir/run02"),

@@ -1,80 +1,42 @@
-"""The parse digest of ``tools/parse_digest.py``, pinned, the CLI's output
-over the committed run logs, pinned, and the fit digest's comparison of two
-runs.
+"""``tools/digest.py``: the parse digest and the CLI cases whose output holds no
+freshly fitted number, pinned (a change made on purpose updates a pin in the same
+diff), and the ``--against`` reports on hand-written lines."""
 
-Every tree, constant initial value, exception class and message the parser
-gives over the digest's fixed corpus must stay as it is. So must what
-``replay``, ``score`` and ``pareto`` print, return and write for each golden
-and legacy log. A change made on purpose updates the pin in the same diff.
-The fit digest is not pinned here: it takes far longer and depends on NumPy's
-float kernels. Its ``--against`` comparison is tested on hand-written lines.
-"""
-
-import hashlib
-import importlib.util
-import json
-import shutil
+import sys
 from pathlib import Path
 
-from srloop.cli import main
-from srloop.data import dataset_info
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from digest import cli_lines, compare, fit_report, hashed, parse_lines  # noqa: E402
 
 PARSE_DIGEST = "84fe59dd768960b5d00e076f713beca33b68b5bf2ebe5e3c037365c525ab0639"
 PARSES = 36112
-CLI_DIGEST = "fbaa015e7a30a47af2a87b52e9072253b4e9e3e6a45d690698620044ac275986"
-CLI_CASES = 56
-TESTS = Path(__file__).resolve().parent
-
-
-def load_tool(name: str):
-    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
+CLI_DIGEST = "d73b5514970c3df3fc4106bc50a66bdb477a6ff0143aadc8e1c326860b9d30f6"
+CLI_CASES = 70
 
 
 def test_parse_digest_is_pinned():
-    tool = load_tool("parse_digest")
-    digest = hashlib.sha256()
-    count = 0
-    for line in tool.corpus_lines():
-        digest.update(line.encode() + b"\n")
-        count += 1
-    assert (digest.hexdigest(), count) == (PARSE_DIGEST, PARSES)
+    sha, lines, _ = hashed(parse_lines())
+    assert (sha, len(lines)) == (PARSE_DIGEST, PARSES)
 
 
-def cli_digest(workdir: Path, capsys) -> tuple[str, int]:
-    """The SHA-256 of each CLI case's argv, exit code, stdout and stderr and the
-    name and bytes of each CSV it wrote, run in ``workdir`` over copies of the
-    committed logs, and the number of cases: ``replay``, ``pareto`` and, where
-    the dataset has a target, ``score`` of each log, and ``pareto`` of both
-    golden langmuir logs together."""
-    logs = sorted([*TESTS.glob("golden/*/run*.jsonl"), *TESTS.glob("legacy_logs/*/run*.jsonl")])
-    cases = []
-    for path in logs:
-        name = "-".join(path.relative_to(TESTS).parts)  # golden-bode-run01.jsonl
-        shutil.copyfile(path, workdir / name)
-        dataset = json.loads(path.read_text().split("\n", 1)[0])["dataset"]
-        cases += [["replay", name], ["pareto", name, "--out", "fronts"]]
-        if dataset_info(dataset)["target"]:
-            cases.append(["score", name, "--target", dataset])
-    cases.append(["pareto", "golden-langmuir-run01.jsonl", "golden-langmuir-run02.jsonl",
-                  "--out", "fronts"])
-    digest = hashlib.sha256()
-    for argv in cases:
-        code = main(argv)
-        out, err = capsys.readouterr()
-        digest.update(json.dumps([argv, code, out, err]).encode())
-        for csv in sorted(workdir.rglob("*.csv")):
-            digest.update(f"{csv.relative_to(workdir).as_posix()}\n".encode() + csv.read_bytes())
-            csv.unlink()
-    return digest.hexdigest(), len(cases)
+def test_cli_output_without_a_fresh_fit_is_pinned():
+    sha, lines, _ = hashed(cli_lines(fits=False))
+    assert (sha, len(lines)) == (CLI_DIGEST, CLI_CASES)
 
 
-def test_cli_output_over_the_committed_logs_is_pinned(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert cli_digest(tmp_path, capsys) == (CLI_DIGEST, CLI_CASES)
+def test_every_corpus_compares_two_runs_alike():
+    # the fields before the last are the key, and a repeated key is told apart by its place
+    earlier = ['["replay", "a.jsonl"]\t1', '["replay", "a.jsonl"]\t2', "x\ty\t3", "gone\t4"]
+    later = ['["replay", "a.jsonl"]\t1', '["replay", "a.jsonl"]\t5', "x\ty\t6", "new\t7"]
+    assert compare(earlier, later, "cases") == [
+        "3 cases in both runs (1 only in the earlier, 1 only in this one)",
+        "changed: 2",
+        '  ["replay", "a.jsonl"]  #2',
+        "  x  y",
+    ]
+    assert compare(later, later, "cases")[1:] == ["changed: 0"]
+    many = compare([f"{i}\t0" for i in range(12)], [f"{i}\t1" for i in range(12)], "parses")
+    assert many[1:] == ["changed: 12", *(f"  {i}" for i in range(10))]  # up to 10 named
 
 
 def result(mse: float, evals: int) -> str:
@@ -104,8 +66,7 @@ def test_fit_digest_compares_two_runs(tmp_path):
         f"kepler\tsqrt(c1-x1)\t{result(9.0, 70)}",
         "langmuir\tc1*x1\tTooManyConstantsError",
     ]
-    tool = load_tool("fit_digest")
-    assert tool.compare(earlier.read_text().splitlines(), later) == [
+    assert fit_report(earlier.read_text().splitlines(), later) == [
         "6 fits in both runs (1 only in the earlier, 1 only in this one)",
         "MSE at 1e-09 relative: 1 worse, 1 better, 2 equal",
         "largest relative loss: 0.2 (hubble  c1*x1  #2)",
@@ -116,8 +77,10 @@ def test_fit_digest_compares_two_runs(tmp_path):
         "evals over the 4 fits fitted in both: 8345 -> 8350 (+0.1%)",
     ]
     # a run against itself, and a loss below the tolerance, which is named
-    assert tool.compare(later, later)[1:3] == ["MSE at 1e-09 relative: 0 worse, 0 better, "
-                                               "5 equal", "largest relative loss: none"]
-    assert tool.compare(earlier.read_text().splitlines()[:1], later[:1])[1:3] == [
+    assert fit_report(later, later)[1:3] == ["MSE at 1e-09 relative: 0 worse, 0 better, "
+                                             "5 equal", "largest relative loss: none"]
+    assert fit_report(earlier.read_text().splitlines()[:1], later[:1])[1:3] == [
         "MSE at 1e-09 relative: 0 worse, 0 better, 1 equal",
         "largest relative loss: 3.2e-14 (kepler  c1*x1**c2  {})"]
+    # --against prints this first line once, as compare's
+    assert fit_report(later, later)[0] == compare(later, later, "fits")[0]
