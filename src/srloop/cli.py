@@ -154,8 +154,7 @@ def build_run_config(args, ini: dict[str, dict[str, str]]) -> RunConfig:
                if flags[key])
     run.update((key, flags[key]) for key in ("temperature", "seed", "subsample")
                if flags[key] is not None)
-    if not run.get("dataset"):
-        raise ConfigError("no dataset given (use --dataset or [run] dataset=...)")
+    run.setdefault("dataset", "")  # so that the decoder names a misspelt key first
     off = {"use_scratchpad": args.no_scratchpad, "use_context": args.no_context,
            "include_data": args.no_data}
     prompt.update((key, False) for key, flag in off.items() if flag)
@@ -163,12 +162,15 @@ def build_run_config(args, ini: dict[str, dict[str, str]]) -> RunConfig:
     backend.update((key, flag) for key, flag in (("kind", args.backend),
                                                  ("transcript", args.transcript)) if flag)
     try:
-        return engine.config_from_dict({
+        cfg = engine.config_from_dict({
             "prompt": prompt, "fit": fit, "backend": backend, **run,
             "policy": engine.to_json(_policy(args.policy or run.get("policy", "standard"))),
         })
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if not cfg.dataset:
+        raise ConfigError("no dataset given (use --dataset or [run] dataset=...)")
+    return cfg
 
 
 def _price_table(ini: dict[str, dict[str, str]]) -> dict[str, tuple[float, float]]:
@@ -201,9 +203,11 @@ def _preflight(cfg: RunConfig) -> data.Dataset:
         if not Path(cfg.backend.transcript).exists():
             raise ConfigError(f"transcript not found: {cfg.backend.transcript}")
         try:
-            ScriptedBackend.from_file(cfg.backend.transcript)
+            transcript = ScriptedBackend.from_file(cfg.backend.transcript)
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read transcript {cfg.backend.transcript}: {exc}") from exc
+        if not transcript.entries:
+            raise ConfigError(f"transcript {cfg.backend.transcript} holds no turn")
     try:
         dataset = data.load_builtin(cfg.dataset)
     except data.UnknownDatasetError:
@@ -267,7 +271,7 @@ def _run_and_save(outdir: Path, k: int, cfg: RunConfig, dataset: data.Dataset) -
             (outdir / f"run{k:02d}.config.json").write_text(json.dumps(log.config, indent=2) + "\n")
             log.store.to_csv(outdir / f"run{k:02d}.store.csv")
     except OSError as exc:
-        raise ConfigError(f"cannot write run {k}: {exc}") from exc
+        raise ConfigError(f"cannot write run {k}: {_reason(exc)}") from exc
     return log
 
 

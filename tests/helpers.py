@@ -1,12 +1,15 @@
 """Shared test utilities: infix parsing, random expression trees, an
 independent scalar evaluation oracle, the reference closure evaluator,
 simplex and basin hopping, small ad-hoc datasets, scripted model replies and
-transcripts, and a local chat-completions endpoint."""
+transcripts, a local chat-completions endpoint and an in-process CLI runner."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import os
 import random
 import threading
 from bisect import bisect_right
@@ -16,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from srloop import expressions
+from srloop import cli, expressions
 from srloop.data import Dataset
 from srloop.expressions import Binary, Const, Dialect, Expression, Lit, Unary, Var, render
 from srloop.llm import TRANSCRIPT_DELIMITER
@@ -522,3 +525,30 @@ class ChatEndpoint:
         handler.send_header("Content-Length", str(len(data)))
         handler.end_headers()
         handler.wfile.write(data)
+
+
+def add_files(where: Path, files: dict) -> None:
+    """Add ``files`` to the directory ``where``: each name (relative to it) with
+    its bytes, or with None for a directory."""
+    for name, data in files.items():
+        (where / name).mkdir(parents=True) if data is None else (where / name).write_bytes(data)
+
+
+def run_cli(where: Path, argv: list[str], files: dict) -> tuple[int, str, str, dict[str, bytes]]:
+    """``srloop.cli.main(argv)`` in process, in the directory ``where`` after adding
+    ``files`` to it (see ``add_files``): its exit code, stdout and stderr, and each
+    file it created or changed, by name relative to ``where``, with its bytes."""
+    def snapshot():
+        return {path.relative_to(where).as_posix(): path.read_bytes()
+                for path in sorted(where.rglob("*")) if path.is_file()}
+
+    add_files(where, files)
+    before, out, err, cwd = snapshot(), io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(where)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    written = {name: data for name, data in snapshot().items() if before.get(name) != data}
+    return code, out.getvalue(), err.getvalue(), written

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import ChatEndpoint, candidate, reply, write_transcript
+from helpers import ChatEndpoint, add_files, candidate, reply, run_cli, write_transcript
 
 from srloop import cli, engine
 from srloop.cli import main, reference_table
@@ -31,6 +31,45 @@ from srloop.expressions import Dialect
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     return tmp_path
+
+
+class Prefix(str):
+    """The start of a refusal's one stderr line, whose tail the OS or a library words."""
+
+
+class Usage(str):
+    """The last stderr line of an argparse usage error, which prints the usage first."""
+
+
+def refused(where: Path, argv, line: str, files=None, code: int = 1, kept=()) -> str:
+    """``srloop argv``, run in ``where`` after ``files`` are added to it, exits
+    ``code`` and prints nothing on stdout and ``line`` alone on stderr: one line,
+    a ``Prefix`` of it, or a ``Usage`` error. It creates, changes or removes no
+    path under ``where`` but the files ``kept``, which it writes. Returns stderr."""
+    add_files(where, files or {})
+    before = sorted(where.rglob("*"))
+    got, out, err, written = run_cli(where, argv, {})
+    assert (got, out) == (code, "")
+    if isinstance(line, Usage):
+        assert err.startswith("usage: srloop ") and err.splitlines()[-1] == line
+    elif isinstance(line, Prefix):
+        assert err.startswith(line) and err.endswith("\n") and err.count("\n") == 1
+    else:
+        assert err == line + "\n"
+    assert sorted(written) == sorted(kept)
+    assert sorted(where.rglob("*")) == sorted([*before, *(where / name for name in kept)])
+    return err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# the files of the refusal tables: golden logs, two runs on langmuir and one on hubble,
+# and a one-turn transcript
+LOGS = {"langmuir1.jsonl": (GOLDEN / "langmuir" / "run01.jsonl").read_bytes(),
+        "langmuir2.jsonl": (GOLDEN / "langmuir" / "run02.jsonl").read_bytes(),
+        "hubble.jsonl": (GOLDEN / "hubble" / "run01.jsonl").read_bytes()}
+LANGMUIR = ["langmuir1.jsonl", "langmuir2.jsonl"]
+TURN = {"t.txt": (reply("c1*x1") + "\n%%%\n").encode()}
+SCRIPTED = ["--backend", "scripted", "--transcript", "t.txt"]
 
 
 def scripted_ini(tmp_path, transcript, **run_overrides) -> Path:
@@ -93,45 +132,6 @@ class TestRun:
         rerun = capsys.readouterr().out
         assert cost_line in rerun
 
-    def test_missing_api_key_names_variable(self, workdir, capsys, monkeypatch):
-        monkeypatch.delenv("MISSING_TEST_KEY", raising=False)
-        ini = workdir / "config.ini"
-        ini.write_text(
-            "[run]\ndataset = langmuir\n\n[llm]\nkind = http\nkey_env_var = MISSING_TEST_KEY\n"
-        )
-        code = main(["run", "--config", str(ini), "--out", "out"])
-        assert code == 1
-        assert "MISSING_TEST_KEY" in capsys.readouterr().err
-
-    def test_unknown_dataset(self, workdir, capsys):
-        transcript = standard_transcript(workdir)
-        code = main(["run", "--dataset", "phlogiston", "--backend", "scripted",
-                     "--transcript", str(transcript), "--out", "out"])
-        assert code == 1
-        assert capsys.readouterr().err == "error: unknown dataset 'phlogiston'\n"
-        assert not (workdir / "out").exists()
-
-    def test_missing_transcript(self, workdir, capsys):
-        code = main(["run", "--dataset", "langmuir", "--backend", "scripted",
-                     "--transcript", "nope.txt", "--out", "out"])
-        assert code == 1
-        assert "nope.txt" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("make", [
-        lambda path: path.mkdir(),
-        lambda path: path.write_bytes(b"c1*x1\n\xff\n"),
-    ], ids=["directory", "not_utf8"])
-    def test_unreadable_transcript_is_config_error(self, make, workdir, capsys):
-        make(workdir / "t.txt")
-        code = main(["run", "--dataset", "hubble", "--backend", "scripted", "--transcript",
-                     "t.txt", "--iterations", "1", "--runs", "1", "--out", "out"])
-        out, err = capsys.readouterr()
-        assert code == 1
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: cannot read transcript t.txt: ")
-        assert not (workdir / "out").exists()
-
     def test_http_batch(self, workdir, capsys, monkeypatch):
         # every run builds its HttpBackend from the INI through engine.make_backend
         answer = reply("c1*x1", "c1*x1+c2")
@@ -169,34 +169,55 @@ class TestRun:
         assert code == 0
         assert (workdir / "deep" / "nested" / "dir" / "run01.jsonl").exists()
 
-    def test_oversized_subsample_is_config_error(self, workdir, capsys):
-        transcript = standard_transcript(workdir)
-        ini = scripted_ini(workdir, transcript, runs=1)
-        code = main(["run", "--config", str(ini), "--subsample", "999", "--out", "out"])
-        assert code == 1
-        assert "999" in capsys.readouterr().err
+    REFUSALS = {  # argv after "run", the files it finds, and its stderr line
+        "missing_api_key": (["--config", "config.ini"], {"config.ini": (
+            b"[run]\ndataset = langmuir\n\n[llm]\nkind = http\nkey_env_var = MISSING_TEST_KEY\n")},
+            "error: http backend needs the API key environment variable MISSING_TEST_KEY "
+            "to be set"),
+        "config_not_found": (["--config", "nothere.ini"], {},
+                             "error: config file not found: nothere.ini"),
+        "config_a_directory": (["--config", "config.ini"], {"config.ini": None},
+                               "error: cannot read config file config.ini"),
+        "no_dataset": (["--iterations", "1"], {},
+                       "error: no dataset given (use --dataset or [run] dataset=...)"),
+        # a misspelt key is named, with or without a dataset
+        "misspelt_key_without_dataset": (["--config", "config.ini"],
+                                         {"config.ini": b"[run]\nItrations = 3\n"},
+                                         "error: unknown RunConfig config key(s): Itrations"),
+        "misspelt_dataset_key": (["--config", "config.ini"],
+                                 {"config.ini": b"[run]\ndatset = hubble\n"},
+                                 "error: unknown RunConfig config key(s): datset"),
+        "unknown_dataset": (["--dataset", "phlogiston", *SCRIPTED], TURN,
+                            "error: unknown dataset 'phlogiston'"),
+        "no_transcript": (["--dataset", "hubble", "--backend", "scripted"], {},
+                          "error: scripted backend needs --transcript"),
+        "missing_transcript": (["--dataset", "langmuir", "--backend", "scripted", "--transcript",
+                                "nope.txt"], {}, "error: transcript not found: nope.txt"),
+        "transcript_a_directory": (["--dataset", "hubble", *SCRIPTED], {"t.txt": None},
+                                   Prefix("error: cannot read transcript t.txt: ")),
+        "transcript_not_utf8": (["--dataset", "hubble", *SCRIPTED], {"t.txt": b"c1*x1\n\xff\n"},
+                                Prefix("error: cannot read transcript t.txt: ")),
+        "empty_transcript": (["--dataset", "hubble", *SCRIPTED, "--iterations", "3", "--runs", "7"],
+                             {"t.txt": b""}, "error: transcript t.txt holds no turn"),
+        "blank_transcript": (["--dataset", "hubble", *SCRIPTED], {"t.txt": b"\n  \n\n"},
+                             "error: transcript t.txt holds no turn"),
+        "oversized_subsample": (["--dataset", "langmuir", *SCRIPTED, "--subsample", "999"], TURN,
+                                "error: --subsample 999 exceeds the 12 rows of langmuir"),
+        "subsample_0": (["--dataset", "langmuir", *SCRIPTED, "--subsample", "0"], TURN,
+                        "error: --subsample 0 is below 1"),
+        "subsample_-2": (["--dataset", "langmuir", *SCRIPTED, "--subsample", "-2"], TURN,
+                         "error: --subsample -2 is below 1"),
+        "out_a_file": (["--dataset", "hubble", *SCRIPTED, "--out", "taken"],
+                       {**TURN, "taken": b"keep\n"},
+                       "error: cannot make output directory taken: File exists"),
+        "bad_flag": (["--bogus-flag"], {},
+                     Usage("srloop: error: unrecognized arguments: --bogus-flag")),
+    }
 
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_subsample_below_one_is_config_error(self, value, workdir, capsys):
-        transcript = standard_transcript(workdir)
-        ini = scripted_ini(workdir, transcript, runs=1)
-        code = main(["run", "--config", str(ini), "--subsample", value, "--out", "out"])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: --subsample {value} is below 1\n"
-        assert not (workdir / "out").exists()
-
-    def test_bad_flag_is_usage_error(self, capsys):
-        assert main(["run", "--bogus-flag"]) == 1
-
-    def test_out_that_is_a_file_is_config_error(self, workdir, capsys):
-        ini = scripted_ini(workdir, standard_transcript(workdir), runs=1)
-        (workdir / "taken").write_text("keep\n")
-        assert main(["run", "--config", str(ini), "--out", "taken"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: cannot make output "
-                                                             "directory taken: ")
-        assert (workdir / "taken").read_text() == "keep\n"
+    @pytest.mark.parametrize("argv,files,line", REFUSALS.values(), ids=REFUSALS)
+    def test_refusal(self, argv, files, line, tmp_path, monkeypatch):
+        monkeypatch.delenv("MISSING_TEST_KEY", raising=False)
+        refused(tmp_path, ["run", *argv], line, files)
 
 
 @pytest.fixture
@@ -366,7 +387,7 @@ class TestConcurrentBatch:
             "(partial log kept)\n")
 
     def test_run_that_cannot_be_written_keeps_runs_in_flight(self, workdir, monkeypatch,
-                                                             capsys, batch_threads):
+                                                             batch_threads):
         # all three runs are in flight before run 1 finds it cannot write its log
         barrier = threading.Barrier(3, timeout=5)
         real = engine.make_backend
@@ -376,17 +397,13 @@ class TestConcurrentBatch:
 
         monkeypatch.setattr(engine, "make_backend", make_backend)
         ini = scripted_ini(workdir, standard_transcript(workdir), runs=3)
-        (workdir / "out" / "run01.jsonl").mkdir(parents=True)
-        assert main(["run", "--config", str(ini), "--out", "out"]) == 1
-        out, err = capsys.readouterr()
+        refused(workdir, ["run", "--config", str(ini), "--out", "out"],
+                "error: cannot write run 1: Is a directory", {"out/run01.jsonl": None},
+                kept=[f"out/run0{k}.{suffix}" for k in (2, 3)
+                      for suffix in ("jsonl", "config.json", "store.csv")])
         assert not batch_threads()
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: cannot write run 1: ")
         for k in (2, 3):
             assert len(load_runlog_data(workdir / "out" / f"run0{k}.jsonl").records) == 3
-            assert (workdir / "out" / f"run0{k}.config.json").exists()
-            assert (workdir / "out" / f"run0{k}.store.csv").exists()
-        assert not (workdir / "out" / "run01.config.json").exists()
 
     def test_interrupt_does_not_wait_for_runs_in_flight(self, workdir, monkeypatch, capsys,
                                                         batch_threads):
@@ -453,25 +470,35 @@ def finished_runs(workdir):
     return sorted(str(p) for p in (workdir / "out").glob("run*.jsonl"))
 
 
-# a required key of another JSON type: where it sits, and the value it takes
+# a required key of another JSON type: where it sits, the value it takes, and the
+# type the loader names
 WRONG_TYPES = {
-    "equation_not_a_string": ("candidate", "equation", 3),
-    "dataset_not_a_string": ("header", "dataset", ["hubble"]),
-    "mse_not_a_number": ("candidate", "mse", [1]),
+    "equation_not_a_string": ("candidate", "equation", 3, "a string"),
+    "dataset_not_a_string": ("header", "dataset", ["hubble"], "a string"),
+    "mse_not_a_number": ("candidate", "mse", [1], "a number or null"),
     # numbers that float() refuses or that are not numbers at all
-    "mse_too_large": ("candidate", "mse", 10**400),
-    "mae_too_large": ("candidate", "mae", -10**400),
-    "param_too_large": ("candidate", "params", [1.0, 10**400]),
-    "param_a_string": ("candidate", "params", ["nan"]),
-    "param_a_boolean": ("candidate", "params", [True]),
-    "responses_not_a_list": ("iteration", "responses", 5),
-    "found_not_a_boolean": ("iteration", "target_found", 1),
-    "rediscovery_not_an_integer": ("legacy summary", "rediscovery_iteration", "2"),
-    "config_not_an_object": ("header", "config", [1]),
-    "outcome_without_status": ("iteration", "outcomes", [{"text": "c1*x1"}]),
+    "mse_too_large": ("candidate", "mse", 10**400, "a number or null"),
+    "mae_too_large": ("candidate", "mae", -10**400, "a number or null"),
+    "param_too_large": ("candidate", "params", [1.0, 10**400], "a list of numbers"),
+    "param_a_string": ("candidate", "params", ["nan"], "a list of numbers"),
+    "param_a_boolean": ("candidate", "params", [True], "a list of numbers"),
+    "responses_not_a_list": ("iteration", "responses", 5, "a list of strings"),
+    "found_not_a_boolean": ("iteration", "target_found", 1, "a boolean"),
+    "rediscovery_not_an_integer": ("legacy summary", "rediscovery_iteration", "2",
+                                   "an integer or null"),
+    "config_not_an_object": ("header", "config", [1], "an object"),
+    "outcome_without_status": ("iteration", "outcomes", [{"text": "c1*x1"}],
+                               "a list of outcomes"),
+}
+# why the loader refuses each other kind of ``unreadable_log``
+UNREADABLE = {
+    "missing": "No such file or directory", "not_an_object": "a line is not a JSON object",
+    "too_deep": "a line is nested too deeply to decode", "no_type": "a line has no type",
+    "unknown_dataset": "unknown dataset 'phlogiston'",
+    "bad_equation": "store entry 'c1*/x1': unexpected '/'",
+    "bad_params": "a candidate's params is not a list of numbers",
 }
 
-GOLDEN = Path(__file__).parent / "golden"
 # a langmuir log written before the lines held target_found
 LEGACY_LOG = Path(__file__).parent / "legacy_logs" / "langmuir" / "run01.jsonl"
 
@@ -499,7 +526,7 @@ def unreadable_log(kind, workdir, finished_runs) -> str:
     elif kind == "bad_params":
         iteration["candidates"][0]["params"] = ["many"]
     elif kind in WRONG_TYPES:
-        part, key, value = WRONG_TYPES[kind]
+        part, key, value, _ = WRONG_TYPES[kind]
         obj = {"header": header, "legacy summary": summary, "iteration": iteration,
                "candidate": iteration["candidates"][0]}[part]
         obj[key] = value
@@ -508,30 +535,6 @@ def unreadable_log(kind, workdir, finished_runs) -> str:
     if kind != "missing":
         path.write_text("\n".join(lines) + "\n")
     return str(path)
-
-
-def assert_refused(argv, bad, workdir, capsys):
-    """The command prints one error line naming ``bad``, writes nothing and exits 1."""
-    capsys.readouterr()
-    before = sorted(workdir.rglob("*"))
-    assert main(argv) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith(f"error: {bad}: cannot load run log: ")
-    assert sorted(workdir.rglob("*")) == before
-
-
-@pytest.mark.parametrize("make,reason", [(None, "No such file or directory"),
-                                         (Path.mkdir, "Is a directory")])
-def test_an_unreadable_log_is_named_once(make, reason, workdir, capsys):
-    if make is not None:
-        make(workdir / "nothere.jsonl")
-    for argv in (["score", "--target", "langmuir"], ["pareto"]):
-        assert main([*argv, "nothere.jsonl"]) == 1
-        assert capsys.readouterr().err == f"error: nothere.jsonl: cannot load run log: {reason}\n"
-    assert main(["replay", "nothere.jsonl"]) == 2
-    assert capsys.readouterr().err == f"nothere.jsonl: replay failed: {reason}\n"
 
 
 # the operator set of the golden hubble log's header
@@ -557,18 +560,35 @@ class TestReplay:
         assert main(["replay", *finished_runs]) == 2
         assert "DIVERGED" in capsys.readouterr().out
 
-    def test_no_logs_is_usage_error(self, capsys):
-        assert main(["replay"]) == 1
+    REFUSALS = {  # argv after "replay", the files it finds, its exit code and stderr line
+        "no_logs": ([], {}, 1, "error: no run logs given"),
+        "missing_log": (["nothere.jsonl"], {}, 2,
+                        "nothere.jsonl: replay failed: No such file or directory"),
+        "log_a_directory": (["nothere.jsonl"], {"nothere.jsonl": None}, 2,
+                            "nothere.jsonl: replay failed: Is a directory"),
+    }
+
+    @pytest.mark.parametrize("argv,files,code,line", REFUSALS.values(), ids=REFUSALS)
+    def test_refusal(self, argv, files, code, line, tmp_path):
+        refused(tmp_path, ["replay", *argv], line, files, code)
 
     @pytest.mark.parametrize("turns,stored", [(2, 2), (0, 0)])
-    def test_an_aborted_run_replays(self, turns, stored, workdir, capsys):
-        # the transcript runs out after ``turns`` of 4 iterations; with 0 the first call fails
+    def test_an_aborted_run_replays(self, turns, stored, workdir, capsys, monkeypatch):
+        # the transcript runs out after ``turns`` of 4 iterations; with 0 the first call
+        # fails at the endpoint instead, as a transcript with no turn is refused
         write_transcript([reply("c1*x1"), reply("c1*x1*x1")][:turns], workdir / "t.txt")
-        argv = ["run", "--dataset", "hubble", "--backend", "scripted", "--transcript", "t.txt",
-                "--iterations", "4", "--runs", "1", "--out", "out"]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == (f"error: run 1 aborted: transcript scripted:t.txt "
-                                           f"exhausted after {turns} turns (partial log kept)\n")
+        monkeypatch.setenv("TEST_ABORT_KEY", "sk-test")
+        with ChatEndpoint(status=500) as endpoint:
+            (workdir / "config.ini").write_text(
+                "[llm]\nkind = http\nmax_retries = 0\nkey_env_var = TEST_ABORT_KEY\n"
+                f"endpoint = {endpoint.url}\n")
+            scripted = ["--backend", "scripted", "--transcript", "t.txt"] if turns else []
+            argv = ["run", "--config", "config.ini", "--dataset", "hubble", *scripted,
+                    "--iterations", "4", "--runs", "1", "--out", "out"]
+            assert main(argv) == 2
+        error = f"transcript scripted:t.txt exhausted after {turns} turns" if turns else (
+            "API error 500: boom")
+        assert capsys.readouterr().err == f"error: run 1 aborted: {error} (partial log kept)\n"
         path = workdir / "out" / "run01.jsonl"
         assert len(load_runlog_data(path).records) == turns
         assert main(["replay", str(path)]) == 0
@@ -639,24 +659,21 @@ class TestReplay:
             f"  iteration 1: outcomes {outcomes} != {replayed}",
             f"  {born_late['equation']}: iteration diverged {born_late['iteration']} vs 3"]
 
-    def test_an_unknown_dataset_fails_replay(self, finished_runs, workdir, capsys):
+    def test_an_unknown_dataset_fails_replay(self, finished_runs, workdir):
         bad = unreadable_log("unknown_dataset", workdir, finished_runs)
-        assert main(["replay", bad]) == 2
-        assert capsys.readouterr().err == f"{bad}: replay failed: unknown dataset 'phlogiston'\n"
+        refused(workdir, ["replay", bad], f"{bad}: replay failed: unknown dataset 'phlogiston'",
+                code=2)
 
-    def test_unknown_config_key_fails_replay(self, finished_runs, capsys):
+    def test_unknown_config_key_fails_replay(self, finished_runs, workdir):
         path = Path(finished_runs[0])
         path.write_text(path.read_text().replace('"refits": 1', '"refits": 1, "no_such_key": 5', 1))
-        assert main(["replay", str(path)]) == 2
-        assert "replay failed" in capsys.readouterr().err
+        refused(workdir, ["replay", str(path)],
+                f"{path}: replay failed: unknown FitConfig config key(s): no_such_key", code=2)
 
-    def test_subsample_below_one_fails_replay(self, workdir, capsys):
-        golden = Path(__file__).parent / "golden" / "hubble" / "run01.jsonl"
-        path = workdir / "run01.jsonl"
-        path.write_text(golden.read_text().replace('"subsample": null', '"subsample": -3', 1))
-        assert main(["replay", str(path)]) == 2
-        assert capsys.readouterr().err == (f"{path}: replay failed: "
-                                           f"--subsample -3 is below 1\n")
+    def test_subsample_below_one_fails_replay(self, workdir):
+        path = edited_golden(workdir, '"subsample": null', '"subsample": -3')
+        refused(workdir, ["replay", str(path)], f"{path}: replay failed: --subsample -3 is below 1",
+                code=2)
 
     @pytest.mark.parametrize("old,new,error", [
         ('"iterations": 3', '"iterations": 2.5', "RunConfig config: iterations cannot be 2.5"),
@@ -685,10 +702,9 @@ class TestReplay:
         pytest.param('"step_scale": 1.0', f'"step_scale": {10**400}',
                      f"FitConfig config: step_scale cannot be {10**400}", id="huge_step_scale"),
     ])
-    def test_a_config_value_of_another_kind_fails_replay(self, old, new, error, workdir, capsys):
+    def test_a_config_value_of_another_kind_fails_replay(self, old, new, error, workdir):
         path = edited_golden(workdir, old, new)
-        assert main(["replay", str(path)]) == 2
-        assert capsys.readouterr().err == f"{path}: replay failed: bad {error}\n"
+        refused(workdir, ["replay", str(path)], f"{path}: replay failed: bad {error}", code=2)
 
     @pytest.mark.parametrize("old,new", [('"temperature": 0.7', '"temperature": 1'),
                                          (OPERATORS, '"operators": "easy"'),
@@ -700,24 +716,21 @@ class TestReplay:
         assert capsys.readouterr().out.startswith(f"{path}: ok (")
 
     @pytest.mark.parametrize("value", ["Infinity", "1e10"])
-    def test_oversized_timeout_fails_replay(self, value, workdir, capsys):
-        golden = Path(__file__).parent / "golden" / "hubble" / "run01.jsonl"
-        path = workdir / "run01.jsonl"
-        path.write_text(golden.read_text().replace('"timeout": 120.0', f'"timeout": {value}', 1))
-        assert main(["replay", str(path)]) == 2
-        assert capsys.readouterr().err == (f"{path}: replay failed: timeout must be at most "
-                                           f"86400.0, not {float(value)}\n")
+    def test_oversized_timeout_fails_replay(self, value, workdir):
+        path = edited_golden(workdir, '"timeout": 120.0', f'"timeout": {value}')
+        refused(workdir, ["replay", str(path)], f"{path}: replay failed: timeout must be at most "
+                f"86400.0, not {float(value)}", code=2)
 
-    def test_a_logged_config_without_its_dataset_fails_replay(self, workdir, capsys):
+    def test_a_logged_config_without_its_dataset_fails_replay(self, workdir):
         lines = (GOLDEN / "hubble" / "run01.jsonl").read_text().splitlines()
         header = json.loads(lines[0])
         del header["config"]["dataset"]
         path = workdir / "run01.jsonl"
         path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
-        assert main(["replay", str(path)]) == 2
-        err = capsys.readouterr().err  # the TypeError's wording varies across Pythons
-        assert err.startswith(f"{path}: replay failed: bad RunConfig config: ")
-        assert "dataset" in err and len(err.splitlines()) == 1
+        # the TypeError's wording varies across Pythons
+        err = refused(workdir, ["replay", str(path)],
+                      Prefix(f"{path}: replay failed: bad RunConfig config: "), code=2)
+        assert "'dataset'" in err
 
     def test_a_blank_line_in_a_log_replays(self, workdir, capsys):
         lines = (GOLDEN / "hubble" / "run01.jsonl").read_text().splitlines()
@@ -739,10 +752,9 @@ class TestReplay:
 
     @pytest.mark.parametrize("kind,error", [("too_deep", "a line is nested too deeply to decode"),
                                             ("no_type", "a line has no type")])
-    def test_undecodable_line_fails_replay(self, kind, error, finished_runs, workdir, capsys):
+    def test_undecodable_line_fails_replay(self, kind, error, finished_runs, workdir):
         bad = unreadable_log(kind, workdir, finished_runs)
-        assert main(["replay", bad]) == 2
-        assert capsys.readouterr().err == f"{bad}: replay failed: {error}\n"
+        refused(workdir, ["replay", bad], f"{bad}: replay failed: {error}", code=2)
 
 
 class TestScore:
@@ -775,32 +787,33 @@ class TestScore:
             assert capsys.readouterr().out.splitlines()[0] == f"target: {target}"
         assert set(targets) == {"bode", "dual_site_langmuir", "hubble", "kepler", "langmuir"}
 
-    def test_target_required_to_exist(self, finished_runs):
-        assert main(["score", *finished_runs, "--target", "nikuradse"]) == 1
+    REFUSALS = {  # argv after "score", the files it finds, and its stderr line
+        "no_logs": (["--target", "langmuir"], {}, "error: no run logs given"),
+        "unknown_target": (["run01.jsonl", "--target", "phlogiston"], {},
+                           "error: unknown dataset 'phlogiston'"),
+        "target_without_a_model": ([*LANGMUIR, "--target", "nikuradse"], LOGS,
+                                   "error: dataset 'nikuradse' has no target model"),
+        "logs_of_another_dataset": (
+            [*LANGMUIR, "--target", "hubble", "--out", "hubble.csv"], LOGS,
+            "error: langmuir1.jsonl is a run on 'langmuir', not on 'hubble'"),
+        "out_in_a_missing_directory": (
+            [*LANGMUIR, "--target", "langmuir", "--out", "nonexistent/x.csv"], LOGS,
+            "error: cannot write nonexistent/x.csv: No such file or directory"),
+        "missing_log": (["nothere.jsonl", "--target", "langmuir"], {},
+                        "error: nothere.jsonl: cannot load run log: No such file or directory"),
+        "log_a_directory": (["nothere.jsonl", "--target", "langmuir"], {"nothere.jsonl": None},
+                            "error: nothere.jsonl: cannot load run log: Is a directory"),
+    }
 
-    def test_logs_must_be_runs_on_the_target(self, finished_runs, workdir, capsys):
-        out = workdir / "hubble.csv"
-        assert main(["score", *finished_runs, "--target", "hubble", "--out", str(out)]) == 1
-        assert "not on 'hubble'" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_no_logs(self):
-        assert main(["score", "--target", "langmuir"]) == 1
-
-    def test_out_in_a_missing_directory_is_config_error(self, finished_runs, workdir, capsys):
-        out = workdir / "nonexistent" / "x.csv"
-        capsys.readouterr()
-        assert main(["score", *finished_runs, "--target", "langmuir", "--out", str(out)]) == 1
-        stdout, err = capsys.readouterr()
-        assert stdout == ""
-        assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {out}: ")
-        assert not (workdir / "nonexistent").exists()
+    @pytest.mark.parametrize("argv,files,line", REFUSALS.values(), ids=REFUSALS)
+    def test_refusal(self, argv, files, line, tmp_path):
+        refused(tmp_path, ["score", *argv], line, files)
 
     @pytest.mark.parametrize("kind", ["missing", "not_an_object", "too_deep", "no_type"])
-    def test_unreadable_log(self, kind, finished_runs, workdir, capsys):
+    def test_unreadable_log(self, kind, finished_runs, workdir):
         bad = unreadable_log(kind, workdir, finished_runs)
         argv = ["score", *finished_runs, bad, "--target", "langmuir", "--out", "score.csv"]
-        assert_refused(argv, bad, workdir, capsys)
+        refused(workdir, argv, f"error: {bad}: cannot load run log: {UNREADABLE[kind]}")
 
 
 class TestPareto:
@@ -853,45 +866,36 @@ class TestPareto:
         assert [o.status for o in outcomes] == ["syntax_error", "syntax_error", "fitted"]
         assert main(["pareto", log, "--out", "hfronts"]) == 0
 
-    def test_logs_must_share_a_dataset(self, finished_runs, workdir, capsys):
-        transcript = workdir / "hubble.txt"
-        write_transcript([reply("c1*x1")], transcript)
-        ini = scripted_ini(workdir, transcript, dataset="hubble", runs=1, iterations=1)
-        assert main(["run", "--config", str(ini), "--out", "hubble"]) == 0
-        logs = [*finished_runs, str(workdir / "hubble" / "run01.jsonl")]
-        assert main(["pareto", *logs, "--out", "mixed"]) == 1
-        assert "different datasets (hubble, langmuir)" in capsys.readouterr().err
-        assert not (workdir / "mixed").exists()
+    REFUSALS = {  # argv after "pareto", the files it finds, its stderr line and the
+        # fronts it writes before it fails
+        "no_logs": ([], {}, "error: no run logs given", ()),
+        "logs_of_two_datasets": ([*LANGMUIR, "hubble.jsonl", "--out", "mixed"], LOGS,
+                                 "error: the logs are runs on different datasets (hubble, "
+                                 "langmuir); a merged front needs runs on one", ()),
+        "out_a_file": ([*LANGMUIR, "--out", "taken"], {**LOGS, "taken": b"keep\n"},
+                       "error: cannot make output directory taken: File exists", ()),
+        "run_front_unwritable": ([*LANGMUIR, "--out", "fr"], {**LOGS, "fr/pareto_run01.csv": None},
+                                 "error: cannot write fr/pareto_run01.csv: Is a directory", ()),
+        "total_front_unwritable": ([*LANGMUIR, "--out", "fr"],
+                                   {**LOGS, "fr/pareto_total.csv": None},
+                                   "error: cannot write fr/pareto_total.csv: Is a directory",
+                                   ("fr/pareto_run01.csv", "fr/pareto_run02.csv")),
+        "missing_log": (["nothere.jsonl"], {},
+                        "error: nothere.jsonl: cannot load run log: No such file or directory", ()),
+        "log_a_directory": (["nothere.jsonl"], {"nothere.jsonl": None},
+                            "error: nothere.jsonl: cannot load run log: Is a directory", ()),
+    }
 
-    def test_no_logs(self):
-        assert main(["pareto"]) == 1
-
-    def test_out_that_is_a_file_is_config_error(self, finished_runs, workdir, capsys):
-        (workdir / "taken").write_text("keep\n")
-        capsys.readouterr()
-        assert main(["pareto", *finished_runs, "--out", "taken"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: cannot make output "
-                                                             "directory taken: ")
-        assert (workdir / "taken").read_text() == "keep\n"
+    @pytest.mark.parametrize("argv,files,line,kept", REFUSALS.values(), ids=REFUSALS)
+    def test_refusal(self, argv, files, line, kept, tmp_path):
+        refused(tmp_path, ["pareto", *argv], line, files, kept=kept)
 
     @pytest.mark.parametrize("kind", ["missing", "not_an_object", "too_deep", "no_type",
                                       "unknown_dataset", "bad_equation", "bad_params"])
-    def test_unreadable_log(self, kind, finished_runs, workdir, capsys):
+    def test_unreadable_log(self, kind, finished_runs, workdir):
         bad = unreadable_log(kind, workdir, finished_runs)
-        assert_refused(["pareto", *finished_runs, bad, "--out", "fronts"], bad, workdir, capsys)
-
-    @pytest.mark.parametrize("name", ["pareto_run01.csv", "pareto_total.csv"])
-    def test_front_that_cannot_be_written_is_config_error(self, name, finished_runs, workdir,
-                                                          capsys):
-        (workdir / "fr" / name).mkdir(parents=True)
-        capsys.readouterr()
-        assert main(["pareto", *finished_runs, "--out", "fr"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write "
-                                                             f"{Path('fr', name)}: ")
+        refused(workdir, ["pareto", *finished_runs, bad, "--out", "fronts"],
+                f"error: {bad}: cannot load run log: {UNREADABLE[kind]}")
 
 
 def test_commands_in_one_process_are_independent(finished_runs, workdir, capsys):
@@ -919,7 +923,7 @@ def test_commands_in_one_process_are_independent(finished_runs, workdir, capsys)
     *(("iteration", key) for key in ("responses", "outcomes", "candidates", "target_found",
                                      "target_on_front")),
 ])
-def test_log_without_a_required_key(part, key, finished_runs, workdir, capsys):
+def test_log_without_a_required_key(part, key, finished_runs, workdir):
     lines = Path(finished_runs[0]).read_text().splitlines()
     index = 0 if part == "header" else 1
     obj = json.loads(lines[index])
@@ -927,55 +931,55 @@ def test_log_without_a_required_key(part, key, finished_runs, workdir, capsys):
     lines[index] = json.dumps(obj)
     bad = workdir / "incomplete.jsonl"
     bad.write_text("\n".join(lines) + "\n")
-    argv = ["score", *finished_runs, str(bad), "--target", "langmuir", "--out", "score.csv"]
-    assert_refused(argv, bad, workdir, capsys)
-    assert_refused(["pareto", *finished_runs, str(bad), "--out", "fronts"], bad, workdir, capsys)
-    assert main(["replay", str(bad)]) == 2
-    err = capsys.readouterr().err
     where = {"candidate": "a candidate", "iteration": "an iteration"}.get(part, f"the {part}")
-    assert err.splitlines() == [f"{bad}: replay failed: {where} has no {key}"]
+    line = f"error: {bad}: cannot load run log: {where} has no {key}"
+    argv = ["score", *finished_runs, str(bad), "--target", "langmuir", "--out", "score.csv"]
+    refused(workdir, argv, line)
+    refused(workdir, ["pareto", *finished_runs, str(bad), "--out", "fronts"], line)
+    refused(workdir, ["replay", str(bad)], f"{bad}: replay failed: {where} has no {key}", code=2)
 
 
 @pytest.mark.parametrize("kind", WRONG_TYPES)
-def test_log_with_a_key_of_another_type(kind, finished_runs, workdir, capsys):
+def test_log_with_a_key_of_another_type(kind, finished_runs, workdir):
     bad = unreadable_log(kind, workdir, finished_runs)
-    argv = ["score", *finished_runs, bad, "--target", "langmuir", "--out", "score.csv"]
-    assert_refused(argv, bad, workdir, capsys)
-    assert_refused(["pareto", *finished_runs, bad, "--out", "fronts"], bad, workdir, capsys)
-    assert main(["replay", bad]) == 2
-    part, key, _ = WRONG_TYPES[kind]
+    part, key, _, kind_of = WRONG_TYPES[kind]
     where = {"header": "the header's", "legacy summary": "the summary's",
              "candidate": "a candidate's", "iteration": "an iteration's"}[part]
-    assert capsys.readouterr().err.startswith(f"{bad}: replay failed: {where} {key} "
-                                              f"is not ")
+    reason = f"{where} {key} is not {kind_of}"
+    argv = ["score", *finished_runs, bad, "--target", "langmuir", "--out", "score.csv"]
+    refused(workdir, argv, f"error: {bad}: cannot load run log: {reason}")
+    refused(workdir, ["pareto", *finished_runs, bad, "--out", "fronts"],
+            f"error: {bad}: cannot load run log: {reason}")
+    refused(workdir, ["replay", bad], f"{bad}: replay failed: {reason}", code=2)
 
 
-def test_a_header_naming_another_dataset_than_its_configuration_is_refused(workdir, capsys):
+def test_a_header_naming_another_dataset_than_its_configuration_is_refused(workdir):
     # replay would go by the configuration's dataset, score and pareto by the header's
     lines = (GOLDEN / "hubble" / "run01.jsonl").read_text().splitlines()
     header = json.loads(lines[0])
     header["dataset"] = "kepler"
     bad = workdir / "run01.jsonl"
     bad.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
-    assert_refused(["score", str(bad), "--target", "kepler"], bad, workdir, capsys)
+    reason = "the header's dataset 'kepler' is not its configuration's 'hubble'"
+    refused(workdir, ["score", str(bad), "--target", "kepler"],
+            f"error: {bad}: cannot load run log: {reason}")
     kepler = str(GOLDEN / "kepler_latex" / "run01.jsonl")
-    assert_refused(["pareto", kepler, str(bad), "--out", "fronts"], bad, workdir, capsys)
-    assert main(["replay", str(bad)]) == 2
-    assert capsys.readouterr().err == (f"{bad}: replay failed: the header's dataset 'kepler' "
-                                       f"is not its configuration's 'hubble'\n")
+    refused(workdir, ["pareto", kepler, str(bad), "--out", "fronts"],
+            f"error: {bad}: cannot load run log: {reason}")
+    refused(workdir, ["replay", str(bad)], f"{bad}: replay failed: {reason}", code=2)
 
 
 @pytest.mark.parametrize("first,second", [("langmuir/run01", "langmuir/run02"),
                                           ("hubble/run01", "langmuir/run01")])
-def test_two_logs_in_one_file_are_refused(first, second, workdir, capsys):
+def test_two_logs_in_one_file_are_refused(first, second, workdir):
     # read as one log, two runs' stores, maybe of two datasets, would merge
     bad = workdir / "two.jsonl"
     bad.write_text("".join((GOLDEN / f"{name}.jsonl").read_text() for name in (first, second)))
-    argv = ["score", str(bad), "--target", "langmuir", "--out", "score.csv"]
-    assert_refused(argv, bad, workdir, capsys)
-    assert_refused(["pareto", str(bad), "--out", "fronts"], bad, workdir, capsys)
-    assert main(["replay", str(bad)]) == 2
-    assert capsys.readouterr().err == f"{bad}: replay failed: a line follows the summary\n"
+    line = f"error: {bad}: cannot load run log: a line follows the summary"
+    refused(workdir, ["score", str(bad), "--target", "langmuir", "--out", "score.csv"], line)
+    refused(workdir, ["pareto", str(bad), "--out", "fronts"], line)
+    refused(workdir, ["replay", str(bad)], f"{bad}: replay failed: a line follows the summary",
+            code=2)
 
 
 @pytest.mark.parametrize("order,error", [
@@ -986,15 +990,15 @@ def test_two_logs_in_one_file_are_refused(first, second, workdir, capsys):
     ("1H2", "an iteration line comes before the header"),
     ("S", "the log has no header"),
 ])
-def test_a_line_out_of_place_is_refused(order, error, workdir, capsys):
+def test_a_line_out_of_place_is_refused(order, error, workdir):
     # H the header, 1 and 2 the first two iteration lines, S the summary of golden hubble
     lines = (GOLDEN / "hubble" / "run01.jsonl").read_text().splitlines()
     line = {"H": lines[0], "1": lines[1], "2": lines[2], "S": lines[-1]}
     bad = workdir / "bad.jsonl"
     bad.write_text("".join(line[c] + "\n" for c in order))
-    assert main(["replay", str(bad)]) == 2
-    assert capsys.readouterr().err == f"{bad}: replay failed: {error}\n"
-    assert_refused(["pareto", str(bad), "--out", "fronts"], bad, workdir, capsys)
+    refused(workdir, ["replay", str(bad)], f"{bad}: replay failed: {error}", code=2)
+    refused(workdir, ["pareto", str(bad), "--out", "fronts"],
+            f"error: {bad}: cannot load run log: {error}")
 
 
 def test_the_summary_store_repeats_the_lines(finished_runs):
@@ -1303,16 +1307,6 @@ def write_config(workdir, section, line) -> None:
     write_transcript([reply("c1*x1")], workdir / "t.txt")
 
 
-def assert_config_refused(error, workdir, capsys, flags=()):
-    """srloop run, given ``flags``, prints one line ``error: <error>...``, writes
-    nothing and exits 1."""
-    assert main(["run", "--config", "config.ini", *flags, "--out", "out"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith(f"error: {error}")
-    assert not (workdir / "out").exists()
-
-
 @pytest.mark.parametrize("section,line,error", [
     ("fit", "max_eval = 5", "unknown FitConfig config key(s): max_eval"),
     ("run", "iteration = 2", "unknown RunConfig config key(s): iteration"),
@@ -1321,10 +1315,14 @@ def assert_config_refused(error, workdir, capsys, flags=()):
     ("run", "runs = 0", "runs must be >= 1"),
     ("run", "score_mode = best", "unknown score mode 'best'"),
     ("llm", "time_out = 5", "unknown BackendConfig config key(s): time_out"),
-    ("prompt", "operator_note = x", "[prompt] operator_note: filled in by srloop"),
-    ("prompt", "extra_instructions = x", "[prompt] extra_instructions: filled in by srloop"),
-    ("prompt", "extra = long_a, long_c", "unknown [prompt] extra long_c"),
-    ("run", "iterations = many", "[run] iterations: invalid literal"),
+    ("prompt", "operator_note = x",
+     "[prompt] operator_note: filled in by srloop, not a config key"),
+    ("prompt", "extra_instructions = x",
+     "[prompt] extra_instructions: filled in by srloop, not a config key"),
+    ("prompt", "extra = long_a, long_c",
+     "unknown [prompt] extra long_c (one of long_a, long_b, mae_challenge)"),
+    ("run", "iterations = many",
+     "[run] iterations: invalid literal for int() with base 10: 'many'"),
     ("run", "fit = 3", "bad FitConfig config: '3' is not a mapping"),
     ("run", "temperature = 5", "temperature must be in [0, 2]"),
     ("fitt", "hops = 3", "unknown config section(s): [fitt]"),
@@ -1353,44 +1351,31 @@ def assert_config_refused(error, workdir, capsys, flags=()):
      "rounding_decimals must be in [0, 17], not 2147483648"),
     ("prompt", "rounding_decimals = 18", "rounding_decimals must be in [0, 17], not 18"),
     ("prompt", "rounding_decimals = -1", "rounding_decimals must be in [0, 17], not -1"),
-    (None, "iterations = 1", "cannot read config file config.ini: File contains no section "
-                             "headers. file: 'config.ini', line: 1 'iterations = 1\\n'"),
-    ("run", "[run]", "cannot read config file config.ini: While reading from 'config.ini' "
-                     "[line  3]: section 'run' already exists"),
-    ("run", "dataset = kepler", "cannot read config file config.ini: While reading from "
-                                "'config.ini' [line  3]: option 'dataset' in section 'run' "
-                                "already exists"),
+    # configparser words these
+    (None, "iterations = 1", Prefix("cannot read config file config.ini: File contains no "
+                                    "section headers. file: 'config.ini', line: 1 "
+                                    "'iterations = 1\\n'")),
+    ("run", "[run]", Prefix("cannot read config file config.ini: While reading from "
+                            "'config.ini' [line  3]: section 'run' already exists")),
+    ("run", "dataset = kepler", Prefix("cannot read config file config.ini: While reading from "
+                                       "'config.ini' [line  3]: option 'dataset' in section "
+                                       "'run' already exists")),
     # keys match in any case, and a refusal names the key as written
-    ("run", "Iterations = x", "[run] Iterations: invalid literal"),
+    ("run", "Iterations = x", "[run] Iterations: invalid literal for int() with base 10: 'x'"),
     ("run", "Itrations = 3", "unknown RunConfig config key(s): Itrations"),
-    ("prices", "GPT-4o = cheap, 1", "[prices] GPT-4o must be two finite numbers"),
-    ("prompt", "Operator_Note = x", "[prompt] Operator_Note: filled in by srloop"),
+    ("prices", "GPT-4o = cheap, 1", "[prices] GPT-4o must be two finite numbers of at least 0, "
+                                    "the prompt and the completion price per token, "
+                                    "not 'cheap, 1'"),
+    ("prompt", "Operator_Note = x",
+     "[prompt] Operator_Note: filled in by srloop, not a config key"),
     ("run", "Iterations = 3\niterations = 3", "cannot read config file config.ini: option "
                                               "'iterations' in section 'run' already exists "
                                               "as 'Iterations'"),
 ])
-def test_a_key_the_reader_cannot_take_is_refused(section, line, error, workdir, capsys):
-    write_config(workdir, section, line)
-    assert_config_refused(error, workdir, capsys)
-
-
-@pytest.mark.parametrize("argv,error", [
-    (["run", "--config", "nothere.ini", "--out", "out"], "config file not found: nothere.ini"),
-    (["run", "--iterations", "1", "--out", "out"],
-     "no dataset given (use --dataset or [run] dataset=...)"),
-    (["run", "--dataset", "hubble", "--backend", "scripted", "--out", "out"],
-     "scripted backend needs --transcript"),
-    (["score", "run01.jsonl", "--target", "phlogiston"], "unknown dataset 'phlogiston'"),
-])
-def test_a_command_without_what_it_needs_is_refused(argv, error, workdir, capsys):
-    assert main(argv) == 1
-    assert capsys.readouterr() == ("", f"error: {error}\n")
-    assert not any(workdir.iterdir())
-
-
-def test_a_config_that_is_not_a_file_is_refused(workdir, capsys):
-    (workdir / "config.ini").mkdir()
-    assert_config_refused("cannot read config file config.ini", workdir, capsys)
+def test_a_key_the_reader_cannot_take_is_refused(section, line, error, tmp_path):
+    write_config(tmp_path, section, line)
+    argv = ["run", "--config", "config.ini", "--out", "out"]
+    refused(tmp_path, argv, type(error)(f"error: {error}"))  # a Prefix stays one
 
 
 def test_a_percent_sign_is_read_as_written(workdir, capsys):
@@ -1402,18 +1387,19 @@ def test_a_percent_sign_is_read_as_written(workdir, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seed", "-1", "--subsample", "2"]])
-def test_a_negative_seed_flag_is_refused(flags, workdir, capsys):
-    write_config(workdir, "run", "iterations = 1")
-    assert_config_refused("fit seed must be >= 0, not -1", workdir, capsys, flags)
+def test_a_negative_seed_flag_is_refused(flags, tmp_path):
+    write_config(tmp_path, "run", "iterations = 1")
+    refused(tmp_path, ["run", "--config", "config.ini", *flags, "--out", "out"],
+            "error: fit seed must be >= 0, not -1")
 
 
 @pytest.mark.parametrize("value", ["2.5e-6", "2.5e-6, 1e-5, 1e-5", "cheap, 1e-5", "",
                                    "nan, -1", "2.5e-6, -1e-5", "inf, 1e-5", "2.5e-6, nan"])
-def test_a_price_is_two_numbers(value, workdir, capsys):
-    write_config(workdir, "prices", f"gpt-4o = {value}")
-    assert_config_refused(f"[prices] gpt-4o must be two finite numbers of at least 0, the "
-                          f"prompt and the completion price per token, not {value!r}",
-                          workdir, capsys)
+def test_a_price_is_two_numbers(value, tmp_path):
+    write_config(tmp_path, "prices", f"gpt-4o = {value}")
+    refused(tmp_path, ["run", "--config", "config.ini", "--out", "out"],
+            f"error: [prices] gpt-4o must be two finite numbers of at least 0, the prompt and "
+            f"the completion price per token, not {value!r}")
 
 
 @pytest.mark.parametrize("model", ["gpt-4o", "GPT-4o", "Qwen/Qwen2-72B"])

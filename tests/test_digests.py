@@ -10,8 +10,8 @@ from digest import cli_lines, compare, fit_report, hashed, parse_lines  # noqa: 
 
 PARSE_DIGEST = "84fe59dd768960b5d00e076f713beca33b68b5bf2ebe5e3c037365c525ab0639"
 PARSES = 36112
-CLI_DIGEST = "d73b5514970c3df3fc4106bc50a66bdb477a6ff0143aadc8e1c326860b9d30f6"
-CLI_CASES = 70
+CLI_DIGEST = "52a68826278d20870e483dbad10ea0f121ff5473e1be0f9fcfd52acacc3cbabe"
+CLI_CASES = 68
 
 
 def test_parse_digest_is_pinned():

@@ -15,11 +15,8 @@ report, and for ``fit`` then ``fit_report``'s.
 """
 
 import argparse
-import contextlib
 import hashlib
-import io
 import json
-import os
 import random
 import re
 import shutil
@@ -236,7 +233,7 @@ def cli_cases(fits: bool = True):
     """Each CLI case's argv and the files it adds to copies of the golden cases and
     ``legacy_logs/`` (bytes, or None for a directory). The cases whose output holds
     no freshly fitted number come first: each committed log's ``replay``, ``pareto``
-    and ``score``, refusals, and batches that run out before a fit."""
+    and ``score``, refusals, a batch that runs out before a fit, and ``datasets``."""
     from srloop.data import dataset_info
 
     for root, logs in ((GOLDEN, "*/run*.jsonl"), (TESTS, "legacy_logs/*/run*.jsonl")):
@@ -251,9 +248,11 @@ def cli_cases(fits: bool = True):
     yield ["score", "hubble/run01.jsonl", "--target", "kepler"], {}
     ini = b"[run]\ndataset = hubble\nItrations = 3\n"  # a misspelt key
     yield ["run", "--config", "bad.ini", "--out", "out"], {"bad.ini": ini}
-    yield exhausted(1, "")
+    yield exhausted(1, "")  # refused: the transcript holds no turn
     # a syntax error and a missing variable
     yield exhausted(2, "BEGIN_EXPRESSIONS\nc1*(x1\nc1 + c2\nEND_EXPRESSIONS\n")
+    for flags in ([], ["--verbose"], ["--references"]):
+        yield ["datasets", *flags], {}
     if fits:  # the rest
         yield from grid_cases()
 
@@ -291,46 +290,30 @@ def grid_cases():
            {"unwritable/run02.jsonl": None})
 
 
-def run_case(where: Path, argv: list[str], files: dict) -> tuple[str, int, dict[str, bytes]]:
-    """Run ``argv`` in the directory ``where`` after adding ``files`` to it;
-    return the case's line, its exit code and the files it wrote."""
-    from srloop.cli import main
-
-    def snapshot():
-        return {path.relative_to(where).as_posix(): path.read_bytes()
-                for path in sorted(where.rglob("*")) if path.is_file()}
-
-    for name, data in files.items():
-        (where / name).mkdir(parents=True) if data is None else (where / name).write_bytes(data)
-    before, out, err, cwd = snapshot(), io.StringIO(), io.StringIO(), os.getcwd()
-    os.chdir(where)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    finally:
-        os.chdir(cwd)
-    written = {name: data for name, data in snapshot().items() if before.get(name) != data}
-    digest = hashlib.sha256(json.dumps([code, out.getvalue(), err.getvalue()]).encode())
-    for name, data in written.items():
-        digest.update(f"\n{name}\t{len(data)}\n".encode() + data)
-    return f"{json.dumps(argv)}\t{digest.hexdigest()}", code, written
-
-
 def cli_lines(fits: bool = True):
     """``srloop.cli.main`` in process on each of ``cli_cases``, in a directory of its
     own, and then on the ``replay`` of each log a failed batch wrote: a line holds
     the argv as JSON and the SHA-256 of the exit code, stdout, stderr, and the name
     (relative to that directory) and bytes of each file the case wrote."""
+    from helpers import run_cli
+
+    def line(where, argv, files):  # the case's line, its exit code and the files it wrote
+        code, out, err, written = run_cli(where, argv, files)
+        digest = hashlib.sha256(json.dumps([code, out, err]).encode())
+        for name, data in written.items():
+            digest.update(f"\n{name}\t{len(data)}\n".encode() + data)
+        return f"{json.dumps(argv)}\t{digest.hexdigest()}", code, written
+
     with tempfile.TemporaryDirectory() as tmp:
         base = shutil.copytree(GOLDEN, Path(tmp) / "base")
         shutil.copytree(TESTS / "legacy_logs", base / "legacy_logs")
         for k, (argv, files) in enumerate(cli_cases(fits)):
             where = shutil.copytree(base, Path(tmp) / str(k))
-            line, code, written = run_case(where, argv, files)
-            yield line
+            text, code, written = line(where, argv, files)
+            yield text
             if argv[0] == "run" and code:
                 for name in (name for name in written if name.endswith(".jsonl")):
-                    yield run_case(where, ["replay", name], {})[0]
+                    yield line(where, ["replay", name], {})[0]
             shutil.rmtree(where)
 
 
